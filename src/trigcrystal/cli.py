@@ -364,6 +364,8 @@ def _cmd_fraction(cfg: RunConfig, out: _Outputs):
 
 
 def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
+    if cfg.mode in ("asymptotic", "all") and cfg.p < 1:
+        raise ValueError("asymptotic pair-correlation profile needs p >= 1")
     made_csv = []
     if cfg.mode in ("empirical", "all"):
         spec = _spec(cfg)
@@ -383,8 +385,6 @@ def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
         p2 = out.write_text("paircorr_analytic.csv", _curve_csv("x,R2", (xs, r2)))
         made_csv.append(("analytic", p2))
     if cfg.mode in ("asymptotic", "all"):
-        if cfg.p < 1:
-            raise ValueError("asymptotic pair-correlation profile needs p >= 1")
         us = np.linspace(-3.0, 3.0, 121)
         xs = 1.0 + 1.0 / (2.0 * cfg.p) + us / cfg.p
         r2 = np.array([asymptotics.theorem_profile(1, cfg.p, u) for u in us])
@@ -566,7 +566,7 @@ def run(cfg: RunConfig) -> int:
     try:
         _DISPATCH[cfg.command](cfg, out)
         _write_manifest(out, cfg)
-    except (ValueError, RuntimeError, OverflowError, FloatingPointError) as exc:
+    except (ValueError, RuntimeError, OverflowError, FloatingPointError, MemoryError) as exc:
         out.discard_all()
         print(
             f"numerical failure in {cfg.command} "

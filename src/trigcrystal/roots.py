@@ -2,11 +2,16 @@
 
 Two independent routes are provided and cross-validated in the test suite:
 
-* ``real_roots_sampled`` brackets sign changes on a dense uniform grid and
-  refines each bracket with a safeguarded secant/bisection iteration.  A
-  degree-N polynomial has at most 2N real zeros per period, so the default
-  grid of 16*(2N+1) points makes a missed bracket very unlikely; a second
-  pass inspects shallow dips that touch zero without a grid sign change.
+* ``real_roots_sampled`` evaluates F and F' on a uniform grid of
+  16*(2N+1) points by one zero-padded inverse real FFT (O(m) memory),
+  brackets the sign changes of F and refines each bracket by a safeguarded
+  Newton iteration started at the secant point.  A degree-N polynomial has
+  at most 2N real zeros per period, so a missed bracket is very unlikely;
+  a second pass inspects shallow dips that touch zero without a grid sign
+  change, locating each extremum by the same Newton iteration on F'.
+  Refinement stops at the rounding noise of the series,
+  |F(x)| <= 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)), where the
+  second term is the rounding of the arguments n*x.
 
 * ``all_roots_companion`` substitutes z = exp(ix), turning F into an
   algebraic polynomial Q of degree 2N with F(x) = exp(-iNx) Q(exp(ix)),
@@ -17,11 +22,10 @@ Two independent routes are provided and cross-validated in the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .poly import TrigPolynomial, differentiate, evaluate
+from .poly import TrigPolynomial, differentiate
 
 __all__ = [
     "RootSet",
@@ -34,9 +38,12 @@ DEFAULT_OVERSAMPLE = 16
 DEFAULT_TOL = 1e-12
 DEFAULT_CLASSIFY_TOL = 1e-8
 MAX_REFINE_ITERATIONS = 200
+_EPS = np.finfo(float).eps
 # dips shallower than this fraction of the grid max cannot hide a root pair
 # at the default oversampling (depth <= (N*dx)^2/8 of the local scale)
 DIP_DEPTH_FRACTION = 0.05
+# row blocks of the evaluator's cos/sin table hold at most this many entries
+TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,121 +87,124 @@ class RootSet:
         return "\n".join(repr(float(r)) for r in self.real_roots) + "\n"
 
 
-@lru_cache(maxsize=4)
-def _grid_matrices(degree: int, oversample: int):
-    m = oversample * (2 * degree + 1)
-    x = np.arange(m) * (2.0 * np.pi / m)
-    n = np.arange(degree + 1, dtype=float)
-    ang = np.multiply.outer(x, n)
-    return x, np.cos(ang), np.sin(ang)
+def _grid_values(f, m):
+    """F and F' at x_k = 2*pi*k/m, k < m, by one zero-padded inverse real FFT.
 
-
-def _batch_eval(f, x):
-    n = np.arange(f.degree + 1, dtype=float)
-    ang = np.multiply.outer(x, n)
-    return np.cos(ang) @ f.cos_coeffs + np.sin(ang) @ f.sin_coeffs
-
-
-def _refine_brackets(f, lo, hi, flo, fhi, tol):
-    """Vectorized safeguarded refinement of sign-change brackets.
-
-    Illinois-type false position on the active brackets (the retained side's
-    value is halved on repeats, which breaks one-sided stalling), with a
-    plain bisection every fourth step as a hard safeguard.  Converges to
-    |hi - lo| < tol; simple roots typically finish in under ten iterations.
+    Bin n of the half spectrum holds (m/2)(a_n - i b_n) (bin 0 holds m*a_0),
+    and the derivative's bins are i*n times those, the transform of
+    (n*b_n, -n*a_n).  Needs m > 2N, which oversample >= 4 guarantees.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = flo.copy()
-    fhi = fhi.copy()
-    stuck_lo = np.zeros(len(lo), dtype=bool)
-    stuck_hi = np.zeros(len(lo), dtype=bool)
-    live = np.arange(len(lo))
-    for it in range(MAX_REFINE_ITERATIONS):
-        still = (hi[live] - lo[live]) >= tol
-        live = live[still]
+    n = np.arange(f.degree + 1)
+    spec = np.zeros((2, m // 2 + 1), dtype=complex)
+    spec[0, n] = 0.5 * m * (f.cos_coeffs - 1j * f.sin_coeffs)
+    spec[0, 0] = m * f.cos_coeffs[0]
+    spec[1, n] = 1j * n * spec[0, n]
+    return np.fft.irfft(spec, m)
+
+
+def _value_and_slope(f, x):
+    """F(x) and F'(x) at the points x, from one cos/sin table.
+
+    The table is built in row blocks of at most TABLE_ENTRIES entries, so
+    memory stays bounded at large degree.
+    """
+    n = np.arange(f.degree + 1, dtype=float)
+    a, b = f.cos_coeffs, f.sin_coeffs
+    on_cos = np.stack([a, n * b], axis=1)
+    on_sin = np.stack([b, -n * a], axis=1)
+    out = np.empty((len(x), 2))
+    rows = max(1, TABLE_ENTRIES // len(n))
+    for i in range(0, len(x), rows):
+        ang = np.multiply.outer(x[i:i + rows], n)
+        out[i:i + rows] = np.cos(ang) @ on_cos + np.sin(ang, out=ang) @ on_sin
+    return out[:, 0], out[:, 1]
+
+
+def _noise_floor(f):
+    """(c0, c1) of the bound c0 + c1*|x| on the rounding error of computed F(x).
+
+    c0 covers the cos/sin values and the sum, c1 the rounding of the
+    arguments n*x, which dominates at large N.
+    """
+    w = np.abs(f.cos_coeffs) + np.abs(f.sin_coeffs)
+    n = np.arange(f.degree + 1)
+    return 4.0 * _EPS * w.sum(), 4.0 * _EPS * (n * w).sum()
+
+
+def _inside(x, lo, hi):
+    """x where it lies strictly inside (lo, hi), the midpoint elsewhere."""
+    bad = ~np.isfinite(x) | (x <= lo) | (x >= hi)
+    return np.where(bad, 0.5 * (lo + hi), x)
+
+
+def _newton(f, lo, hi, flo, fhi):
+    """One zero of f in each bracket [lo, hi], flo and fhi of opposite sign.
+
+    Safeguarded Newton, vectorized over the brackets: it starts from the
+    secant point, every evaluation shrinks the bracket, and a step that
+    would leave the bracket is replaced by its midpoint.  A bracket is done
+    when |f(x)| is inside the rounding noise of the series, when the Newton
+    step no longer moves x, or when the bracket has shrunk to adjacent
+    floats.
+    """
+    c0, c1 = _noise_floor(f)
+    lo, hi = lo.copy(), hi.copy()
+    lo_sign = np.sign(flo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = _inside((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
+    live = np.arange(len(x))
+    for _ in range(MAX_REFINE_ITERATIONS):
+        xl = x[live]
+        fx, dfx = _value_and_slope(f, xl)
+        on_lo = np.sign(fx) == lo_sign[live]
+        a = np.where(on_lo, xl, lo[live])
+        b = np.where(on_lo, hi[live], xl)
+        lo[live], hi[live] = a, b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xl - fx / dfx
+        done = (np.abs(fx) <= c0 + c1 * np.abs(xl)) | (xn == xl)
+        xn = _inside(xn, a, b)
+        done |= xn == xl
+        x[live] = np.where(done, xl, xn)
+        live = live[~done]
         if len(live) == 0:
-            return 0.5 * (lo + hi)
-        a, b = lo[live], hi[live]
-        fa, fb = flo[live], fhi[live]
-        if it % 4 == 3:
-            mid = 0.5 * (a + b)
-        else:
-            denom = fb - fa
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mid = (a * fb - b * fa) / denom
-            bad = ~np.isfinite(mid) | (mid <= a) | (mid >= b)
-            mid = np.where(bad, 0.5 * (a + b), mid)
-        fm = _batch_eval(f, mid)
-        same = (fm > 0) == (fa > 0)
-        exact = fm == 0.0
-        move_lo = same & ~exact
-        move_hi = ~same & ~exact
-        lo[live] = np.where(move_lo | exact, mid, a)
-        flo[live] = np.where(move_lo, fm, fa)
-        hi[live] = np.where(move_hi | exact, mid, b)
-        fhi[live] = np.where(move_hi, fm, fb)
-        # Illinois scaling: halve the value on the side that did not move twice
-        rep_hi = move_lo & stuck_lo[live]
-        rep_lo = move_hi & stuck_hi[live]
-        fhi[live] = np.where(rep_hi, 0.5 * fhi[live], fhi[live])
-        flo[live] = np.where(rep_lo, 0.5 * flo[live], flo[live])
-        stuck_lo[live] = move_lo
-        stuck_hi[live] = move_hi
-    width = np.max(hi - lo)
-    worst = int(np.argmax(hi - lo))
+            return x
+    worst = live[0]
     raise RuntimeError(
         f"root refinement did not converge: bracket [{lo[worst]!r}, {hi[worst]!r}] "
-        f"width {width!r} after {MAX_REFINE_ITERATIONS} iterations"
+        f"after {MAX_REFINE_ITERATIONS} iterations"
     )
 
 
-def _dip_brackets(f, x, vals, scale):
+def _dip_brackets(f, x, vals, dvals):
     """Brackets hidden in shallow same-sign dips (near-tangent root pairs).
 
     A pair of close real roots can sit between grid points without a sign
     change; the dip minimum is then a zero of F' with F small.  Locates the
-    extremum by a vectorized bisection of F' over all candidate dips and
-    returns extra (lo, hi) bracket pairs wherever F flips sign there.
+    extremum by Newton on F' inside the grid cell pair around each candidate
+    and returns (lo, hi, flo, fhi) brackets on both sides of it wherever F
+    flips sign there.
     """
     m = len(x)
+    step = x[1]
     absv = np.abs(vals)
     interior_min = (absv < np.roll(absv, 1)) & (absv <= np.roll(absv, -1))
-    shallow = absv < DIP_DEPTH_FRACTION * scale
+    shallow = absv < DIP_DEPTH_FRACTION * np.max(absv)
     no_change = (np.roll(vals, 1) * vals > 0) & (vals * np.roll(vals, -1) > 0)
     cand = np.nonzero(interior_min & shallow & no_change)[0]
-    if len(cand) == 0:
-        return []
-    fprime = differentiate(f, 1)
-
-    def dval(pts):
-        return _batch_eval(fprime, pts)
-
-    step = 2.0 * np.pi / m
-    a = x[cand] - step
-    b = x[cand] + step
-    da = dval(a)
-    db = dval(b)
+    da, db = dvals[cand - 1], dvals[(cand + 1) % m]
     keep = da * db < 0
-    cand, a, b, da = cand[keep], a[keep], b[keep], da[keep]
-    if len(cand) == 0:
-        return []
-    for _ in range(30):  # extremum localized to ~1e-12 of the period
-        c = 0.5 * (a + b)
-        dc = dval(c)
-        go_a = (dc > 0) == (da > 0)
-        a = np.where(go_a, c, a)
-        da = np.where(go_a, dc, da)
-        b = np.where(go_a, b, c)
-    c = 0.5 * (a + b)
-    fc = _batch_eval(f, c)
+    cand = cand[keep]
+    c = _newton(differentiate(f, 1), x[cand] - step, x[cand] + step, da[keep], db[keep])
+    fc, _ = _value_and_slope(f, c)
     flips = fc * vals[cand] < 0
-    extra = []
-    for j, cj, flip in zip(cand, c, flips):
-        if flip:
-            extra.append((x[j] - step, cj))
-            extra.append((cj, x[j] + step))
-    return extra
+    j, c, fc = cand[flips], c[flips], fc[flips]
+    return (
+        np.concatenate([x[j] - step, c]),
+        np.concatenate([c, x[j] + step]),
+        np.concatenate([vals[j - 1], fc]),
+        np.concatenate([fc, vals[(j + 1) % m]]),
+    )
 
 
 def real_roots_sampled(
@@ -202,42 +212,26 @@ def real_roots_sampled(
     oversample: int = DEFAULT_OVERSAMPLE,
     tol: float = DEFAULT_TOL,
 ) -> RootSet:
-    """All real zeros in [0, 2*pi) by dense sampling plus bracket refinement."""
+    """All real zeros in [0, 2*pi) by dense sampling plus bracket refinement.
+
+    Each root is refined to the rounding noise of the series; tol is the
+    separation below which two refined roots count as one.
+    """
     if oversample < 4:
         raise ValueError("oversample must be at least 4")
     if f.is_zero:
         raise ValueError("degenerate input: polynomial is identically zero")
-    x, cmat, smat = _grid_matrices(f.degree, oversample)
-    vals = cmat @ f.cos_coeffs + smat @ f.sin_coeffs
-    m = len(x)
-
-    roots = []
-    exact = np.nonzero(vals == 0.0)[0]
-    for j in exact:
-        roots.append(x[j])
+    m = oversample * (2 * f.degree + 1)
+    xe = np.arange(m + 1) * (2.0 * np.pi / m)
+    x = xe[:m]
+    vals, dvals = _grid_values(f, m)
 
     nxt = np.roll(vals, -1)
-    change = vals * nxt < 0.0
-    idx = np.nonzero(change)[0]
-    lo = x[idx]
-    hi = np.where(idx + 1 < m, x[(idx + 1) % m], 2.0 * np.pi)
-    flo = vals[idx]
-    fhi = nxt[idx]
-
-    extra = _dip_brackets(f, x, vals, np.max(np.abs(vals)))
-    if extra:
-        elo = np.array([e[0] for e in extra])
-        ehi = np.array([e[1] for e in extra])
-        lo = np.concatenate([lo, elo])
-        hi = np.concatenate([hi, ehi])
-        flo = np.concatenate([flo, _batch_eval(f, elo)])
-        fhi = np.concatenate([fhi, _batch_eval(f, ehi)])
-
-    if len(lo):
-        refined = _refine_brackets(f, lo, hi, flo, fhi, tol)
-        roots.extend(refined.tolist())
-
-    roots = np.sort(np.mod(np.asarray(roots, dtype=float), 2.0 * np.pi))
+    idx = np.nonzero(vals * nxt < 0.0)[0]
+    grid = (x[idx], xe[idx + 1], vals[idx], nxt[idx])
+    lo, hi, flo, fhi = map(np.concatenate, zip(grid, _dip_brackets(f, x, vals, dvals)))
+    roots = np.concatenate([x[vals == 0.0], _newton(f, lo, hi, flo, fhi)])
+    roots = np.sort(np.mod(roots, 2.0 * np.pi))
     if len(roots) > 1:
         keep = np.concatenate([[True], np.diff(roots) > 10 * tol])
         # wrap-around duplicate (a root found both near 0 and near 2*pi)
@@ -250,11 +244,9 @@ def real_roots_sampled(
 def _polish_real(f, x0):
     """A few Newton steps on the trig series; keeps eigenvalue-derived real
     roots consistent with the refined sampled positions."""
-    fp = differentiate(f, 1)
     x = np.asarray(x0, dtype=float).copy()
     for _ in range(4):
-        fx = _batch_eval(f, x)
-        dfx = _batch_eval(fp, x)
+        fx, dfx = _value_and_slope(f, x)
         step = np.where(dfx != 0.0, fx / np.where(dfx == 0.0, 1.0, dfx), 0.0)
         step = np.clip(step, -1e-3, 1e-3)
         x = x - step

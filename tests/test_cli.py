@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from trigcrystal import TrigPolynomial
+from trigcrystal import TrigPolynomial, cli, ensemble
 from trigcrystal.cli import main, parse_config
 
 
@@ -165,17 +165,52 @@ class TestCommands:
         assert header == ["x", "f", "fprime"]
 
 
+class TestLargeDegree:
+    def test_empirical_fraction_at_the_largest_degree(self, tmp_path, capsys):
+        # N = 4096 is the top of the accepted range; the grid is O(m) memory
+        code = main(["fraction", "--mode", "empirical", "--N", "4096",
+                     "--realizations", "2", "--out", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
+        header, rows = read_csv(tmp_path / "fraction.csv")
+        assert header == ["mode", "value", "stderr"]
+        assert rows[0][0] == "empirical"
+        assert abs(float(rows[0][1]) - 1.0 / math.sqrt(3.0)) < 0.02
+
+
 class TestFailureHandling:
     def test_numerical_failure_exits_3_and_cleans_partials(self, tmp_path, capsys):
-        # mode all with p=0: empirical and analytic CSVs are written first,
-        # then the asymptotic profile (needs p >= 1) fails; everything from
-        # this run must be removed again
+        # mode all with p=0: the asymptotic profile needs p >= 1, and the
+        # run must leave nothing behind
         code = main(["paircorr", "--N", "8", "--p", "0", "--mode", "all",
                      "--realizations", "4", "--out", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert os.listdir(tmp_path) == []
+
+    def test_memory_error_exits_3_and_cleans_partials(self, tmp_path, capsys, monkeypatch):
+        def exhausts_memory(cfg, out):
+            out.write_text("fraction.csv", "mode,value,stderr\n")
+            raise MemoryError("cannot allocate the grid")
+
+        monkeypatch.setitem(cli._DISPATCH, "fraction", exhausts_memory)
+        code = main(["fraction", "--out", str(tmp_path)])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_asymptotic_p0_fails_before_the_ensemble(self, tmp_path, capsys, monkeypatch):
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the p >= 1 check")
+
+        monkeypatch.setattr(ensemble, "real_zero_ensemble", no_ensemble)
+        for mode in ("all", "asymptotic"):
+            code = main(["paircorr", "--N", "8", "--p", "0", "--mode", mode,
+                         "--out", str(tmp_path)])
+            assert code == 3
+            assert "needs p >= 1" in capsys.readouterr().err
+            assert os.listdir(tmp_path) == []
 
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         target = tmp_path / "ro"

@@ -60,7 +60,7 @@ class TestSampled:
     def test_near_tangent_pairs_are_recovered(self):
         # cos(8x) + (1 - eps) dips just below zero at eight minima; each dip
         # hides a close root pair with no grid sign change
-        for eps in (1e-3, 1e-5):
+        for eps in (1e-3, 1e-5, 1e-9, 1e-11):
             a = np.zeros(9)
             a[0] = 1.0 - eps
             a[8] = 1.0
@@ -122,6 +122,17 @@ class TestCrossValidation:
             assert a.real_count == b.real_count
             if a.real_count:
                 assert np.max(np.abs(a.real_roots - b.real_roots)) < 1e-8
+
+    @pytest.mark.parametrize("N,p,count", [(64, 0, 4), (256, 20, 2), (64, 500, 4)])
+    def test_hard_regimes_match_the_companion_oracle(self, N, p, count):
+        # many close pairs (p=0), the crystallized regime at larger N (p=20)
+        # and the top-mode limit where low modes underflow (p=500)
+        for k in range(count):
+            f = random_derivative(N, p, 90210 + k)
+            a = real_roots_sampled(f)
+            b = all_roots_companion(f)
+            assert a.real_count == b.real_count
+            assert np.max(np.abs(a.real_roots - b.real_roots)) < 1e-8
 
     def test_crystallization_toward_top_mode(self):
         # zeros of high derivatives approach the zeros of the top mode
