@@ -15,6 +15,7 @@ mode.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ __all__ = [
     "differentiate",
     "derivative_rescaled",
 ]
+
+# row blocks of the series evaluator allocate at most this many float64
+# words of temporaries (16 MiB)
+_TABLE_WORDS = 1 << 21
 
 
 def _frozen_array(values, name):
@@ -198,13 +203,50 @@ def sample(spec: EnsembleSpec, index: int) -> TrigPolynomial:
     return TrigPolynomial(degree=spec.degree, cos_coeffs=a, sin_coeffs=b)
 
 
+def _value_and_slope(f, x):
+    """F(x) and F'(x) at the points of the 1-D array x, from a factored table.
+
+    With c_n = a_n - i b_n, F(x) = Re sum_n c_n exp(inx) and F'(x) =
+    Re sum_n i n c_n exp(inx).  Writing n = qB + r with B = ceil(sqrt(N+1)),
+    r < B and q < Q = ceil((N+1)/B) factors exp(inx) = exp(iqBx) exp(irx):
+    the coefficients, zero-padded to Q*B, form a (B, 2Q) matrix (value and
+    slope columns), each point needs the B + Q exponentials E = exp(irx) and
+    G = exp(iqBx), and the sums are Re sum_q G_q (E @ C)_q.  That is about
+    2*sqrt(N) complex exponentials per point instead of N+1 cosines and N+1
+    sines.  The arguments qBx and rx together round by at most eps*n*|x|,
+    inside the |x| term of the root finder's noise floor.
+
+    Points are taken in row blocks whose temporaries together hold at most
+    _TABLE_WORDS float64 words, so memory stays bounded at large degree.
+    """
+    B = math.isqrt(f.degree) + 1
+    Q = -(-(f.degree + 1) // B)
+    c = np.zeros(Q * B, dtype=complex)
+    c[: f.degree + 1] = f.cos_coeffs - 1j * f.sin_coeffs
+    slope = 1j * np.arange(Q * B) * c
+    C = np.concatenate([c.reshape(Q, B), slope.reshape(Q, B)]).T
+    r = np.arange(B, dtype=float)
+    qB = B * np.arange(Q, dtype=float)
+    out = np.empty((len(x), 2))
+    # words per point: E and G with the real and complex intermediates of
+    # 1j*outer (1 + 2 + 2 per column), the product (4 per q), the sums (4)
+    rows = max(1, _TABLE_WORDS // (5 * (B + Q) + 4 * Q + 4))
+    for i in range(0, len(x), rows):
+        xb = x[i:i + rows]
+        E = np.exp(1j * np.multiply.outer(xb, r))
+        G = np.exp(1j * np.multiply.outer(xb, qB))
+        P = (E @ C).reshape(len(xb), 2, Q)
+        out[i:i + rows] = np.einsum("ikq,iq->ik", P, G).real
+        del E, G, P  # before the next block is built
+    return out[:, 0], out[:, 1]
+
+
 def evaluate(f: TrigPolynomial, x):
-    """Evaluate F at scalar or array x by direct summation."""
+    """Evaluate F at scalar or array x (the value column of the factored
+    evaluator shared with the root finder)."""
     xv = np.asarray(x, dtype=float)
-    n = np.arange(f.degree + 1, dtype=float)
-    ang = np.multiply.outer(xv, n)
-    vals = np.cos(ang) @ f.cos_coeffs + np.sin(ang) @ f.sin_coeffs
-    if np.isscalar(x) or xv.ndim == 0:
+    vals = _value_and_slope(f, xv.ravel())[0].reshape(xv.shape)
+    if xv.ndim == 0:
         return float(vals)
     return vals
 
@@ -217,20 +259,29 @@ def evaluate_rescaled(f: TrigPolynomial, x_rescaled):
     return evaluate(f, np.asarray(x_rescaled, dtype=float) * (np.pi / f.degree))
 
 
+def _quarter_turns(degree, a, b, times):
+    """The polynomial with coefficients (a, b) turned `times` times by
+    (a_n, b_n) -> (b_n, -a_n), the phase one derivative puts on each mode."""
+    for _ in range(times % 4):
+        a, b = b, -a
+    return TrigPolynomial(degree=degree, cos_coeffs=a, sin_coeffs=b)
+
+
 def differentiate(f: TrigPolynomial, times: int = 1) -> TrigPolynomial:
     """Exact derivative, applied `times` times.
 
     One application maps (a_n, b_n) -> (n*b_n, -n*a_n); four applications
-    give (n^4*a_n, n^4*b_n).  The constant term is annihilated.
+    give (n^4*a_n, n^4*b_n).  The constant term is annihilated.  The factor
+    n is applied once per derivative, so differentiate(differentiate(f, i), j)
+    equals differentiate(f, i + j) bit for bit.
     """
     if times < 1:
         raise ValueError("times must be at least 1")
     n = np.arange(f.degree + 1, dtype=float)
-    a = f.cos_coeffs.copy()
-    b = f.sin_coeffs.copy()
+    a, b = f.cos_coeffs, f.sin_coeffs
     for _ in range(times):
-        a, b = n * b, -n * a
-    return TrigPolynomial(degree=f.degree, cos_coeffs=a, sin_coeffs=b)
+        a, b = n * a, n * b
+    return _quarter_turns(f.degree, a, b, times)
 
 
 def derivative_rescaled(f: TrigPolynomial, times: int) -> TrigPolynomial:
@@ -246,16 +297,5 @@ def derivative_rescaled(f: TrigPolynomial, times: int) -> TrigPolynomial:
         return f
     if f.degree < 1:
         raise ValueError("rescaled derivative needs degree >= 1")
-    n = np.arange(f.degree + 1, dtype=float)
-    w = (n / f.degree) ** times
-    a, b = f.cos_coeffs, f.sin_coeffs
-    rot = times % 4
-    if rot == 0:
-        a2, b2 = w * a, w * b
-    elif rot == 1:
-        a2, b2 = w * b, -w * a
-    elif rot == 2:
-        a2, b2 = -w * a, -w * b
-    else:
-        a2, b2 = -w * b, w * a
-    return TrigPolynomial(degree=f.degree, cos_coeffs=a2, sin_coeffs=b2)
+    w = (np.arange(f.degree + 1, dtype=float) / f.degree) ** times
+    return _quarter_turns(f.degree, w * f.cos_coeffs, w * f.sin_coeffs, times)

@@ -5,10 +5,14 @@ Two independent routes are provided and cross-validated in the test suite:
 * ``real_roots_sampled`` evaluates F and F' on a uniform grid of
   16*(2N+1) points by one zero-padded inverse real FFT (O(m) memory),
   brackets the sign changes of F and refines each bracket by a safeguarded
-  Newton iteration started at the secant point.  A degree-N polynomial has
-  at most 2N real zeros per period, so a missed bracket is very unlikely;
-  a second pass inspects shallow dips that touch zero without a grid sign
-  change, locating each extremum by the same Newton iteration on F'.
+  Newton iteration started at the secant point.  Off the grid, F and F'
+  come from the factored evaluator of ``poly``, which writes exp(inx) as
+  exp(iqBx) exp(irx) with B = ceil(sqrt(N+1)), so each Newton point costs
+  about 2*sqrt(N) complex exponentials and one small matrix product.  A
+  degree-N polynomial has at most 2N real zeros per period, so a missed
+  bracket is very unlikely; a second pass inspects shallow dips that touch
+  zero without a grid sign change, locating each extremum by the same
+  Newton iteration on F'.
   Refinement stops at the rounding noise of the series,
   |F(x)| <= 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)), where the
   second term is the rounding of the arguments n*x.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import TrigPolynomial, differentiate
+from .poly import TrigPolynomial, _value_and_slope, differentiate
 
 __all__ = [
     "RootSet",
@@ -42,8 +46,6 @@ _EPS = np.finfo(float).eps
 # dips shallower than this fraction of the grid max cannot hide a root pair
 # at the default oversampling (depth <= (N*dx)^2/8 of the local scale)
 DIP_DEPTH_FRACTION = 0.05
-# row blocks of the evaluator's cos/sin table hold at most this many entries
-TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,24 +102,6 @@ def _grid_values(f, m):
     spec[0, 0] = m * f.cos_coeffs[0]
     spec[1, n] = 1j * n * spec[0, n]
     return np.fft.irfft(spec, m)
-
-
-def _value_and_slope(f, x):
-    """F(x) and F'(x) at the points x, from one cos/sin table.
-
-    The table is built in row blocks of at most TABLE_ENTRIES entries, so
-    memory stays bounded at large degree.
-    """
-    n = np.arange(f.degree + 1, dtype=float)
-    a, b = f.cos_coeffs, f.sin_coeffs
-    on_cos = np.stack([a, n * b], axis=1)
-    on_sin = np.stack([b, -n * a], axis=1)
-    out = np.empty((len(x), 2))
-    rows = max(1, TABLE_ENTRIES // len(n))
-    for i in range(0, len(x), rows):
-        ang = np.multiply.outer(x[i:i + rows], n)
-        out[i:i + rows] = np.cos(ang) @ on_cos + np.sin(ang, out=ang) @ on_sin
-    return out[:, 0], out[:, 1]
 
 
 def _noise_floor(f):

@@ -2,9 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigcrystal import (
     EnsembleSpec,
@@ -17,6 +20,8 @@ from trigcrystal import (
     sample,
 )
 from trigcrystal.ensemble import real_zero_ensemble
+from trigcrystal.poly import _value_and_slope
+from trigcrystal.roots import _noise_floor
 
 
 def cosine(N):
@@ -129,6 +134,90 @@ class TestEvaluate:
         vals = evaluate(f, xs)
         assert vals.shape == (7,)
         assert np.allclose(vals, np.cos(4 * xs))
+
+
+def dense_value_and_slope(f, x):
+    """Reference: F and F' by direct summation over a full cos/sin table."""
+    n = np.arange(f.degree + 1, dtype=float)
+    a, b = f.cos_coeffs, f.sin_coeffs
+    c, s = np.cos(np.multiply.outer(x, n)), np.sin(np.multiply.outer(x, n))
+    return c @ a + s @ b, c @ (n * b) - s @ (n * a)
+
+
+@st.composite
+def sparse_polynomials(draw):
+    """Degrees 1..4096, with extra weight where N+1 is a square or next to
+    one (the padding edge cases of the factored table); spectra with only
+    the top mode, a few random modes, or all modes."""
+    near_square = st.integers(1, 64).flatmap(
+        lambda k: st.sampled_from([max(1, k * k - 2), max(1, k * k - 1), k * k]))
+    N = draw(st.one_of(st.integers(1, 4096), near_square))
+    kind = draw(st.sampled_from(["top", "few", "all"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = np.zeros(N + 1), np.zeros(N + 1)
+    if kind == "top":
+        modes = np.array([N])
+    elif kind == "few":
+        modes = rng.choice(N + 1, size=min(N + 1, 4), replace=False)
+    else:
+        modes = np.arange(N + 1)
+    a[modes] = rng.standard_normal(len(modes))
+    b[modes] = rng.standard_normal(len(modes))
+    b[0] = 0.0
+    return TrigPolynomial(N, a, b)
+
+
+class TestFactoredEvaluator:
+    @staticmethod
+    def assert_within_floor(f, x, got, want, fraction):
+        c0, c1 = _noise_floor(f)
+        assert np.all(np.abs(got - want) <= fraction * (c0 + c1 * np.abs(x)))
+
+    @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (4096, 0), (64, 500)])
+    def test_matches_extended_precision_within_the_noise_floor(self, N, p):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        f = sample(EnsembleSpec.equal_variance(N, 0, 1, 29), 0)
+        f = derivative_rescaled(f, p) if p else f
+        x = np.random.default_rng(N + p).uniform(0.0, 2.0 * math.pi, 40)
+        exact = []
+        for xi in x:
+            z, w = mp.expj(mp.mpf(xi)), mp.mpc(1)
+            value = slope = mp.mpf(0)
+            for n in range(N + 1):
+                c = mp.mpc(float(f.cos_coeffs[n]), -float(f.sin_coeffs[n])) * w
+                value += c.real
+                slope -= n * c.imag
+                w *= z
+            exact.append((float(value), float(slope)))
+        exact = np.array(exact)
+        value, slope = _value_and_slope(f, x)
+        self.assert_within_floor(f, x, value, exact[:, 0], 0.25)
+        self.assert_within_floor(differentiate(f, 1), x, slope, exact[:, 1], 0.25)
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=sparse_polynomials(),
+           x=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20))
+    def test_matches_direct_summation(self, f, x):
+        x = np.array(x)
+        value, slope = _value_and_slope(f, x)
+        want_value, want_slope = dense_value_and_slope(f, x)
+        self.assert_within_floor(f, x, value, want_value, 1.0)
+        self.assert_within_floor(differentiate(f, 1), x, slope, want_slope, 1.0)
+
+    def test_peak_memory_is_bounded_at_the_largest_degree(self):
+        f = sample(EnsembleSpec.equal_variance(4096, 0, 1, 3), 0)
+        x = np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, 20_000)
+        tracemalloc.start()
+        try:
+            value, _ = _value_and_slope(f, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
+        # the points span several row blocks; the last, partial one too
+        tail = x[-50:]
+        self.assert_within_floor(f, tail, value[-50:], dense_value_and_slope(f, tail)[0], 1.0)
 
 
 class TestEvaluateRescaled:
