@@ -13,6 +13,7 @@ and the spread of gaps tighten toward the crystal.
 import numpy as np
 
 import trigcrystal as tc
+from trigcrystal.ensemble import circular_gaps, rescale_zeros
 
 N = 30
 spec = tc.EnsembleSpec.equal_variance(N, 0, realizations=1, master_seed=20260809)
@@ -23,8 +24,8 @@ print(f"{'order':>5} {'real zeros':>10} {'fraction':>9} {'gap std':>9}")
 for order in (0, 1, 3, 10, 40):
     g = tc.derivative_rescaled(f, order) if order else f
     roots = tc.real_roots_sampled(g).real_roots
-    rescaled = tc.rescale_zeros(roots, N)
-    gaps = tc.circular_gaps(rescaled, 2 * N)
+    rescaled = rescale_zeros(roots, N)
+    gaps = circular_gaps(rescaled, 2 * N)
     print(f"{order:>5} {len(roots):>10} {len(roots) / (2 * N):>9.4f} "
           f"{np.std(gaps):>9.4f}")
 

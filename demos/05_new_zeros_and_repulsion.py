@@ -16,6 +16,7 @@ three: a triple zero at the threshold, then a tight real triplet.
 import numpy as np
 
 import trigcrystal as tc
+from trigcrystal.asymptotics import TRIPLE_ZERO_CRITICAL
 
 print("arrival rate of new real zeros vs repulsion slope\n")
 print(f"{'p':>4} {'v_p - v_(p-1)':>14} {'1/(2p^2)':>10} {'slope':>12} "
@@ -32,5 +33,5 @@ for a in (0.92, 1.0, 1.03, 1.05, 1.1):
 
 thr = tc.triple_zero_threshold()
 print(f"\nbisected 3 -> 1 transition: a* = {thr:.6f}")
-print(f"pitchfork constant sqrt(2/(pi^2-8)): {tc.TRIPLE_ZERO_CRITICAL:.6f}")
+print(f"pitchfork constant sqrt(2/(pi^2-8)): {TRIPLE_ZERO_CRITICAL:.6f}")
 print("(the derivative acquires a triple zero at x = 1/2 exactly there)")

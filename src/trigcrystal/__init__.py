@@ -11,66 +11,53 @@ asymptotics of the approach to equal spacing (`asymptotics`), and a CLI
 
 __version__ = "0.1.0"
 
-from .poly import (  # noqa: E402,F401
+from .poly import (  # noqa: E402
     EnsembleSpec,
     TrigPolynomial,
     VarianceProfile,
     derivative_rescaled,
     differentiate,
     evaluate,
-    evaluate_rescaled,
     sample,
 )
-from .roots import (  # noqa: E402,F401
-    RootSet,
-    all_roots_companion,
-    fraction_real,
-    real_roots_sampled,
-)
-from .ensemble import (  # noqa: E402,F401
-    Histogram,
-    PairCorrelationEstimate,
-    circular_gaps,
+from .roots import all_roots_companion, real_roots_sampled  # noqa: E402
+from .ensemble import (  # noqa: E402
     empirical_pair_correlation,
     empirical_real_fraction,
     gap_ensemble,
     nearest_neighbor_spacings,
     real_zero_ensemble,
-    rescale_zeros,
 )
-from .analytic import (  # noqa: E402,F401
-    BBLTerms,
-    KacRiceInputs,
-    LimitTerms,
-    bbl_terms,
+from .analytic import (  # noqa: E402
     expected_real_fraction,
-    g_limit_integrals,
-    g_limit_integrals_recurrence,
-    kac_rice_density,
-    kac_rice_inputs,
-    limit_terms,
     pair_correlation_finite_n,
-    pair_correlation_finite_n_rescaled,
     pair_correlation_limit,
     pair_correlation_limit_curve,
     v_p,
 )
-from .asymptotics import (  # noqa: E402,F401
-    TRIPLE_ZERO_CRITICAL,
-    PeakProfile,
-    TripleZeroDemo,
-    gap_function,
-    gap_function_derivative,
+from .asymptotics import (  # noqa: E402
     new_real_fraction,
     nn_cdf,
     nn_density,
     peak_location,
-    repulsion_curvature,
     repulsion_expansion,
     repulsion_slope,
-    series_abc,
     theorem_profile,
-    triple_zero_count,
     triple_zero_demo,
     triple_zero_threshold,
 )
+
+# the API documented in the README; everything else is reached through its
+# submodule (trigcrystal.analytic.limit_terms, ...)
+__all__ = [
+    "TrigPolynomial", "VarianceProfile", "EnsembleSpec", "sample", "evaluate",
+    "differentiate", "derivative_rescaled",
+    "real_roots_sampled", "all_roots_companion",
+    "real_zero_ensemble", "empirical_real_fraction", "empirical_pair_correlation",
+    "nearest_neighbor_spacings", "gap_ensemble",
+    "expected_real_fraction", "v_p", "pair_correlation_finite_n",
+    "pair_correlation_limit", "pair_correlation_limit_curve",
+    "peak_location", "theorem_profile", "nn_density", "nn_cdf", "repulsion_slope",
+    "repulsion_expansion", "new_real_fraction", "triple_zero_demo",
+    "triple_zero_threshold",
+]

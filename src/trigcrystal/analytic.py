@@ -42,10 +42,7 @@ from scipy.integrate import quad
 from .poly import VarianceProfile
 
 __all__ = [
-    "KacRiceInputs",
-    "BBLTerms",
-    "LimitTerms",
-    "kac_rice_inputs",
+    "MomentTerms",
     "kac_rice_density",
     "expected_real_fraction",
     "v_p",
@@ -53,7 +50,6 @@ __all__ = [
     "pair_correlation_finite_n",
     "pair_correlation_finite_n_rescaled",
     "g_limit_integrals",
-    "g_limit_integrals_recurrence",
     "limit_terms",
     "pair_correlation_limit",
     "pair_correlation_limit_curve",
@@ -72,34 +68,16 @@ _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-11, limit=200)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KacRiceInputs:
-    """Second-order data of (F, F'): variances, covariance, determinant."""
-
-    A2: float
-    B2: float
-    C: float
-    Delta2: float
-
-    def __post_init__(self):
-        if self.A2 <= 0 or self.B2 <= 0:
-            raise ValueError("variances must be positive")
-        if self.Delta2 < 0:
-            raise ValueError("Delta2 must be non-negative")
-
-
-def kac_rice_inputs(profile: VarianceProfile) -> KacRiceInputs:
+def kac_rice_density(profile: VarianceProfile) -> float:
+    """Expected real zeros per unit x, sqrt(B2/A2)/pi; stationarity makes it
+    constant."""
     s2 = (profile.sigmas**2).tolist()
     n2 = (np.arange(profile.degree + 1) ** 2).tolist()
     a2 = math.fsum(s2)
     b2 = math.fsum(v * w for v, w in zip(n2, s2))
-    return KacRiceInputs(A2=a2, B2=b2, C=0.0, Delta2=a2 * b2)
-
-
-def kac_rice_density(profile: VarianceProfile) -> float:
-    """Expected real zeros per unit x; stationarity makes it constant."""
-    kri = kac_rice_inputs(profile)
-    return math.sqrt(kri.Delta2) / (math.pi * kri.A2)
+    # equal to sqrt(b2 / a2), rounded the way earlier releases rounded it, so
+    # the fraction and vp-table CSVs keep their bytes
+    return math.sqrt(a2 * b2) / (math.pi * a2)
 
 
 def expected_real_fraction(degree: int, order: int) -> float:
@@ -126,8 +104,9 @@ def v_p(p: int) -> float:
 
 
 @dataclass(frozen=True)
-class BBLTerms:
-    """Moment sums and the derived A, B, C at separation tau (finite N)."""
+class MomentTerms:
+    """Moment sums (finite N) or integrals (large-N limit) g1..g5 and the
+    derived A, B, C of the pair-correlation formula."""
 
     g1: float
     g2: float
@@ -139,7 +118,13 @@ class BBLTerms:
     C: float
 
 
-def bbl_terms(profile: VarianceProfile, tau: float) -> BBLTerms:
+def _moment_terms(g1, g2, g3, g4, g5, C) -> MomentTerms:
+    A = g2 * C - g1 * g4 * g4
+    B = g5 * C - g3 * g4 * g4
+    return MomentTerms(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, A=A, B=B, C=C)
+
+
+def bbl_terms(profile: VarianceProfile, tau: float) -> MomentTerms:
     """The five moment sums over modes n = 1..N and the A, B, C combination."""
     N = profile.degree
     n = np.arange(1, N + 1, dtype=float)
@@ -151,10 +136,7 @@ def bbl_terms(profile: VarianceProfile, tau: float) -> BBLTerms:
     g3 = math.fsum((s2 * cn).tolist())
     g4 = math.fsum((n * s2 * sn).tolist())
     g5 = math.fsum((n * n * s2 * cn).tolist())
-    C = g1 * g1 - g3 * g3
-    A = g2 * C - g1 * g4 * g4
-    B = g5 * C - g3 * g4 * g4
-    return BBLTerms(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, A=A, B=B, C=C)
+    return _moment_terms(g1, g2, g3, g4, g5, g1 * g1 - g3 * g3)
 
 
 def _assemble_r2(A: float, B: float, C: float, scale: float) -> float:
@@ -190,20 +172,6 @@ def pair_correlation_finite_n_rescaled(profile: VarianceProfile, x: float) -> fl
 # ---------------------------------------------------------------------------
 # large-N limit
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LimitTerms:
-    """Moment integrals and A, B, C of the large-N limit at separation x."""
-
-    g1: float
-    g2: float
-    g3: float
-    g4: float
-    g5: float
-    A: float
-    B: float
-    C: float
 
 
 def _cos_moment_series(k: int, y: float) -> float:
@@ -305,30 +273,7 @@ def g_limit_integrals(p: int, x: float) -> tuple[float, float, float]:
     )
 
 
-def g_limit_integrals_recurrence(p: int, x: float) -> tuple[float, float, float]:
-    """(g3, g4, g5) by the upward integration-by-parts recurrence
-
-        I_k = sin(pi x)/(pi x) - (k/(pi x)) J_{k-1}
-        J_k = -cos(pi x)/(pi x) + (k/(pi x)) I_{k-1}
-
-    from I_0 = sin(pi x)/(pi x), J_0 = (1 - cos(pi x))/(pi x).  The upward
-    sweep amplifies roundoff once k >> pi*x, so this is a cross-check for
-    small p only, not a production path.
-    """
-    if x <= 0:
-        raise ValueError("recurrence needs x > 0")
-    y = math.pi * x
-    i_prev = math.sin(y) / y
-    j_prev = (1.0 - math.cos(y)) / y
-    table_i = [i_prev]
-    table_j = [j_prev]
-    for k in range(1, 2 * p + 3):
-        table_i.append(math.sin(y) / y - (k / y) * table_j[k - 1])
-        table_j.append(-math.cos(y) / y + (k / y) * table_i[k - 1])
-    return table_i[2 * p], table_j[2 * p + 1], table_i[2 * p + 2]
-
-
-def limit_terms(p: int, x: float) -> LimitTerms:
+def limit_terms(p: int, x: float) -> MomentTerms:
     """Moment integrals and the A, B, C combination of the limit formula.
 
     C = g1^2 - g3^2 cancels to O(x^2) at small separation, so on the series
@@ -341,9 +286,7 @@ def limit_terms(p: int, x: float) -> LimitTerms:
         C = _g1_minus_g3_series(p, math.pi * x) * (g1 + g3)
     else:
         C = g1 * g1 - g3 * g3
-    A = g2 * C - g1 * g4 * g4
-    B = g5 * C - g3 * g4 * g4
-    return LimitTerms(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, A=A, B=B, C=C)
+    return _moment_terms(g1, g2, g3, g4, g5, C)
 
 
 def pair_correlation_limit(p: int, x: float) -> float:

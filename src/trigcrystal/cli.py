@@ -3,9 +3,10 @@
 Runs Monte Carlo ensembles, tabulates the analytic curves, exports CSV and
 renders static SVG plots.  CSV is the primary data interface; every SVG is
 rendered from CSV files that were written first, never from internal state.
-Each command writes a manifest JSON echoing the fully resolved
-configuration, and rerunning a command with the same configuration and seed
-reproduces byte-identical CSV output for any --threads value.
+Each command writes a manifest JSON echoing the resolved value of every
+option the command takes, and rerunning a command with the same
+configuration and seed reproduces byte-identical CSV output for any
+--threads value.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
 """
@@ -117,11 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None, help="output directory")
 
     sp = sub.add_parser("sample", help="draw one realization and write a JSON fixture")
-    add_common(sp, "N", "p", "realizations", "seed")
+    add_common(sp, "N", "p", "seed")
     sp.add_argument("--index", type=int, default=None, help="realization index")
 
     sp = sub.add_parser("roots", help="real/complex zeros of one realization")
-    add_common(sp, "N", "p", "realizations", "seed")
+    add_common(sp, "N", "p", "seed")
     sp.add_argument("--index", type=int, default=None)
     sp.add_argument("--method", choices=METHODS, default=None)
     sp.add_argument("--oversample", type=int, default=None)
@@ -220,8 +221,8 @@ def parse_config(argv=None) -> RunConfig:
         parser.error(f"oversample must be at least 4, got {merged['oversample']}")
     if merged["threads"] < 1:
         parser.error(f"threads must be at least 1, got {merged['threads']}")
-    if merged["index"] < 0 or merged["index"] >= merged["realizations"]:
-        parser.error(f"index must be in [0, realizations), got {merged['index']}")
+    if merged["index"] < 0:
+        parser.error(f"index must be non-negative, got {merged['index']}")
     if command in ("paircorr", "spacing") and merged["max_range"] > merged["N"]:
         parser.error(
             f"max_range must not exceed the half period N={merged['N']}, "
@@ -260,11 +261,13 @@ class _Outputs:
 
 
 def _write_manifest(out: _Outputs, cfg: RunConfig):
+    # the bare command parses to exactly the keys its own subparser defines
+    own = vars(build_parser().parse_args([cfg.command]))
     doc = {
         "tool": "crystallize",
         "version": __version__,
         "command": cfg.command,
-        "config": asdict(cfg),
+        "config": {k: v for k, v in asdict(cfg).items() if k in own},
     }
     name = cfg.command.replace("-", "_") + "_manifest.json"
     out.write_text(name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -292,6 +295,40 @@ def _analytic_grid(x_max: float, step: float = 0.02) -> np.ndarray:
     return np.round(ks * step, 10)
 
 
+def _render(out: _Outputs, name: str, curves, **labels):
+    """Render the SVG `name` from CSV files already written.
+
+    curves holds (csv_path, column, label, dashed).  A histogram CSV gives a
+    step series of its bins; any other CSV plots `column` against its first
+    column.
+    """
+    tables = {path: _read_csv(path) for path, *_ in curves}
+    series = []
+    for path, column, label, dashed in curves:
+        cols = tables[path]
+        if "bin_left" in cols:
+            xs, ys = svgplot.hist_xy(cols["bin_left"] + cols["bin_right"][-1:], cols[column])
+            series.append(svgplot.Series(xs, ys, label=label, kind="hist"))
+        else:
+            xs = next(iter(cols.values()))
+            series.append(svgplot.Series(xs, cols[column], label=label, dashed=dashed))
+    svgplot.render(out.path(name), series, **labels)
+
+
+def _write_limit_curve(out: _Outputs, name: str, p: int, x_max: float) -> str:
+    xs = _analytic_grid(x_max)
+    r2 = analytic.pair_correlation_limit_curve(p, xs)
+    return out.write_text(name, _curve_csv("x,R2", (xs, r2)))
+
+
+def _write_triple_zero(out: _Outputs, stem: str, a: float, title: str):
+    demo = asymptotics.triple_zero_demo(a)
+    path = out.write_text(f"{stem}.csv", demo.to_csv())
+    _render(out, f"{stem}.svg", [(path, "f", "f", False), (path, "fprime", "f'", True)],
+            title=title, xlabel="x", ylabel="value")
+    return demo
+
+
 def _spec(cfg: RunConfig) -> poly.EnsembleSpec:
     return poly.EnsembleSpec.equal_variance(
         cfg.N, cfg.p, cfg.realizations, cfg.seed
@@ -302,7 +339,9 @@ def _fixture_polynomial(cfg: RunConfig) -> poly.TrigPolynomial:
     if cfg.input:
         with open(cfg.input, "r", encoding="utf-8") as fh:
             return poly.TrigPolynomial.from_json(json.load(fh))
-    f = poly.sample(_spec(cfg), cfg.index)
+    # realization i depends only on (seed, i), so any ensemble past i serves
+    spec = poly.EnsembleSpec.equal_variance(cfg.N, cfg.p, cfg.index + 1, cfg.seed)
+    f = poly.sample(spec, cfg.index)
     if cfg.p > 0:
         # scaled by N^-p; the zero set is unchanged and stays in float range
         f = poly.derivative_rescaled(f, cfg.p)
@@ -366,7 +405,7 @@ def _cmd_fraction(cfg: RunConfig, out: _Outputs):
 def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
     if cfg.mode in ("asymptotic", "all") and cfg.p < 1:
         raise ValueError("asymptotic pair-correlation profile needs p >= 1")
-    made_csv = []
+    curves = []
     if cfg.mode in ("empirical", "all"):
         spec = _spec(cfg)
         rootsets = ensemble.real_zero_ensemble(
@@ -378,38 +417,21 @@ def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
         )
         p1 = out.write_text("paircorr_empirical.csv", est.histogram.to_csv())
         out.write_text("paircorr_empirical_meta.json", est.sidecar_json() + "\n")
-        made_csv.append(("empirical", p1))
+        curves.append((p1, "value", "empirical", False))
     if cfg.mode in ("analytic", "all"):
-        xs = _analytic_grid(cfg.x_max)
-        r2 = analytic.pair_correlation_limit_curve(cfg.p, xs)
-        p2 = out.write_text("paircorr_analytic.csv", _curve_csv("x,R2", (xs, r2)))
-        made_csv.append(("analytic", p2))
+        p2 = _write_limit_curve(out, "paircorr_analytic.csv", cfg.p, cfg.x_max)
+        curves.append((p2, "R2", "analytic", False))
     if cfg.mode in ("asymptotic", "all"):
         us = np.linspace(-3.0, 3.0, 121)
         xs = 1.0 + 1.0 / (2.0 * cfg.p) + us / cfg.p
         r2 = np.array([asymptotics.theorem_profile(1, cfg.p, u) for u in us])
         p3 = out.write_text("paircorr_theorem.csv", _curve_csv("x,R2", (xs, r2)))
-        made_csv.append(("asymptotic", p3))
-    print(f"paircorr mode={cfg.mode}: wrote {len(made_csv)} CSV file(s)")
+        curves.append((p3, "R2", "asymptotic", True))
+    print(f"paircorr mode={cfg.mode}: wrote {len(curves)} CSV file(s)")
     if cfg.mode == "all":
-        series = []
-        for label, path in made_csv:
-            cols = _read_csv(path)
-            if "bin_left" in cols:
-                xs_h, ys_h = svgplot.hist_xy(
-                    cols["bin_left"] + [cols["bin_right"][-1]], cols["value"]
-                )
-                series.append(svgplot.Series(xs_h, ys_h, label=label, kind="hist"))
-            else:
-                series.append(
-                    svgplot.Series(cols["x"], cols["R2"], label=label,
-                                   dashed=(label == "asymptotic"))
-                )
-        svgplot.render(
-            out.path("paircorr.svg"), series,
-            title=f"pair correlation, N={cfg.N}, p={cfg.p}",
-            xlabel="separation (mean total spacing = 1)", ylabel="R2",
-        )
+        _render(out, "paircorr.svg", curves,
+                title=f"pair correlation, N={cfg.N}, p={cfg.p}",
+                xlabel="separation (mean total spacing = 1)", ylabel="R2")
 
 
 def _cmd_spacing(cfg: RunConfig, out: _Outputs):
@@ -423,29 +445,16 @@ def _cmd_spacing(cfg: RunConfig, out: _Outputs):
     p1 = out.write_text("spacing.csv", hist.to_csv())
     mean_gap = float(np.mean(ensemble.gap_ensemble(rootsets, cfg.N)))
     print(f"spacing: {len(hist.values)} bins, ensemble mean gap {mean_gap:.6f}")
-    paths = [("empirical", p1)]
+    curves = [(p1, "value", "empirical", False)]
     if cfg.p >= 1:
-        ss = np.round(np.arange(1, int(round(cfg.max_range / 0.01)) + 1) * 0.01, 10)
+        ss = _analytic_grid(cfg.max_range, 0.01)
         us = cfg.p * (ss - 1.0 - 1.0 / (2.0 * cfg.p))
         dens = cfg.p * asymptotics.nn_density(us)
         p2 = out.write_text("spacing_model.csv", _curve_csv("s,density", (ss, dens)))
-        paths.append(("model", p2))
-    series = []
-    for label, path in paths:
-        cols = _read_csv(path)
-        if "bin_left" in cols:
-            xs_h, ys_h = svgplot.hist_xy(
-                cols["bin_left"] + [cols["bin_right"][-1]], cols["value"]
-            )
-            series.append(svgplot.Series(xs_h, ys_h, label=label, kind="hist"))
-        else:
-            series.append(svgplot.Series(cols["s"], cols["density"],
-                                         label=label, dashed=True))
-    svgplot.render(
-        out.path("spacing.svg"), series,
-        title=f"nearest-neighbor spacing, N={cfg.N}, p={cfg.p}",
-        xlabel="gap (mean total spacing = 1)", ylabel="density",
-    )
+        curves.append((p2, "density", "model", True))
+    _render(out, "spacing.svg", curves,
+            title=f"nearest-neighbor spacing, N={cfg.N}, p={cfg.p}",
+            xlabel="gap (mean total spacing = 1)", ylabel="density")
 
 
 def _cmd_vp_table(cfg: RunConfig, out: _Outputs):
@@ -461,23 +470,13 @@ def _cmd_vp_table(cfg: RunConfig, out: _Outputs):
 
 
 def _cmd_demo_triple_zero(cfg: RunConfig, out: _Outputs):
-    demo = asymptotics.triple_zero_demo(cfg.a)
-    path = out.write_text("triple_zero.csv", demo.to_csv())
+    demo = _write_triple_zero(out, "triple_zero", cfg.a,
+                              f"bridged-gap function, a = {cfg.a}")
     print(f"a = {cfg.a}: derivative has {demo.derivative_zero_count} real zero(s) in (0, 1)")
     if cfg.find_threshold:
         thr = asymptotics.triple_zero_threshold()
         print(f"3 -> 1 transition at a = {thr:.6f}")
         out.write_text("triple_zero_threshold.txt", f"{thr!r}\n")
-    cols = _read_csv(path)
-    svgplot.render(
-        out.path("triple_zero.svg"),
-        [
-            svgplot.Series(cols["x"], cols["f"], label="f"),
-            svgplot.Series(cols["x"], cols["fprime"], label="f'", dashed=True),
-        ],
-        title=f"bridged-gap function, a = {cfg.a}",
-        xlabel="x", ylabel="value",
-    )
 
 
 def _figure1(cfg: RunConfig, out: _Outputs):
@@ -490,44 +489,23 @@ def _figure1(cfg: RunConfig, out: _Outputs):
         vals = poly.evaluate_rescaled(g, xs)
         vals = vals / np.max(np.abs(vals))
         path = out.write_text(f"figure1_{name}.csv", _curve_csv("x,value", (xs, vals)))
-        cols = _read_csv(path)
-        svgplot.render(
-            out.path(f"figure1_{name}.svg"),
-            [svgplot.Series(cols["x"], cols["value"], label=name)],
-            title=f"degree-{cfg.N} realization, panel {name} (normalized)",
-            xlabel="x (rescaled)", ylabel="value",
-        )
+        _render(out, f"figure1_{name}.svg", [(path, "value", name, False)],
+                title=f"degree-{cfg.N} realization, panel {name} (normalized)",
+                xlabel="x (rescaled)", ylabel="value")
 
 
 def _figure2(cfg: RunConfig, out: _Outputs):
     for p in (0, 1, 3, 10):
-        xs = _analytic_grid(cfg.x_max)
-        r2 = analytic.pair_correlation_limit_curve(p, xs)
-        path = out.write_text(f"figure2_p{p}.csv", _curve_csv("x,R2", (xs, r2)))
-        cols = _read_csv(path)
-        svgplot.render(
-            out.path(f"figure2_p{p}.svg"),
-            [svgplot.Series(cols["x"], cols["R2"], label=f"p={p}")],
-            title=f"pair correlation of real zeros, p={p}",
-            xlabel="separation", ylabel="R2",
-        )
+        path = _write_limit_curve(out, f"figure2_p{p}.csv", p, cfg.x_max)
+        _render(out, f"figure2_p{p}.svg", [(path, "R2", f"p={p}", False)],
+                title=f"pair correlation of real zeros, p={p}",
+                xlabel="separation", ylabel="R2")
 
 
 def _figure3(cfg: RunConfig, out: _Outputs):
     for a in (0.92, 1.1):
-        demo = asymptotics.triple_zero_demo(a)
         tag = f"a{a:g}".replace(".", "_")
-        path = out.write_text(f"figure3_{tag}.csv", demo.to_csv())
-        cols = _read_csv(path)
-        svgplot.render(
-            out.path(f"figure3_{tag}.svg"),
-            [
-                svgplot.Series(cols["x"], cols["f"], label="f"),
-                svgplot.Series(cols["x"], cols["fprime"], label="f'", dashed=True),
-            ],
-            title=f"bridged-gap function, a = {a:g}",
-            xlabel="x", ylabel="value",
-        )
+        _write_triple_zero(out, f"figure3_{tag}", a, f"bridged-gap function, a = {a:g}")
 
 
 def _cmd_figure(cfg: RunConfig, out: _Outputs):

@@ -35,7 +35,6 @@ __all__ = [
     "RootSet",
     "real_roots_sampled",
     "all_roots_companion",
-    "fraction_real",
 ]
 
 DEFAULT_OVERSAMPLE = 16
@@ -277,10 +276,3 @@ def all_roots_companion(
         method="companion",
         tolerance=classify_tol,
     )
-
-
-def fraction_real(rootset: RootSet, degree: int) -> float:
-    """Fraction of the 2N fundamental zeros that are real."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    return len(rootset.real_roots) / (2.0 * degree)

@@ -26,6 +26,8 @@ import numpy as np
 import pytest
 
 import trigcrystal as tc
+from trigcrystal.analytic import limit_terms
+from trigcrystal.asymptotics import series_abc, triple_zero_count
 from trigcrystal.cli import main as cli_main
 
 SEED = 20260809
@@ -209,8 +211,8 @@ def test_criterion_08_root_finder_oracle_equivalence():
 
 
 def test_criterion_09a_derivative_zero_counts():
-    assert tc.triple_zero_count(0.92) == 3
-    assert tc.triple_zero_count(1.1) == 1
+    assert triple_zero_count(0.92) == 3
+    assert triple_zero_count(1.1) == 1
     note("a=0.92 -> 3 derivative zeros in (0,1); a=1.1 -> 1")
 
 
@@ -235,8 +237,8 @@ def test_criterion_09b_companion_transition_at_exact_constant():
 def test_criterion_10_series_validation():
     errs = {}
     for p in (100, 1000):
-        quad_c = tc.limit_terms(p, 0.7).C
-        series_c = tc.series_abc(p, 0.7)[2]
+        quad_c = limit_terms(p, 0.7).C
+        series_c = series_abc(p, 0.7)[2]
         errs[p] = abs(series_c - quad_c) / abs(quad_c)
     assert errs[100] < 1e-4
     assert errs[1000] <= errs[100] / 10.0

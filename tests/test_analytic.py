@@ -5,16 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from trigcrystal import (
-    EnsembleSpec,
-    VarianceProfile,
+from trigcrystal.analytic import (
     bbl_terms,
-    empirical_real_fraction,
     expected_real_fraction,
     g_limit_integrals,
-    g_limit_integrals_recurrence,
     kac_rice_density,
-    kac_rice_inputs,
     limit_terms,
     pair_correlation_finite_n,
     pair_correlation_finite_n_rescaled,
@@ -22,6 +17,8 @@ from trigcrystal import (
     pair_correlation_limit_curve,
     v_p,
 )
+from trigcrystal.ensemble import empirical_real_fraction
+from trigcrystal.poly import EnsembleSpec, VarianceProfile
 
 
 class TestKacRice:
@@ -64,11 +61,10 @@ class TestKacRice:
         assert abs(mean - expected_real_fraction(100, 0)) < 3.0 * err
 
     def test_inputs_structure(self):
-        kri = kac_rice_inputs(VarianceProfile.equal(5))
-        assert kri.C == 0.0
-        assert kri.A2 == 6.0
-        assert kri.B2 == sum(n * n for n in range(6))
-        assert kri.Delta2 == kri.A2 * kri.B2
+        # A2 = 6 modes of unit variance, B2 = sum n^2 over n <= 5 = 55
+        assert kac_rice_density(VarianceProfile.equal(5)) == pytest.approx(
+            math.sqrt(55.0 / 6.0) / math.pi, rel=1e-15
+        )
 
 
 class TestFiniteNPairCorrelation:
@@ -115,6 +111,25 @@ class TestFiniteNPairCorrelation:
             devs.append(float(np.max(np.abs(fin - lim))))
         assert devs == sorted(devs, reverse=True)
         assert devs[-1] < 0.01
+
+
+def g_limit_integrals_recurrence(p, x):
+    """(g3, g4, g5) by the upward integration-by-parts recurrence
+
+        I_k = sin(pi x)/(pi x) - (k/(pi x)) J_{k-1}
+        J_k = -cos(pi x)/(pi x) + (k/(pi x)) I_{k-1}
+
+    from I_0 = sin(pi x)/(pi x), J_0 = (1 - cos(pi x))/(pi x), in double
+    precision.  The upward sweep amplifies roundoff once k >> pi*x, so it is
+    a cross-check for small p only.
+    """
+    y = math.pi * x
+    table_i = [math.sin(y) / y]
+    table_j = [(1.0 - math.cos(y)) / y]
+    for k in range(1, 2 * p + 3):
+        table_i.append(math.sin(y) / y - (k / y) * table_j[k - 1])
+        table_j.append(-math.cos(y) / y + (k / y) * table_i[k - 1])
+    return table_i[2 * p], table_j[2 * p + 1], table_i[2 * p + 2]
 
 
 def g_recurrence_highprec(p, x):

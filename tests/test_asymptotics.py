@@ -7,18 +7,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from trigcrystal import (
+from trigcrystal.analytic import limit_terms, pair_correlation_limit, v_p
+from trigcrystal.asymptotics import (
     TRIPLE_ZERO_CRITICAL,
-    PeakProfile,
     gap_function,
     gap_function_derivative,
-    limit_terms,
     new_real_fraction,
     nn_cdf,
     nn_density,
-    pair_correlation_limit,
     peak_location,
-    repulsion_curvature,
     repulsion_expansion,
     repulsion_slope,
     series_abc,
@@ -26,7 +23,6 @@ from trigcrystal import (
     triple_zero_count,
     triple_zero_demo,
     triple_zero_threshold,
-    v_p,
 )
 
 
@@ -117,10 +113,12 @@ class TestPeakLocation:
 
 class TestPeakProfile:
     def test_height_and_center(self):
-        prof = PeakProfile(n=2, p=10)
-        assert prof.center == 2.0 * (1.0 + 1.0 / 20.0)
-        assert prof.height == 5.0
-        assert prof(0.0) == prof.height
+        # height p/n at u = 0; the zoom centre n(1 + 1/(2p)) is the root of
+        # the peak equation up to O(n/p^2)
+        assert theorem_profile(2, 10, 0.0) == 5.0
+        assert theorem_profile(3, 7, 0.0) == 7 / 3
+        for n, p in ((1, 100), (2, 100), (2, 1000), (3, 1000)):
+            assert abs(peak_location(n, p) - n * (1.0 + 1.0 / (2.0 * p))) < n / p**2
 
     def test_even_in_u(self):
         us = np.linspace(0.0, 3.0, 10)
@@ -192,15 +190,13 @@ class TestRepulsion:
         lim = pair_correlation_limit(p, 0.05)
         assert abs(repulsion_slope(p) * 0.05 - lim) / lim < 1e-2
 
-    def test_quadratic_term_overstates_curvature(self):
-        # the true x^2 coefficient of the limit formula vanishes, so the
-        # expansion deviates from the limit by almost exactly its quadratic
-        # piece; pins the documented caveat
-        p = 3
-        x = 0.05
-        lim = pair_correlation_limit(p, x)
-        dev = repulsion_expansion(p, x) - lim
-        assert dev == pytest.approx(repulsion_curvature(p) * x * x, rel=0.25)
+    def test_cubic_term_tracks_limit_formula(self):
+        # linear + cubic against the limit formula; the old quadratic term
+        # was off by 5e-2 to 9e-2 at x = 0.05
+        for p in (0, 1, 3, 10, 50):
+            for x, tol in ((0.05, 1e-4), (0.2, 1e-2)):
+                lim = pair_correlation_limit(p, x)
+                assert abs(repulsion_expansion(p, x) - lim) <= tol * lim
 
     def test_large_p_slope_constant(self):
         # p^2 * slope -> pi^2/8 with a 4.5/p relative deficit

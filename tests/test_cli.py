@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from trigcrystal import TrigPolynomial, cli, ensemble
+from trigcrystal import cli, ensemble
 from trigcrystal.cli import main, parse_config
+from trigcrystal.poly import EnsembleSpec, TrigPolynomial, derivative_rescaled, sample
 
 
 def read_csv(path):
@@ -109,6 +110,24 @@ class TestCommands:
         # derivative annihilates the constant and the first two modes scale up
         assert f.cos_coeffs[0] == 0.0
 
+    def test_sample_index_past_the_old_realization_default(self, tmp_path, capsys):
+        # realization i depends only on (seed, i); sample and roots take no
+        # --realizations and accept any non-negative index
+        assert main(["sample", "--N", "10", "--p", "2", "--seed", "7", "--index", "250",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "sample.json") as fh:
+            got = TrigPolynomial.from_json(json.load(fh))
+        spec = EnsembleSpec.equal_variance(10, 2, 251, 7)
+        want = derivative_rescaled(sample(spec, 250), 2)
+        assert got.to_json() == want.to_json()
+        for argv in (["sample", "--realizations", "300"], ["roots", "--realizations", "300"],
+                     ["sample", "--index", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                parse_config(argv)
+            assert exc.value.code == 2
+            capsys.readouterr()
+
     def test_roots_outputs_and_cross_check(self, tmp_path, capsys):
         assert main(["roots", "--N", "12", "--p", "2", "--method", "both",
                      "--out", str(tmp_path)]) == 0
@@ -145,6 +164,25 @@ class TestCommands:
         assert doc["command"] == "vp-table"
         assert doc["config"]["N"] == 17
         assert doc["config"]["p_max"] == 2
+
+    def test_manifest_lists_only_the_commands_own_keys(self, tmp_path, capsys):
+        assert main(["spacing", "--N", "8", "--p", "1", "--realizations", "2",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "spacing_manifest.json") as fh:
+            config = json.load(fh)["config"]
+        foreign = {"a", "find_threshold", "index", "input", "method", "mode", "p_max",
+                   "which", "x_max"}
+        assert not foreign & set(config)
+        assert config["N"] == 8 and config["realizations"] == 2 and config["bins"] == 0.05
+
+    def test_figure2_panel_is_the_paircorr_analytic_curve(self, tmp_path, capsys):
+        fig, pc = tmp_path / "fig", tmp_path / "pc"
+        assert main(["figure", "--which", "2", "--x-max", "3", "--out", str(fig)]) == 0
+        assert main(["paircorr", "--mode", "analytic", "--p", "3", "--x-max", "3",
+                     "--out", str(pc)]) == 0
+        capsys.readouterr()
+        assert (fig / "figure2_p3.csv").read_bytes() == (pc / "paircorr_analytic.csv").read_bytes()
 
     def test_figure3_writes_csv_and_svg(self, tmp_path, capsys):
         assert main(["figure", "--which", "3", "--out", str(tmp_path)]) == 0

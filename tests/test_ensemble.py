@@ -5,10 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from trigcrystal import (
-    EnsembleSpec,
+from trigcrystal.ensemble import (
     Histogram,
-    VarianceProfile,
     circular_gaps,
     empirical_pair_correlation,
     empirical_real_fraction,
@@ -17,6 +15,7 @@ from trigcrystal import (
     real_zero_ensemble,
     rescale_zeros,
 )
+from trigcrystal.poly import EnsembleSpec, VarianceProfile
 
 
 def unit_lattice(degree):

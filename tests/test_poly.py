@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trigcrystal import (
+from trigcrystal.poly import (
     EnsembleSpec,
     TrigPolynomial,
     VarianceProfile,
+    _value_and_slope,
     derivative_rescaled,
     differentiate,
     evaluate,
@@ -20,7 +21,6 @@ from trigcrystal import (
     sample,
 )
 from trigcrystal.ensemble import real_zero_ensemble
-from trigcrystal.poly import _value_and_slope
 from trigcrystal.roots import _noise_floor
 
 

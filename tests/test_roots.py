@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from trigcrystal import (
-    EnsembleSpec,
-    TrigPolynomial,
-    all_roots_companion,
-    derivative_rescaled,
-    fraction_real,
-    real_roots_sampled,
-    sample,
-)
+from trigcrystal.poly import EnsembleSpec, TrigPolynomial, derivative_rescaled, sample
+from trigcrystal.roots import all_roots_companion, real_roots_sampled
 
 
 def cosine(N):
@@ -46,7 +39,7 @@ class TestSampled:
         f = TrigPolynomial(1, [2.0, 1.0], [0.0, 0.0])  # 2 + cos x
         rs = real_roots_sampled(f)
         assert rs.real_count == 0
-        assert fraction_real(rs, 1) == 0.0
+        assert rs.real_count / (2 * 1) == 0.0
 
     def test_zero_polynomial_is_degenerate(self):
         f = TrigPolynomial(2, [0.0] * 3, [0.0] * 3)
@@ -77,7 +70,7 @@ class TestCompanion:
         rc = all_roots_companion(cosine(N))
         assert rc.real_count == 2 * N
         assert len(rc.complex_roots) == 0
-        assert fraction_real(rc, N) == 1.0
+        assert rc.real_count / (2 * N) == 1.0
 
     def test_total_count_is_2N(self):
         for seed in range(5):
