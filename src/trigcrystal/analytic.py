@@ -22,13 +22,15 @@ Three layers:
       g4 = int_0^1 sin(pi x t) t^(2p+1) dt,
       g5 = int_0^1 cos(pi x t) t^(2p+2) dt,
 
-  with g1 = 1/(2p+1), g2 = 1/(2p+3), combined exactly as above but without
-  the pi^2 (the limit is already normalized by the squared total density).
+  with g1 = 1/(2p+1), g2 = 1/(2p+3), combined as above but without the
+  pi^2 (the limit is already normalized by the squared total density).
 
-Small separations are delicate: A and B vanish like x^4 and C like x^2, so
-naive evaluation loses all significance.  For x <= 1.5 the integrals are
-evaluated by Maclaurin series in (pi x), and C uses a dedicated series for
-g1 - g3, which keeps the formula usable down to x ~ 1e-4.
+  One Gauss-Legendre rule, with enough nodes to resolve cos(pi x t) up to
+  x = MAX_SEPARATION, is mapped for each p onto the part of [0, 1] where
+  t^(2p) > 1e-16, with t^(2p) folded into its weights.  A, B and C vanish
+  like x^4, x^4 and x^2, so C = (g1 - g3)(g1 + g3) is summed from 2 sin^2
+  and 2 cos^2 of pi x t / 2, and A, B from regression residuals
+  (_limit_terms): about 12 significant digits down to MIN_SEPARATION.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .poly import VarianceProfile
+from .poly import _TABLE_WORDS, VarianceProfile
 
 __all__ = [
     "MomentTerms",
@@ -58,9 +59,15 @@ __all__ = [
 # below this separation the limit formula is handed over to the small-x
 # repulsion expansion (asymptotics module)
 MIN_SEPARATION = 1e-4
-_SERIES_CUTOFF = 1.5
-_LAYER_CUTOFF_P = 60
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-11, limit=200)
+# the largest separation the limit rule below resolves
+MAX_SEPARATION = 100.0
+# Gauss-Legendre nodes and weights on [-1, 1]: cos(pi x t) over t in [0, 1]
+# makes pi x / 2 radians of turn per unit of the node variable
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(
+    40 + math.ceil(math.pi * MAX_SEPARATION / 2)
+)
+# the rule drops the part of [0, 1] where t^(2p) is below this
+_TAIL = 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +78,9 @@ _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-11, limit=200)
 def kac_rice_density(profile: VarianceProfile) -> float:
     """Expected real zeros per unit x, sqrt(B2/A2)/pi; stationarity makes it
     constant."""
-    s2 = (profile.sigmas**2).tolist()
-    n2 = (np.arange(profile.degree + 1) ** 2).tolist()
-    a2 = math.fsum(s2)
-    b2 = math.fsum(v * w for v, w in zip(n2, s2))
-    # equal to sqrt(b2 / a2), rounded the way earlier releases rounded it, so
-    # the fraction and vp-table CSVs keep their bytes
-    return math.sqrt(a2 * b2) / (math.pi * a2)
+    s2 = profile.sigmas**2
+    n = np.arange(profile.degree + 1)
+    return math.sqrt(np.sum(n * n * s2) / np.sum(s2)) / math.pi
 
 
 def expected_real_fraction(degree: int, order: int) -> float:
@@ -118,12 +121,6 @@ class MomentTerms:
     C: float
 
 
-def _moment_terms(g1, g2, g3, g4, g5, C) -> MomentTerms:
-    A = g2 * C - g1 * g4 * g4
-    B = g5 * C - g3 * g4 * g4
-    return MomentTerms(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, A=A, B=B, C=C)
-
-
 def bbl_terms(profile: VarianceProfile, tau: float) -> MomentTerms:
     """The five moment sums over modes n = 1..N and the A, B, C combination."""
     N = profile.degree
@@ -136,19 +133,24 @@ def bbl_terms(profile: VarianceProfile, tau: float) -> MomentTerms:
     g3 = math.fsum((s2 * cn).tolist())
     g4 = math.fsum((n * s2 * sn).tolist())
     g5 = math.fsum((n * n * s2 * cn).tolist())
-    return _moment_terms(g1, g2, g3, g4, g5, g1 * g1 - g3 * g3)
+    C = g1 * g1 - g3 * g3
+    A = g2 * C - g1 * g4 * g4
+    B = g5 * C - g3 * g4 * g4
+    return MomentTerms(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, A=A, B=B, C=C)
 
 
-def _assemble_r2(A: float, B: float, C: float, scale: float) -> float:
-    if not (C > 0.0) or not math.isfinite(C):
+def _assemble_r2(A, B, C, scale: float) -> np.ndarray:
+    """R2 from arrays (or floats) A, B, C; raises if any point is degenerate."""
+    if not np.all(C > 0.0) or not np.all(np.isfinite(C)):
         raise ValueError("degenerate separation: C is not positive")
-    if A <= 0.0:
+    if np.any(A <= 0.0):
         raise ValueError("degenerate separation: A is not positive")
-    r = B / A
-    if abs(r) > 1.0 + 1e-9:
-        raise ValueError(f"arcsin argument out of range: B/A = {r!r}")
-    r = max(-1.0, min(1.0, r))
-    val = (B * math.asin(r) + math.sqrt(max(A * A - B * B, 0.0))) / C**1.5
+    r = np.divide(B, A)
+    out = np.abs(r) > 1.0 + 1e-9
+    if np.any(out):
+        raise ValueError(f"arcsin argument out of range: B/A = {r[out][0]!r}")
+    r = np.clip(r, -1.0, 1.0)
+    val = (B * np.arcsin(r) + np.sqrt(np.maximum(A * A - B * B, 0.0))) / C**1.5
     return val * scale
 
 
@@ -160,7 +162,7 @@ def pair_correlation_finite_n(profile: VarianceProfile, tau: float) -> float:
     instead of pushing tau below ~1e-2 of the mean spacing.
     """
     t = bbl_terms(profile, tau)
-    return _assemble_r2(t.A, t.B, t.C, 1.0 / math.pi**2)
+    return float(_assemble_r2(t.A, t.B, t.C, 1.0 / math.pi**2))
 
 
 def pair_correlation_finite_n_rescaled(profile: VarianceProfile, x: float) -> float:
@@ -174,136 +176,87 @@ def pair_correlation_finite_n_rescaled(profile: VarianceProfile, x: float) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _cos_moment_series(k: int, y: float) -> float:
-    # int_0^1 cos(y t) t^k dt = sum_j (-1)^j y^(2j) / ((2j)! (k+2j+1))
-    total = 0.0
-    term = 1.0
-    j = 0
-    while True:
-        total += term / (k + 2 * j + 1)
-        j += 1
-        term *= -y * y / ((2 * j - 1) * (2 * j))
-        if j > 3 and abs(term) < 1e-18 * max(abs(total), 1e-300):
-            return total
+def _limit_terms(p: int, xs: np.ndarray) -> MomentTerms:
+    """The limit MomentTerms, one array entry per separation in xs.
 
-
-def _sin_moment_series(k: int, y: float) -> float:
-    # int_0^1 sin(y t) t^k dt = sum_j (-1)^j y^(2j+1) / ((2j+1)! (k+2j+2))
-    total = 0.0
-    term = y
-    j = 0
-    while True:
-        total += term / (k + 2 * j + 2)
-        j += 1
-        term *= -y * y / ((2 * j) * (2 * j + 1))
-        if j > 3 and abs(term) < 1e-18 * max(abs(total), 1e-300):
-            return total
-
-
-def _g1_minus_g3_series(p: int, y: float) -> float:
-    # g1 - g3 = sum_{j>=1} (-1)^(j+1) y^(2j) / ((2j)! (2p+2j+1)); starting the
-    # sum at j = 1 evaluates the difference without cancellation at small y
-    total = 0.0
-    term = 1.0
-    j = 0
-    while True:
-        j += 1
-        term *= -y * y / ((2 * j - 1) * (2 * j))
-        c = -term / (2 * p + 2 * j + 1)
-        total += c
-        if j > 3 and abs(c) < 1e-18 * max(abs(total), 1e-300):
-            return total
-
-
-def _moment_quad(kind: str, k: int, x: float, p: int) -> float:
-    w = math.pi * x
-    if p > _LAYER_CUTOFF_P:
-        # t = 1 - s/(2p): integrand decays like exp(-s), truncate the layer
-        s_max = min(2.0 * p, 60.0)
-
-        def h(s):
-            t = 1.0 - s / (2.0 * p)
-            amp = math.exp(k * math.log1p(-s / (2.0 * p)))
-            ph = w * t
-            return (math.cos(ph) if kind == "cos" else math.sin(ph)) * amp
-
-        out = quad(h, 0.0, s_max, full_output=True, **_QUAD_OPTS)
-        _check_quad(out, f"boundary layer k={k}, x={x}")
-        return out[0] / (2.0 * p)
-
-    def h(t):
-        return (math.cos(w * t) if kind == "cos" else math.sin(w * t)) * t**k
-
-    out = quad(h, 0.0, 1.0, full_output=True, **_QUAD_OPTS)
-    _check_quad(out, f"moment k={k}, x={x}")
-    return out[0]
-
-
-def _check_quad(out, what: str):
-    # a roundoff warning with a tiny error estimate is success in disguise;
-    # anything with a genuinely large estimate is a real failure
-    if len(out) > 3 and out[1] > max(1e-12, 1e-8 * abs(out[0])):
-        raise RuntimeError(f"quadrature non-convergence for {what}: {out[3]}")
+    A/C and B/C are Var F'(0) and Cov(F'(0), F'(x)) given F(0) = F(x) = 0:
+    sums over the nodes of products of the residuals of F'(0), F'(x)
+    regressed on the uncorrelated F(x) -+ F(0) (variances 2(g1 -+ g3),
+    covariances +-g4), not the cancelling g2 C - g1 g4^2.  Each separation
+    is reduced on its own row, so its values do not depend on the others.
+    """
+    if p < 0:
+        raise ValueError("p must be non-negative")
+    if np.any(xs > MAX_SEPARATION):
+        raise ValueError(f"separation above MAX_SEPARATION = {MAX_SEPARATION}")
+    g1 = 1.0 / (2 * p + 1)
+    g2 = 1.0 / (2 * p + 3)
+    half = 0.5 * (1.0 - (_TAIL ** (1.0 / (2 * p)) if p else 0.0))
+    s = half * (1.0 - _NODES)  # 1 - t, exact near t = 1
+    t, w = 1.0 - s, half * _WEIGHTS * np.exp(2 * p * np.log1p(-s))
+    out = np.empty((6, len(xs)))
+    # words per point and node: about a dozen tables and temporaries
+    rows = max(1, _TABLE_WORDS // (14 * len(t)))
+    for i in range(0, len(xs), rows):
+        y = np.pi * np.multiply.outer(xs[i:i + rows], t)
+        sin, cos = np.sin(y), np.cos(y)
+        # 1 -+ cos(y), free of cancellation at y near 0 and near pi
+        u, v = 2.0 * np.sin(0.5 * y) ** 2, 2.0 * np.cos(0.5 * y) ** 2
+        g3 = (w * cos).sum(axis=1)
+        g4 = (w * t * sin).sum(axis=1)
+        g5 = (w * t * t * cos).sum(axis=1)
+        g1_minus_g3 = (w * u).sum(axis=1)
+        g1_plus_g3 = (w * v).sum(axis=1)
+        # regress on F(x) - F(0) and F(x) + F(0); (ra, rb) and (qa, qb) are
+        # the cos and sin parts of the residuals of F'(0) and F'(x) per node
+        alpha = (0.5 * g4 / g1_minus_g3)[:, None]
+        beta = (0.5 * g4 / g1_plus_g3)[:, None]
+        ra, rb = alpha * u - beta * v, t - (alpha + beta) * sin
+        qa, qb = alpha * u + beta * v - t * sin, t * cos - (alpha - beta) * sin
+        C = g1_minus_g3 * g1_plus_g3
+        A = C * (w * (ra * ra + rb * rb)).sum(axis=1)
+        B = C * (w * (ra * qa + rb * qb)).sum(axis=1)
+        out[:, i:i + rows] = g3, g4, g5, A, B, C
+    g3, g4, g5, A, B, C = out
+    return MomentTerms(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, A=A, B=B, C=C)
 
 
 def g_limit_integrals(p: int, x: float) -> tuple[float, float, float]:
-    """(g3, g4, g5) moment integrals of the limit formula.
+    """(g3, g4, g5) moment integrals of the limit formula."""
+    t = limit_terms(p, x)
+    return t.g3, t.g4, t.g5
 
-    Maclaurin series in pi*x for x <= 1.5 (exact to roundoff), adaptive
-    Gauss-Kronrod quadrature beyond, with a boundary-layer substitution once
-    t^(2p) concentrates near t = 1 for large p.
-    """
+
+def limit_terms(p: int, x: float) -> MomentTerms:
+    """Moment integrals and the A, B, C combination of the limit formula,
+    exact at x = 0, where A = B = C = 0."""
     if p < 0:
         raise ValueError("p must be non-negative")
     if x < 0:
         raise ValueError("x must be non-negative")
     if x == 0.0:
-        return 1.0 / (2 * p + 1), 0.0, 1.0 / (2 * p + 3)
-    y = math.pi * x
-    if x <= _SERIES_CUTOFF:
-        return (
-            _cos_moment_series(2 * p, y),
-            _sin_moment_series(2 * p + 1, y),
-            _cos_moment_series(2 * p + 2, y),
-        )
-    return (
-        _moment_quad("cos", 2 * p, x, p),
-        _moment_quad("sin", 2 * p + 1, x, p),
-        _moment_quad("cos", 2 * p + 2, x, p),
-    )
-
-
-def limit_terms(p: int, x: float) -> MomentTerms:
-    """Moment integrals and the A, B, C combination of the limit formula.
-
-    C = g1^2 - g3^2 cancels to O(x^2) at small separation, so on the series
-    branch it is computed from a dedicated expansion of g1 - g3.
-    """
-    g1 = 1.0 / (2 * p + 1)
-    g2 = 1.0 / (2 * p + 3)
-    g3, g4, g5 = g_limit_integrals(p, x)
-    if 0.0 < x <= _SERIES_CUTOFF:
-        C = _g1_minus_g3_series(p, math.pi * x) * (g1 + g3)
-    else:
-        C = g1 * g1 - g3 * g3
-    return _moment_terms(g1, g2, g3, g4, g5, C)
+        g1, g2 = 1.0 / (2 * p + 1), 1.0 / (2 * p + 3)
+        return MomentTerms(g1=g1, g2=g2, g3=g1, g4=0.0, g5=g2, A=0.0, B=0.0, C=0.0)
+    t = _limit_terms(p, np.array([x], dtype=float))
+    return MomentTerms(**{k: float(np.ravel(v)[0]) for k, v in vars(t).items()})
 
 
 def pair_correlation_limit(p: int, x: float) -> float:
     """Pair correlation of real zeros of the p-th derivative, large-N limit.
 
-    Valid for separations x > MIN_SEPARATION in the unit-mean-spacing
-    coordinate; between its peaks it plateaus near v_p^2, and near the
-    positive integers it develops peaks of height ~ p/n.
+    Valid for separations MIN_SEPARATION < x <= MAX_SEPARATION in the
+    unit-mean-spacing coordinate; between its peaks it plateaus near v_p^2,
+    and near the positive integers it develops peaks of height ~ p/n.
     """
-    if x <= MIN_SEPARATION:
-        raise ValueError(
-            "below resolvable separation: use the small-x repulsion expansion"
-        )
-    t = limit_terms(p, x)
-    return _assemble_r2(t.A, t.B, t.C, 1.0)
+    return float(pair_correlation_limit_curve(p, [x])[0])
 
 
 def pair_correlation_limit_curve(p: int, xs) -> np.ndarray:
     """pair_correlation_limit tabulated over an array of separations."""
-    return np.array([pair_correlation_limit(p, float(x)) for x in np.asarray(xs)])
+    xs = np.asarray(xs, dtype=float).ravel()
+    if np.any(xs <= MIN_SEPARATION):
+        raise ValueError(
+            "below resolvable separation: use the small-x repulsion expansion"
+        )
+    t = _limit_terms(p, xs)
+    return _assemble_r2(t.A, t.B, t.C, 1.0)

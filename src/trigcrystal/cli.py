@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bins", type=float, default=None, help="bin width (rescaled units)")
     sp.add_argument("--max-range", dest="max_range", type=float, default=None)
     sp.add_argument("--x-max", dest="x_max", type=float, default=None,
-                    help="upper end of the analytic curve grid")
+                    help="upper end of the analytic curve grid, at most "
+                    f"{analytic.MAX_SEPARATION:g}")
     sp.add_argument("--oversample", type=int, default=None)
 
     sp = sub.add_parser("spacing", help="nearest-neighbor spacing distribution")
@@ -211,8 +212,10 @@ def parse_config(argv=None) -> RunConfig:
         parser.error(f"bins must be positive, got {merged['bins']}")
     if merged["max_range"] <= merged["bins"]:
         parser.error("max_range must exceed the bin width bins")
-    if merged["x_max"] <= 0:
-        parser.error(f"x_max must be positive, got {merged['x_max']}")
+    if not 0 < merged["x_max"] <= analytic.MAX_SEPARATION:
+        parser.error(
+            f"x_max must be in (0, {analytic.MAX_SEPARATION:g}], got {merged['x_max']}"
+        )
     if merged["p_max"] < 0 or merged["p_max"] > 500:
         parser.error(f"p_max must be in [0, 500], got {merged['p_max']}")
     if merged["a"] <= 0:

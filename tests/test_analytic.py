@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trigcrystal.analytic import (
+    MAX_SEPARATION,
     bbl_terms,
     expected_real_fraction,
     g_limit_integrals,
@@ -201,7 +202,7 @@ class TestLimitIntegrals:
     def test_boundary_layer_route_for_large_p(self):
         mp = pytest.importorskip("mpmath")
         p, x = 80, 2.3
-        got = g_limit_integrals(p, x)  # p > 60 and x > 1.5: layer quadrature
+        got = g_limit_integrals(p, x)  # the rule sits on the layer near t = 1
         with mp.workdps(40):
             xm = mp.mpf(x)
             ref = (
@@ -228,6 +229,8 @@ class TestLimitPairCorrelation:
     def test_refuses_unresolvable_separation(self):
         with pytest.raises(ValueError, match="separation"):
             pair_correlation_limit(3, 1e-5)
+        with pytest.raises(ValueError, match="separation"):
+            pair_correlation_limit(3, MAX_SEPARATION * 1.0001)
 
     def test_terms_match_structure(self):
         t = limit_terms(5, 0.9)
@@ -260,3 +263,28 @@ class TestLimitPairCorrelation:
         curve = pair_correlation_limit_curve(2, xs)
         for x, val in zip(xs, curve):
             assert val == pair_correlation_limit(2, float(x))
+
+    def test_matches_mpmath_over_the_whole_domain(self):
+        # reference: the moment integrals as 1F2 hypergeometric functions at
+        # 40 digits; x runs from near MIN_SEPARATION, where A and B vanish
+        # like x^4, through the first peak 1 + 1/(2p) to near MAX_SEPARATION
+        mp = pytest.importorskip("mpmath")
+
+        def r2_mp(p, x):
+            with mp.workdps(40):
+                y = mp.pi * mp.mpf(x)
+                z = -y * y / 4
+                k = mp.mpf(2 * p)
+                g1, g2 = 1 / (k + 1), 1 / (k + 3)
+                g3 = mp.hyp1f2((k + 1) / 2, 0.5, (k + 3) / 2, z) / (k + 1)
+                g4 = y / (k + 3) * mp.hyp1f2((k + 3) / 2, 1.5, (k + 5) / 2, z)
+                g5 = mp.hyp1f2((k + 3) / 2, 0.5, (k + 5) / 2, z) / (k + 3)
+                C = g1 * g1 - g3 * g3
+                A = g2 * C - g1 * g4 * g4
+                B = g5 * C - g3 * g4 * g4
+                return float((B * mp.asin(B / A) + mp.sqrt(A * A - B * B)) / C**1.5)
+
+        for p in (0, 3, 80, 500):
+            peak = 1.0 + 1.0 / (2 * p) if p else 1.5
+            for x in (2e-4, 0.05, 0.3, peak, 2.3, 29.98, 99.9):
+                assert pair_correlation_limit(p, x) == pytest.approx(r2_mp(p, x), rel=1e-11)

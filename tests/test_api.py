@@ -1,6 +1,8 @@
 """The package exports exactly the API that the README documents."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import trigcrystal
@@ -30,3 +32,12 @@ def test_all_is_the_documented_api():
 def test_every_exported_name_resolves():
     for name in trigcrystal.__all__:
         assert getattr(trigcrystal, name) is not None
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test-only dependency: the library and the CLI must not load it
+    code = ("import sys, trigcrystal, trigcrystal.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

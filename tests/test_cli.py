@@ -65,6 +65,19 @@ class TestParsing:
             assert exc.value.code == 2
             capsys.readouterr()
 
+    def test_x_max_is_bounded_by_the_limit_rule(self, tmp_path, capsys):
+        for command in ("paircorr", "figure"):
+            with pytest.raises(SystemExit) as exc:
+                parse_config([command, "--x-max", "100.01"])
+            assert exc.value.code == 2
+            assert "x_max" in capsys.readouterr().err
+        assert main(["paircorr", "--mode", "analytic", "--x-max", "100",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        _, rows = read_csv(tmp_path / "paircorr_analytic.csv")
+        assert len(rows) == 5000
+        assert float(rows[-1][0]) == 100.0
+
 
 class TestCommands:
     def test_vp_table_row_p4(self, tmp_path, capsys):
