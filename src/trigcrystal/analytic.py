@@ -122,10 +122,13 @@ class MomentTerms:
 
 
 def bbl_terms(profile: VarianceProfile, tau: float) -> MomentTerms:
-    """The five moment sums over modes n = 1..N and the A, B, C combination."""
-    N = profile.degree
-    n = np.arange(1, N + 1, dtype=float)
-    s2 = profile.sigmas[1:] ** 2
+    """The five moment sums over modes n = 0..N and the A, B, C combination.
+
+    Mode 0 is the constant a_0 that sample() draws with sigma_0; it adds
+    sigma_0^2 to g1 and g3 and nothing to g2, g4, g5.
+    """
+    n = np.arange(profile.degree + 1, dtype=float)
+    s2 = profile.sigmas**2
     cn = np.cos(n * tau)
     sn = np.sin(n * tau)
     g1 = math.fsum(s2.tolist())

@@ -4,9 +4,9 @@ Runs Monte Carlo ensembles, tabulates the analytic curves, exports CSV and
 renders static SVG plots.  CSV is the primary data interface; every SVG is
 rendered from CSV files that were written first, never from internal state.
 Each command writes a manifest JSON echoing the resolved value of every
-option the command takes, and rerunning a command with the same
-configuration and seed reproduces byte-identical CSV output for any
---threads value.
+option the command takes (plus, for an ensemble, a report of its real-zero
+count invariant), and rerunning a command with the same configuration and
+seed reproduces byte-identical CSV output for any --threads value.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
 """
@@ -263,7 +263,7 @@ class _Outputs:
                 pass
 
 
-def _write_manifest(out: _Outputs, cfg: RunConfig):
+def _write_manifest(out: _Outputs, cfg: RunConfig, report: dict | None):
     # the bare command parses to exactly the keys its own subparser defines
     own = vars(build_parser().parse_args([cfg.command]))
     doc = {
@@ -272,6 +272,8 @@ def _write_manifest(out: _Outputs, cfg: RunConfig):
         "command": cfg.command,
         "config": {k: v for k, v in asdict(cfg).items() if k in own},
     }
+    if report is not None:
+        doc["report"] = report
     name = cfg.command.replace("-", "_") + "_manifest.json"
     out.write_text(name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -338,6 +340,21 @@ def _spec(cfg: RunConfig) -> poly.EnsembleSpec:
     )
 
 
+def _ensemble(cfg: RunConfig):
+    """The run's rootsets and the manifest report of their count invariant:
+    every realization has an even number of real zeros, at most 2N."""
+    rootsets = ensemble.real_zero_ensemble(
+        _spec(cfg), oversample=cfg.oversample, threads=cfg.threads
+    )
+    counts = np.array([len(r) for r in rootsets])
+    report = {
+        "realizations": len(rootsets),
+        "roots": int(counts.sum()),
+        "count_violations": int(np.sum((counts % 2 == 1) | (counts > 2 * cfg.N))),
+    }
+    return rootsets, report
+
+
 def _fixture_polynomial(cfg: RunConfig) -> poly.TrigPolynomial:
     if cfg.input:
         with open(cfg.input, "r", encoding="utf-8") as fh:
@@ -387,15 +404,14 @@ def _cmd_roots(cfg: RunConfig, out: _Outputs):
 
 
 def _cmd_fraction(cfg: RunConfig, out: _Outputs):
-    rows = []
+    rows, report = [], None
     if cfg.mode in ("analytic", "all"):
         rows.append(("analytic", analytic.expected_real_fraction(cfg.N, cfg.p), ""))
     if cfg.mode in ("asymptotic", "all"):
         rows.append(("asymptotic", analytic.v_p(cfg.p), ""))
     if cfg.mode in ("empirical", "all"):
-        mean, err = ensemble.empirical_real_fraction(
-            _spec(cfg), oversample=cfg.oversample, threads=cfg.threads
-        )
+        rootsets, report = _ensemble(cfg)
+        mean, err = ensemble.empirical_real_fraction(_spec(cfg), rootsets=rootsets)
         rows.append(("empirical", mean, repr(err)))
     lines = ["mode,value,stderr"]
     for mode, value, err in rows:
@@ -403,20 +419,18 @@ def _cmd_fraction(cfg: RunConfig, out: _Outputs):
         print(f"fraction[{mode}] N={cfg.N} p={cfg.p}: {value:.6f}"
               + (f" +- {float(err):.6f}" if err else ""))
     out.write_text("fraction.csv", "\n".join(lines) + "\n")
+    return report
 
 
 def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
     if cfg.mode in ("asymptotic", "all") and cfg.p < 1:
         raise ValueError("asymptotic pair-correlation profile needs p >= 1")
-    curves = []
+    curves, report = [], None
     if cfg.mode in ("empirical", "all"):
-        spec = _spec(cfg)
-        rootsets = ensemble.real_zero_ensemble(
-            spec, oversample=cfg.oversample, threads=cfg.threads
-        )
+        rootsets, report = _ensemble(cfg)
         est = ensemble.empirical_pair_correlation(
             rootsets, cfg.N, bin_width=cfg.bins, max_range=cfg.max_range,
-            metadata=spec.summary(),
+            metadata=_spec(cfg).summary(),
         )
         p1 = out.write_text("paircorr_empirical.csv", est.histogram.to_csv())
         out.write_text("paircorr_empirical_meta.json", est.sidecar_json() + "\n")
@@ -435,13 +449,11 @@ def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
         _render(out, "paircorr.svg", curves,
                 title=f"pair correlation, N={cfg.N}, p={cfg.p}",
                 xlabel="separation (mean total spacing = 1)", ylabel="R2")
+    return report
 
 
 def _cmd_spacing(cfg: RunConfig, out: _Outputs):
-    spec = _spec(cfg)
-    rootsets = ensemble.real_zero_ensemble(
-        spec, oversample=cfg.oversample, threads=cfg.threads
-    )
+    rootsets, report = _ensemble(cfg)
     hist = ensemble.nearest_neighbor_spacings(
         rootsets, cfg.N, bin_width=cfg.bins, max_range=cfg.max_range
     )
@@ -458,6 +470,7 @@ def _cmd_spacing(cfg: RunConfig, out: _Outputs):
     _render(out, "spacing.svg", curves,
             title=f"nearest-neighbor spacing, N={cfg.N}, p={cfg.p}",
             xlabel="gap (mean total spacing = 1)", ylabel="density")
+    return report
 
 
 def _cmd_vp_table(cfg: RunConfig, out: _Outputs):
@@ -545,8 +558,7 @@ def run(cfg: RunConfig) -> int:
         return 2
     out = _Outputs(cfg.out)
     try:
-        _DISPATCH[cfg.command](cfg, out)
-        _write_manifest(out, cfg)
+        _write_manifest(out, cfg, _DISPATCH[cfg.command](cfg, out))
     except (ValueError, RuntimeError, OverflowError, FloatingPointError, MemoryError) as exc:
         out.discard_all()
         print(

@@ -87,17 +87,40 @@ class PairCorrelationEstimate:
         )
 
 
-def _realization_rescaled_roots(spec: poly.EnsembleSpec, index: int, oversample: int):
-    f = poly.sample(spec, index)
-    if spec.derivative_order > 0:
-        f = poly.derivative_rescaled(f, spec.derivative_order)
-    rs = roots.real_roots_sampled(f, oversample=oversample)
-    return rescale_zeros(rs.real_roots, spec.degree)
+# a block of realizations shares one root-finder grid of at most this many
+# points per row of (F, F'), so its buffers stay cache-sized
+_BLOCK_GRID_POINTS = 1 << 14
 
 
-def _chunk_worker(args):
+def _block_size(degree: int, oversample: int) -> int:
+    """Realizations per block: max(1, 2^14 // m) for the m-point grid."""
+    return max(1, _BLOCK_GRID_POINTS // (oversample * (2 * degree + 1)))
+
+
+def _blocks_rescaled_roots(args):
+    """Rescaled roots of realizations lo..hi-1, found block by block.
+
+    lo is a multiple of the block size, so the blocks, and with them every
+    result, do not depend on how the index range was split into tasks.  The
+    grid buffers are allocated once and reused by every block.
+    """
     spec, lo, hi, oversample = args
-    return [_realization_rescaled_roots(spec, i, oversample) for i in range(lo, hi)]
+    # freeing one mapped array as large as the evaluator's row blocks lifts
+    # glibc's dynamic mmap threshold, and with it the heap trim threshold,
+    # above the block's temporaries; otherwise they are mapped or trimmed
+    # and faulted in again on every call (other allocators ignore this)
+    np.empty(poly._TABLE_WORDS)
+    K = _block_size(spec.degree, oversample)
+    buffers = roots._grid_buffers(K, oversample * (2 * spec.degree + 1))
+    out = []
+    for start in range(lo, hi, K):
+        fs = [poly.sample(spec, i) for i in range(start, min(start + K, hi))]
+        if spec.derivative_order > 0:
+            fs = [poly.derivative_rescaled(f, spec.derivative_order) for f in fs]
+        c = np.stack([poly._coefficients(f) for f in fs])
+        for r in roots._real_roots_block(c, oversample, buffers=buffers):
+            out.append(rescale_zeros(r, spec.degree))
+    return out
 
 
 def real_zero_ensemble(
@@ -107,20 +130,24 @@ def real_zero_ensemble(
 ) -> list[np.ndarray]:
     """Rescaled real roots of F^(p) for every realization, in index order.
 
-    With threads > 1 the realizations are processed in parallel worker
-    processes; each realization is a pure function of (spec, index), and the
-    returned list is always ordered by index, so the output is identical for
-    any thread count.
+    The root finder works on fixed blocks of consecutive realizations
+    (max(1, 2^14 // m) of them for an m = oversample*(2N+1) point grid).
+    With threads > 1 runs of whole blocks are processed in parallel worker
+    processes; each realization is a pure function of (spec, index), the
+    blocks do not depend on the thread count, and the returned list is
+    always ordered by index, so the output is identical for any thread count.
     """
     M = spec.realizations
-    if threads <= 1:
-        return [_realization_rescaled_roots(spec, i, oversample) for i in range(M)]
-    workers = min(threads, os.cpu_count() or 1, M)
-    chunk = max(1, math.ceil(M / (4 * workers)))
-    tasks = [(spec, lo, min(lo + chunk, M), oversample) for lo in range(0, M, chunk)]
+    K = _block_size(spec.degree, oversample)
+    blocks = math.ceil(M / K)
+    if threads <= 1 or blocks == 1:
+        return _blocks_rescaled_roots((spec, 0, M, oversample))
+    workers = min(threads, os.cpu_count() or 1, blocks)
+    step = K * max(1, math.ceil(blocks / (4 * workers)))
+    tasks = [(spec, lo, min(lo + step, M), oversample) for lo in range(0, M, step)]
     out: list[np.ndarray] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_chunk_worker, tasks):
+        for part in pool.map(_blocks_rescaled_roots, tasks):
             out.extend(part)
     return out
 

@@ -203,42 +203,85 @@ def sample(spec: EnsembleSpec, index: int) -> TrigPolynomial:
     return TrigPolynomial(degree=spec.degree, cos_coeffs=a, sin_coeffs=b)
 
 
-def _value_and_slope(f, x):
-    """F(x) and F'(x) at the points of the 1-D array x, from a factored table.
+def _coefficients(f):
+    """The complex coefficients c_n = a_n - i b_n of f, so that
+    F(x) = Re sum_n c_n exp(inx)."""
+    return f.cos_coeffs - 1j * f.sin_coeffs
+
+
+def _factored(c):
+    """Value/slope matrices of the factored evaluator for coefficient rows c.
 
     With c_n = a_n - i b_n, F(x) = Re sum_n c_n exp(inx) and F'(x) =
     Re sum_n i n c_n exp(inx).  Writing n = qB + r with B = ceil(sqrt(N+1)),
     r < B and q < Q = ceil((N+1)/B) factors exp(inx) = exp(iqBx) exp(irx):
-    the coefficients, zero-padded to Q*B, form a (B, 2Q) matrix (value and
-    slope columns), each point needs the B + Q exponentials E = exp(irx) and
-    G = exp(iqBx), and the sums are Re sum_q G_q (E @ C)_q.  That is about
-    2*sqrt(N) complex exponentials per point instead of N+1 cosines and N+1
-    sines.  The arguments qBx and rx together round by at most eps*n*|x|,
-    inside the |x| term of the root finder's noise floor.
-
-    Points are taken in row blocks whose temporaries together hold at most
-    _TABLE_WORDS float64 words, so memory stays bounded at large degree.
+    each row of c (K, N+1), zero-padded to Q*B, becomes a (B, 2Q) matrix of
+    value and slope columns, returned as one (K, B, 2Q) array.
     """
-    B = math.isqrt(f.degree) + 1
-    Q = -(-(f.degree + 1) // B)
-    c = np.zeros(Q * B, dtype=complex)
-    c[: f.degree + 1] = f.cos_coeffs - 1j * f.sin_coeffs
-    slope = 1j * np.arange(Q * B) * c
-    C = np.concatenate([c.reshape(Q, B), slope.reshape(Q, B)]).T
+    K, n1 = c.shape
+    B = math.isqrt(n1 - 1) + 1
+    Q = -(-n1 // B)
+    cp = np.zeros((K, Q * B), dtype=complex)
+    cp[:, :n1] = c
+    slope = 1j * np.arange(Q * B) * cp
+    C = np.concatenate([cp.reshape(K, Q, B), slope.reshape(K, Q, B)], axis=1)
+    return np.ascontiguousarray(C.transpose(0, 2, 1))
+
+
+def _series_values(C, own, x):
+    """F and F' at the points of the 1-D array x, point i on row own[i] of
+    the factored matrices C (K, B, 2Q); own must be non-decreasing.
+
+    Each point needs the B + Q exponentials E = exp(irx) and G = exp(iqBx),
+    and the sums are Re sum_q G_q (E @ C)_q: about 2*sqrt(N) complex
+    exponentials per point instead of N+1 cosines and N+1 sines.  The
+    arguments qBx and rx together round by at most eps*n*|x|, inside the |x|
+    term of the root finder's noise floor.
+
+    The points are grouped by row and padded to the largest group, so each
+    row's points meet its own matrix in one stacked matmul.  They are taken
+    in blocks whose temporaries together hold at most _TABLE_WORDS float64
+    words, so memory stays bounded at large degree.
+    """
+    K, B, Q = C.shape[0], C.shape[1], C.shape[2] // 2
+    n = len(x)
+    if n == 0:
+        return np.empty(0), np.empty(0)
+    if own[0] == own[-1]:
+        rows, L, X = own[:1], n, x[None]
+    else:
+        starts = np.flatnonzero(np.diff(own, prepend=-1))
+        counts = np.diff(np.append(starts, n))
+        rows, L = own[starts], int(counts.max())
+        grp = np.repeat(np.arange(len(rows)), counts)
+        pos = np.arange(n) - starts[grp]
+        X = np.zeros((len(rows), L))
+        X[grp, pos] = x
+    if len(rows) < K:
+        C = C[rows]
     r = np.arange(B, dtype=float)
     qB = B * np.arange(Q, dtype=float)
-    out = np.empty((len(x), 2))
+    out = np.empty((len(rows), L, 2))
     # words per point: E and G with the real and complex intermediates of
     # 1j*outer (1 + 2 + 2 per column), the product (4 per q), the sums (4)
-    rows = max(1, _TABLE_WORDS // (5 * (B + Q) + 4 * Q + 4))
-    for i in range(0, len(x), rows):
-        xb = x[i:i + rows]
-        E = np.exp(1j * np.multiply.outer(xb, r))
-        G = np.exp(1j * np.multiply.outer(xb, qB))
-        P = (E @ C).reshape(len(xb), 2, Q)
-        out[i:i + rows] = np.einsum("ikq,iq->ik", P, G).real
-        del E, G, P  # before the next block is built
+    budget = max(1, _TABLE_WORDS // (5 * (B + Q) + 4 * Q + 4))
+    kc = max(1, min(len(rows), budget // L))
+    lc = max(1, budget // kc)
+    for k in range(0, len(rows), kc):
+        for i in range(0, L, lc):
+            xb = X[k:k + kc, i:i + lc]
+            E = np.exp(1j * np.multiply.outer(xb, r))
+            G = np.exp(1j * np.multiply.outer(xb, qB))
+            P = np.matmul(E, C[k:k + kc]).reshape(*xb.shape, 2, Q)
+            out[k:k + kc, i:i + lc] = np.einsum("klcq,klq->klc", P, G).real
+            del E, G, P  # before the next block is built
+    out = out[0] if len(rows) == 1 else out[grp, pos]
     return out[:, 0], out[:, 1]
+
+
+def _value_and_slope(f, x):
+    """F(x) and F'(x) of one polynomial at the points of the 1-D array x."""
+    return _series_values(_factored(_coefficients(f)[None]), np.zeros(len(x), int), x)
 
 
 def evaluate(f: TrigPolynomial, x):

@@ -3,7 +3,7 @@
 Two independent routes are provided and cross-validated in the test suite:
 
 * ``real_roots_sampled`` evaluates F and F' on a uniform grid of
-  16*(2N+1) points by one zero-padded inverse real FFT (O(m) memory),
+  m = 16*(2N+1) points by one zero-padded inverse real FFT (O(m) memory),
   brackets the sign changes of F and refines each bracket by a safeguarded
   Newton iteration started at the secant point.  Off the grid, F and F'
   come from the factored evaluator of ``poly``, which writes exp(inx) as
@@ -17,6 +17,15 @@ Two independent routes are provided and cross-validated in the test suite:
   |F(x)| <= 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)), where the
   second term is the rounding of the arguments n*x.
 
+  The finder works on a block of K polynomials of one degree
+  (``_real_roots_block``); ``real_roots_sampled`` is a block of one.  The
+  block's grids come from one batched transform, its brackets from the 2-D
+  grid, each carrying its row index, and one Newton pass refines all of
+  them, with each row's points grouped against that row's factored matrix
+  and each row's own noise floor.  That pays the per-call NumPy overhead
+  once per block instead of once per polynomial.  The ensemble picks
+  K = max(1, 2^14 // m), so a block's grid stays cache-sized.
+
 * ``all_roots_companion`` substitutes z = exp(ix), turning F into an
   algebraic polynomial Q of degree 2N with F(x) = exp(-iNx) Q(exp(ix)),
   and takes companion-matrix eigenvalues.  Unit-circle roots of Q are the
@@ -29,7 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import TrigPolynomial, _value_and_slope, differentiate
+from .poly import (
+    TrigPolynomial,
+    _coefficients,
+    _factored,
+    _series_values,
+    _value_and_slope,
+)
 
 __all__ = [
     "RootSet",
@@ -88,30 +103,46 @@ class RootSet:
         return "\n".join(repr(float(r)) for r in self.real_roots) + "\n"
 
 
-def _grid_values(f, m):
-    """F and F' at x_k = 2*pi*k/m, k < m, by one zero-padded inverse real FFT.
+def _grid_values(c, m, buffers=None):
+    """F and F' of every coefficient row c (K, N+1) at x_k = 2*pi*k/m, k < m,
+    by one batched zero-padded inverse real FFT, as a (K, 2, m) array.
 
     Bin n of the half spectrum holds (m/2)(a_n - i b_n) (bin 0 holds m*a_0),
     and the derivative's bins are i*n times those, the transform of
     (n*b_n, -n*a_n).  Needs m > 2N, which oversample >= 4 guarantees.
+    buffers, from _grid_buffers, holds a spectrum whose bins above N stay
+    zero and the output grid, so a block loop allocates neither again.
     """
-    n = np.arange(f.degree + 1)
-    spec = np.zeros((2, m // 2 + 1), dtype=complex)
-    spec[0, n] = 0.5 * m * (f.cos_coeffs - 1j * f.sin_coeffs)
-    spec[0, 0] = m * f.cos_coeffs[0]
-    spec[1, n] = 1j * n * spec[0, n]
-    return np.fft.irfft(spec, m)
+    K, n1 = c.shape
+    spec, grid = buffers or _grid_buffers(K, m)
+    spec, grid = spec[:K], grid[:K]
+    spec[:, 0, :n1] = 0.5 * m * c
+    spec[:, 0, 0] = m * c[:, 0].real
+    spec[:, 1, :n1] = 1j * np.arange(n1) * spec[:, 0, :n1]
+    return np.fft.irfft(spec, m, out=grid)
 
 
-def _noise_floor(f):
-    """(c0, c1) of the bound c0 + c1*|x| on the rounding error of computed F(x).
+def _grid_buffers(rows, m):
+    """Zeroed spectrum and output buffers of _grid_values for up to `rows`
+    polynomials on an m-point grid."""
+    return np.zeros((rows, 2, m // 2 + 1), dtype=complex), np.empty((rows, 2, m))
+
+
+def _noise_floor(c):
+    """(c0, c1) of each coefficient row of c (..., N+1), c_n = a_n - i b_n.
 
     c0 covers the cos/sin values and the sum, c1 the rounding of the
     arguments n*x, which dominates at large N.
     """
-    w = np.abs(f.cos_coeffs) + np.abs(f.sin_coeffs)
-    n = np.arange(f.degree + 1)
-    return 4.0 * _EPS * w.sum(), 4.0 * _EPS * (n * w).sum()
+    w = np.abs(c.real) + np.abs(c.imag)
+    n = np.arange(c.shape[-1])
+    return 4.0 * _EPS * w.sum(axis=-1), 4.0 * _EPS * (n * w).sum(axis=-1)
+
+
+def _series(c):
+    """Coefficient rows prepared for Newton: the factored value/slope
+    matrices and each row's noise floor (c0, c1)."""
+    return (_factored(c), *_noise_floor(c))
 
 
 def _inside(x, lo, hi):
@@ -120,74 +151,123 @@ def _inside(x, lo, hi):
     return np.where(bad, 0.5 * (lo + hi), x)
 
 
-def _newton(f, lo, hi, flo, fhi):
-    """One zero of f in each bracket [lo, hi], flo and fhi of opposite sign.
+def _newton(series, own, lo, hi, flo, fhi):
+    """One zero in each bracket [lo, hi] of row own[i] of the _series rows,
+    flo and fhi of opposite sign; own must be non-decreasing.
 
-    Safeguarded Newton, vectorized over the brackets: it starts from the
-    secant point, every evaluation shrinks the bracket, and a step that
-    would leave the bracket is replaced by its midpoint.  A bracket is done
-    when |f(x)| is inside the rounding noise of the series, when the Newton
-    step no longer moves x, or when the bracket has shrunk to adjacent
-    floats.
+    Safeguarded Newton, vectorized over the brackets of every row: it starts
+    from the secant point, every evaluation shrinks the bracket, and a step
+    that would leave the bracket is replaced by its midpoint.  A bracket is
+    done when |f(x)| is inside the rounding noise of its row's series, when
+    the Newton step no longer moves x, or when the bracket has shrunk to
+    adjacent floats.  Only the live brackets are carried from round to round.
     """
-    c0, c1 = _noise_floor(f)
-    lo, hi = lo.copy(), hi.copy()
-    lo_sign = np.sign(flo)
+    roots = np.empty(len(lo))
     with np.errstate(divide="ignore", invalid="ignore"):
         x = _inside((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
-    live = np.arange(len(x))
+    C, c0, c1 = series
+    live, lo_sign, c0, c1 = np.arange(len(x)), np.sign(flo), c0[own], c1[own]
     for _ in range(MAX_REFINE_ITERATIONS):
-        xl = x[live]
-        fx, dfx = _value_and_slope(f, xl)
-        on_lo = np.sign(fx) == lo_sign[live]
-        a = np.where(on_lo, xl, lo[live])
-        b = np.where(on_lo, hi[live], xl)
-        lo[live], hi[live] = a, b
+        fx, dfx = _series_values(C, own, x)
+        on_lo = np.sign(fx) == lo_sign
+        lo, hi = np.where(on_lo, x, lo), np.where(on_lo, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = xl - fx / dfx
-        done = (np.abs(fx) <= c0 + c1 * np.abs(xl)) | (xn == xl)
-        xn = _inside(xn, a, b)
-        done |= xn == xl
-        x[live] = np.where(done, xl, xn)
-        live = live[~done]
+            xn = x - fx / dfx
+        done = (np.abs(fx) <= c0 + c1 * np.abs(x)) | (xn == x)
+        xn = _inside(xn, lo, hi)
+        done |= xn == x
+        roots[live[done]] = x[done]
+        go = ~done
+        live, x, lo, hi, own = live[go], xn[go], lo[go], hi[go], own[go]
+        lo_sign, c0, c1 = lo_sign[go], c0[go], c1[go]
         if len(live) == 0:
-            return x
-    worst = live[0]
+            return roots
     raise RuntimeError(
-        f"root refinement did not converge: bracket [{lo[worst]!r}, {hi[worst]!r}] "
+        f"root refinement did not converge: bracket [{lo[0]!r}, {hi[0]!r}] "
         f"after {MAX_REFINE_ITERATIONS} iterations"
     )
 
 
-def _dip_brackets(f, x, vals, dvals):
+def _dip_brackets(c, series, x, vals, dvals):
     """Brackets hidden in shallow same-sign dips (near-tangent root pairs).
 
     A pair of close real roots can sit between grid points without a sign
     change; the dip minimum is then a zero of F' with F small.  Locates the
     extremum by Newton on F' inside the grid cell pair around each candidate
-    and returns (lo, hi, flo, fhi) brackets on both sides of it wherever F
-    flips sign there.
+    and returns (row, lo, hi, flo, fhi) brackets on both sides of it wherever
+    F flips sign there.  vals and dvals are the (K, m) grids of F and F'.
     """
-    m = len(x)
+    m = vals.shape[1]
     step = x[1]
     absv = np.abs(vals)
-    interior_min = (absv < np.roll(absv, 1)) & (absv <= np.roll(absv, -1))
-    shallow = absv < DIP_DEPTH_FRACTION * np.max(absv)
-    no_change = (np.roll(vals, 1) * vals > 0) & (vals * np.roll(vals, -1) > 0)
-    cand = np.nonzero(interior_min & shallow & no_change)[0]
-    da, db = dvals[cand - 1], dvals[(cand + 1) % m]
+    prev, nxt = np.roll(vals, 1, axis=1), np.roll(vals, -1, axis=1)
+    interior_min = (absv < np.abs(prev)) & (absv <= np.abs(nxt))
+    shallow = absv < DIP_DEPTH_FRACTION * absv.max(axis=1, keepdims=True)
+    no_change = (prev * vals > 0) & (vals * nxt > 0)
+    row, j = np.nonzero(interior_min & shallow & no_change)
+    da, db = dvals[row, j - 1], dvals[row, (j + 1) % m]
     keep = da * db < 0
-    cand = cand[keep]
-    c = _newton(differentiate(f, 1), x[cand] - step, x[cand] + step, da[keep], db[keep])
-    fc, _ = _value_and_slope(f, c)
-    flips = fc * vals[cand] < 0
-    j, c, fc = cand[flips], c[flips], fc[flips]
+    row, j, da, db = row[keep], j[keep], da[keep], db[keep]
+    if len(row):
+        slope = _series(1j * np.arange(c.shape[1]) * c)
+        xc = _newton(slope, row, x[j] - step, x[j] + step, da, db)
+        fc, _ = _series_values(series[0], row, xc)
+    else:
+        xc = fc = np.empty(0)
+    flips = fc * vals[row, j] < 0
+    row, j, xc, fc = row[flips], j[flips], xc[flips], fc[flips]
     return (
-        np.concatenate([x[j] - step, c]),
-        np.concatenate([c, x[j] + step]),
-        np.concatenate([vals[j - 1], fc]),
-        np.concatenate([fc, vals[(j + 1) % m]]),
+        np.concatenate([row, row]),
+        np.concatenate([x[j] - step, xc]),
+        np.concatenate([xc, x[j] + step]),
+        np.concatenate([vals[row, j - 1], fc]),
+        np.concatenate([fc, vals[row, (j + 1) % m]]),
     )
+
+
+def _real_roots_block(c, oversample=DEFAULT_OVERSAMPLE, tol=DEFAULT_TOL, buffers=None):
+    """Sorted real zeros in [0, 2*pi) of each coefficient row of c (K, N+1),
+    one array per row.
+
+    One batched grid for the block, sign-change and dip brackets found on
+    the 2-D grid with their row index, and one Newton pass over every
+    bracket of the block.  Two refined roots of a row closer than 10*tol
+    count as one.
+    """
+    if oversample < 4:
+        raise ValueError("oversample must be at least 4")
+    if not np.all(np.any(c != 0.0, axis=1)):
+        raise ValueError("degenerate input: polynomial is identically zero")
+    K, n1 = c.shape
+    m = oversample * (2 * n1 - 1)
+    xe = np.arange(m + 1) * (2.0 * np.pi / m)
+    x = xe[:m]
+    grid = _grid_values(c, m, buffers)
+    vals, dvals = grid[:, 0], grid[:, 1]
+    s = _series(c)
+
+    nxt = np.roll(vals, -1, axis=1)
+    row, j = np.nonzero(vals * nxt < 0.0)
+    found = (row, x[j], xe[j + 1], vals[row, j], nxt[row, j])
+    dips = _dip_brackets(c, s, x, vals, dvals)
+    own, lo, hi, flo, fhi = map(np.concatenate, zip(found, dips))
+    order = np.argsort(own, kind="stable")
+    own, lo, hi, flo, fhi = (v[order] for v in (own, lo, hi, flo, fhi))
+    zr, zj = np.nonzero(vals == 0.0)
+    roots = np.mod(np.concatenate([x[zj], _newton(s, own, lo, hi, flo, fhi)]), 2.0 * np.pi)
+    own = np.concatenate([zr, own])
+    order = np.lexsort((roots, own))
+    roots, own = roots[order], own[order]
+    # per row: drop a root within 10*tol of the one before it, and the
+    # wrap-around duplicate (a root found both near 0 and near 2*pi)
+    first = np.diff(own, prepend=-1) != 0
+    keep = first | (np.diff(roots, prepend=-np.inf) > 10 * tol)
+    head = np.flatnonzero(first)
+    tail = np.append(head, len(roots))[1:] - 1
+    wrap = roots[tail] - roots[head] > 2.0 * np.pi - 10 * tol
+    keep[tail[wrap]] = False
+    counts = np.bincount(own[keep], minlength=K)
+    return np.split(roots[keep], np.cumsum(counts)[:-1])
 
 
 def real_roots_sampled(
@@ -198,29 +278,10 @@ def real_roots_sampled(
     """All real zeros in [0, 2*pi) by dense sampling plus bracket refinement.
 
     Each root is refined to the rounding noise of the series; tol is the
-    separation below which two refined roots count as one.
+    separation below which two refined roots count as one.  This is the
+    block finder run on a block of one.
     """
-    if oversample < 4:
-        raise ValueError("oversample must be at least 4")
-    if f.is_zero:
-        raise ValueError("degenerate input: polynomial is identically zero")
-    m = oversample * (2 * f.degree + 1)
-    xe = np.arange(m + 1) * (2.0 * np.pi / m)
-    x = xe[:m]
-    vals, dvals = _grid_values(f, m)
-
-    nxt = np.roll(vals, -1)
-    idx = np.nonzero(vals * nxt < 0.0)[0]
-    grid = (x[idx], xe[idx + 1], vals[idx], nxt[idx])
-    lo, hi, flo, fhi = map(np.concatenate, zip(grid, _dip_brackets(f, x, vals, dvals)))
-    roots = np.concatenate([x[vals == 0.0], _newton(f, lo, hi, flo, fhi)])
-    roots = np.sort(np.mod(roots, 2.0 * np.pi))
-    if len(roots) > 1:
-        keep = np.concatenate([[True], np.diff(roots) > 10 * tol])
-        # wrap-around duplicate (a root found both near 0 and near 2*pi)
-        if roots[-1] - roots[0] > 2.0 * np.pi - 10 * tol:
-            keep[-1] = False
-        roots = roots[keep]
+    (roots,) = _real_roots_block(_coefficients(f)[None], oversample, tol)
     return RootSet(real_roots=roots, complex_roots=None, method="sampled", tolerance=tol)
 
 

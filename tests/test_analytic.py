@@ -18,7 +18,7 @@ from trigcrystal.analytic import (
     pair_correlation_limit_curve,
     v_p,
 )
-from trigcrystal.ensemble import empirical_real_fraction
+from trigcrystal.ensemble import empirical_real_fraction, real_zero_ensemble
 from trigcrystal.poly import EnsembleSpec, VarianceProfile
 
 
@@ -112,6 +112,39 @@ class TestFiniteNPairCorrelation:
             devs.append(float(np.max(np.abs(fin - lim))))
         assert devs == sorted(devs, reverse=True)
         assert devs[-1] < 0.01
+
+    def test_constant_mode_matches_the_sampled_ensemble(self):
+        # at p = 0 sample() draws a_0 with sigma_0 = 1, so the curve must sum
+        # n = 0..N; without mode 0 this gives max |z| 17 and chi2/dof 120
+        N, M, width = 10, 20_000, 0.1
+        period = 2.0 * N
+        edges = np.round(np.arange(2, 61) * width, 10)
+        rootsets = real_zero_ensemble(EnsembleSpec.equal_variance(N, 0, M, 10))
+        R = np.full((M, max(len(r) for r in rootsets)), np.nan)
+        for i, r in enumerate(rootsets):
+            R[i, :len(r)] = r
+        # each realization's ordered-pair histogram, normalized like
+        # empirical_pair_correlation, so the spread gives standard errors
+        per = np.zeros((M, len(edges) - 1))
+        for lo in range(0, M, 2000):
+            d = np.mod(R[lo:lo + 2000, None, :] - R[lo:lo + 2000, :, None], period)
+            row = np.broadcast_to(np.arange(lo, lo + len(d))[:, None, None], d.shape)
+            b = np.floor((d - edges[0]) / width)
+            ok = np.isfinite(d) & (b >= 0) & (b < len(edges) - 1)
+            np.add.at(per, (row[ok], b[ok].astype(int)), 1.0 / (period * width))
+        mean = per.mean(axis=0)
+        stderr = per.std(axis=0, ddof=1) / math.sqrt(M)
+        # the histogram estimates each bin's average: 3-point Gauss rule
+        prof = VarianceProfile.equal(N)
+        gx, gw = np.polynomial.legendre.leggauss(3)
+        curve = np.array([
+            sum(w * pair_correlation_finite_n_rescaled(prof, float(a + 0.5 * width * (1 + g)))
+                for g, w in zip(gx, gw)) / 2
+            for a in edges[:-1]
+        ])
+        z = (mean - curve) / stderr
+        assert np.max(np.abs(z)) < 4.0
+        assert np.mean(z * z) < 1.5
 
 
 def g_limit_integrals_recurrence(p, x):

@@ -189,6 +189,38 @@ class TestCommands:
         assert not foreign & set(config)
         assert config["N"] == 8 and config["realizations"] == 2 and config["bins"] == 0.05
 
+    @pytest.mark.parametrize("argv,name", [
+        (["spacing"], "spacing"),
+        (["paircorr", "--mode", "empirical"], "paircorr"),
+        (["fraction", "--mode", "all"], "fraction"),
+    ])
+    def test_manifest_reports_the_count_invariants(self, tmp_path, capsys, argv, name):
+        assert main([*argv, "--N", "8", "--p", "1", "--realizations", "5", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / f"{name}_manifest.json") as fh:
+            report = json.load(fh)["report"]
+        sets = ensemble.real_zero_ensemble(EnsembleSpec.equal_variance(8, 1, 5, 3))
+        assert report == {"realizations": 5, "roots": sum(len(r) for r in sets),
+                          "count_violations": 0}
+
+    def test_manifest_report_counts_violations(self, tmp_path, capsys, monkeypatch):
+        # odd and above-2N counts are reported, not dropped
+        bad = [np.array([0.5]), np.arange(20) * 0.8, np.array([1.0, 3.0])]
+        monkeypatch.setattr(ensemble, "real_zero_ensemble", lambda *a, **k: bad)
+        assert main(["fraction", "--mode", "empirical", "--N", "8", "--realizations", "3",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "fraction_manifest.json") as fh:
+            report = json.load(fh)["report"]
+        assert report == {"realizations": 3, "roots": 23, "count_violations": 2}
+
+    def test_analytic_runs_have_no_report(self, tmp_path, capsys):
+        assert main(["fraction", "--mode", "analytic", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "fraction_manifest.json") as fh:
+            assert "report" not in json.load(fh)
+
     def test_figure2_panel_is_the_paircorr_analytic_curve(self, tmp_path, capsys):
         fig, pc = tmp_path / "fig", tmp_path / "pc"
         assert main(["figure", "--which", "2", "--x-max", "3", "--out", str(fig)]) == 0

@@ -13,6 +13,9 @@ from trigcrystal.poly import (
     EnsembleSpec,
     TrigPolynomial,
     VarianceProfile,
+    _coefficients,
+    _factored,
+    _series_values,
     _value_and_slope,
     derivative_rescaled,
     differentiate,
@@ -170,7 +173,7 @@ def sparse_polynomials(draw):
 class TestFactoredEvaluator:
     @staticmethod
     def assert_within_floor(f, x, got, want, fraction):
-        c0, c1 = _noise_floor(f)
+        c0, c1 = _noise_floor(_coefficients(f))
         assert np.all(np.abs(got - want) <= fraction * (c0 + c1 * np.abs(x)))
 
     @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (4096, 0), (64, 500)])
@@ -204,6 +207,21 @@ class TestFactoredEvaluator:
         want_value, want_slope = dense_value_and_slope(f, x)
         self.assert_within_floor(f, x, value, want_value, 1.0)
         self.assert_within_floor(differentiate(f, 1), x, slope, want_slope, 1.0)
+
+    def test_rows_of_a_block_match_their_own_polynomials(self):
+        # uneven groups (one row without points) padded into one matmul
+        N = 40
+        fs = [sample(EnsembleSpec.equal_variance(N, 0, 4, 5), i) for i in range(4)]
+        C = _factored(np.stack([_coefficients(f) for f in fs]))
+        own = np.repeat([0, 2, 3], [7, 1, 12])
+        x = np.random.default_rng(8).uniform(-7.0, 7.0, len(own))
+        value, slope = _series_values(C, own, x)
+        for k in (0, 2, 3):
+            on = own == k
+            want_value, want_slope = dense_value_and_slope(fs[k], x[on])
+            self.assert_within_floor(fs[k], x[on], value[on], want_value, 1.0)
+            self.assert_within_floor(differentiate(fs[k], 1), x[on], slope[on],
+                                     want_slope, 1.0)
 
     def test_peak_memory_is_bounded_at_the_largest_degree(self):
         f = sample(EnsembleSpec.equal_variance(4096, 0, 1, 3), 0)

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from trigcrystal.poly import EnsembleSpec, TrigPolynomial, derivative_rescaled, sample
-from trigcrystal.roots import all_roots_companion, real_roots_sampled
+from trigcrystal.ensemble import _block_size, real_zero_ensemble
+from trigcrystal.poly import (
+    EnsembleSpec,
+    TrigPolynomial,
+    _coefficients,
+    derivative_rescaled,
+    sample,
+)
+from trigcrystal.roots import _real_roots_block, all_roots_companion, real_roots_sampled
 
 
 def cosine(N):
@@ -144,6 +151,61 @@ class TestCrossValidation:
             return float(d.min(axis=1).max())
 
         assert max_dist(40) < max_dist(10)
+
+
+def block_of(fs):
+    return _real_roots_block(np.stack([_coefficients(f) for f in fs]))
+
+
+class TestBlock:
+    def test_members_match_blocks_of_one(self):
+        # a near-tangent pair in every dip (dip pass), a top-mode-only
+        # spectrum, ordinary draws and a row with no real roots: uneven
+        # bracket counts across the rows
+        N = 8
+        tangent = np.zeros(N + 1)
+        tangent[0], tangent[N] = 1.0 - 1e-9, 1.0
+        top_a, top_b = np.zeros(N + 1), np.zeros(N + 1)
+        top_a[N], top_b[N] = 0.3, -1.7
+        fs = [
+            random_derivative(N, 0, 11),
+            TrigPolynomial(N, tangent, np.zeros(N + 1)),
+            random_derivative(N, 0, 12),
+            TrigPolynomial(N, top_a, top_b),
+            random_derivative(N, 3, 13),
+            TrigPolynomial(N, tangent + 1.0 * (np.arange(N + 1) == 0), np.zeros(N + 1)),
+        ]
+        block = block_of(fs)
+        assert [len(r) for r in block] == [real_roots_sampled(f).real_count for f in fs]
+        assert len(block[1]) == len(block[3]) == 2 * N and len(block[5]) == 0
+        for f, roots in zip(fs, block):
+            if len(roots):
+                assert np.max(np.abs(roots - real_roots_sampled(f).real_roots)) < 1e-13
+
+    def test_a_zero_member_is_degenerate(self):
+        fs = [cosine(3), TrigPolynomial(3, [0.0] * 4, [0.0] * 4)]
+        with pytest.raises(ValueError, match="degenerate"):
+            block_of(fs)
+
+    @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (64, 500)])
+    def test_whole_block_matches_the_companion_oracle(self, N, p):
+        K = _block_size(N, 16)
+        spec = EnsembleSpec.equal_variance(N, 0, max(K, 2), 4242)
+        fs = [sample(spec, i) for i in range(max(K, 2))]
+        fs = [derivative_rescaled(f, p) for f in fs] if p else fs
+        for f, roots in zip(fs, block_of(fs)):
+            oracle = all_roots_companion(f)
+            assert len(roots) == oracle.real_count
+            assert np.max(np.abs(roots - oracle.real_roots)) < 1e-8
+
+    def test_ensemble_is_bit_identical_across_threads(self):
+        # N=10 has 48 realizations per block: two full blocks and a partial one
+        spec = EnsembleSpec.equal_variance(10, 0, 101, 77)
+        assert _block_size(10, 16) == 48
+        serial = real_zero_ensemble(spec, threads=1)
+        parallel = real_zero_ensemble(spec, threads=3)
+        assert len(serial) == len(parallel) == 101
+        assert all(np.array_equal(a, b) for a, b in zip(serial, parallel))
 
 
 class TestRootSet:
