@@ -1,36 +1,34 @@
 """Closed-form and quadrature-based zero statistics.
 
-Three layers:
-
 * Kac-Rice counts.  For a stationary Gaussian trigonometric polynomial the
   expected real-zero density per unit x is (1/pi) * sqrt(B2/A2) with
   A2 = sum sigma_n^2 and B2 = sum n^2 sigma_n^2 (the covariance of (F, F')
   vanishes), which gives the expected fraction of real zeros at finite N and
   the limit value v_p = sqrt((2p+1)/(2p+3)) for the p-th derivative.
 
-* Finite-N pair correlation.  The expected pair density of real zeros at
-  separation tau is assembled from five moment sums g1..g5 of the variance
-  profile:
+* Pair correlation of real zeros, in the coordinate x with unit mean zero
+  spacing.  The finite-N curve and its large-N limit are one formula over a
+  measure with nodes t in [0, 1] and weights w:
 
-      R2(tau) = (B asin(B/A) + sqrt(A^2 - B^2)) / (pi^2 C^(3/2)),
-      A = g2 C - g1 g4^2,  B = g5 C - g3 g4^2,  C = g1^2 - g3^2.
+      g1 = sum w,  g2 = sum w t^2,  g3 = sum w cos(pi x t),
+      g4 = sum w t sin(pi x t),  g5 = sum w t^2 cos(pi x t),
+      C = g1^2 - g3^2,  A = g2 C - g1 g4^2,  B = g5 C - g3 g4^2,
+      R2(x) = (B asin(B/A) + sqrt(A^2 - B^2)) / C^(3/2),
 
-* Large-N limit for the p-th derivative, in the rescaled coordinate with
-  unit mean zero spacing.  The sums become moment integrals
+  homogeneous of degree 0 in w.  At finite N, mode n sits at t = n/N with
+  w = sigma_n^2, mode 0 included (sample() draws a_0 with sigma_0); the
+  curve at an unrescaled separation tau is R2(tau N / pi) (N / pi)^2.  For
+  the p-th derivative at large N the measure is t^(2p) dt, so
+  g1 = 1/(2p+1) and g2 = 1/(2p+3); one Gauss-Legendre rule, with enough
+  nodes to resolve cos(pi x t) up to x = MAX_SEPARATION, is mapped for each
+  p onto the part of [0, 1] where t^(2p) > 1e-16, with t^(2p) folded into
+  its weights.
 
-      g3 = int_0^1 cos(pi x t) t^(2p) dt,
-      g4 = int_0^1 sin(pi x t) t^(2p+1) dt,
-      g5 = int_0^1 cos(pi x t) t^(2p+2) dt,
-
-  with g1 = 1/(2p+1), g2 = 1/(2p+3), combined as above but without the
-  pi^2 (the limit is already normalized by the squared total density).
-
-  One Gauss-Legendre rule, with enough nodes to resolve cos(pi x t) up to
-  x = MAX_SEPARATION, is mapped for each p onto the part of [0, 1] where
-  t^(2p) > 1e-16, with t^(2p) folded into its weights.  A, B and C vanish
-  like x^4, x^4 and x^2, so C = (g1 - g3)(g1 + g3) is summed from 2 sin^2
-  and 2 cos^2 of pi x t / 2, and A, B from regression residuals
-  (_limit_terms): about 12 significant digits down to MIN_SEPARATION.
+  A, B and C vanish like x^4, x^4 and x^2, so the form above cancels at
+  small x.  _moment_terms, the one place g3, g4, g5, A, B and C are
+  computed, sums C = (g1 - g3)(g1 + g3) from 2 sin^2 and 2 cos^2 of
+  pi x t / 2, and A, B from regression residuals: about 12 significant
+  digits down to MIN_SEPARATION.
 """
 
 from __future__ import annotations
@@ -47,17 +45,16 @@ __all__ = [
     "kac_rice_density",
     "expected_real_fraction",
     "v_p",
-    "bbl_terms",
     "pair_correlation_finite_n",
     "pair_correlation_finite_n_rescaled",
-    "g_limit_integrals",
     "limit_terms",
     "pair_correlation_limit",
     "pair_correlation_limit_curve",
 ]
 
-# below this separation the limit formula is handed over to the small-x
-# repulsion expansion (asymptotics module)
+# the limit curve refuses separations at or below this one and points to the
+# small-x repulsion expansion (asymptotics module); the residual sums keep
+# about 12 significant digits down to it
 MIN_SEPARATION = 1e-4
 # the largest separation the limit rule below resolves
 MAX_SEPARATION = 100.0
@@ -102,14 +99,14 @@ def v_p(p: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# finite-N pair correlation
+# pair correlation: one core for finite N and the large-N limit
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MomentTerms:
-    """Moment sums (finite N) or integrals (large-N limit) g1..g5 and the
-    derived A, B, C of the pair-correlation formula."""
+    """Moment integrals g1..g5 of the large-N limit and the derived A, B, C
+    of the pair-correlation formula."""
 
     g1: float
     g2: float
@@ -121,29 +118,46 @@ class MomentTerms:
     C: float
 
 
-def bbl_terms(profile: VarianceProfile, tau: float) -> MomentTerms:
-    """The five moment sums over modes n = 0..N and the A, B, C combination.
+def _moment_terms(t: np.ndarray, w: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Rows g3, g4, g5, A, B, C of the measure (t, w), one column per
+    separation in xs.
 
-    Mode 0 is the constant a_0 that sample() draws with sigma_0; it adds
-    sigma_0^2 to g1 and g3 and nothing to g2, g4, g5.
+    A/C and B/C are Var F'(0) and Cov(F'(0), F'(x)) given F(0) = F(x) = 0:
+    sums over the nodes of products of the residuals of F'(0), F'(x)
+    regressed on the uncorrelated F(x) -+ F(0) (variances 2(g1 -+ g3),
+    covariances +-g4), not the cancelling g2 C - g1 g4^2.  Each separation
+    is reduced on its own row, so its values do not depend on the others.
+    Where g1 -+ g3 vanishes (x = 0) C is 0, which _assemble_r2 rejects.
     """
-    n = np.arange(profile.degree + 1, dtype=float)
-    s2 = profile.sigmas**2
-    cn = np.cos(n * tau)
-    sn = np.sin(n * tau)
-    g1 = math.fsum(s2.tolist())
-    g2 = math.fsum((n * n * s2).tolist())
-    g3 = math.fsum((s2 * cn).tolist())
-    g4 = math.fsum((n * s2 * sn).tolist())
-    g5 = math.fsum((n * n * s2 * cn).tolist())
-    C = g1 * g1 - g3 * g3
-    A = g2 * C - g1 * g4 * g4
-    B = g5 * C - g3 * g4 * g4
-    return MomentTerms(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, A=A, B=B, C=C)
+    out = np.empty((6, len(xs)))
+    # words per point and node: about a dozen tables and temporaries
+    rows = max(1, _TABLE_WORDS // (14 * len(t)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, len(xs), rows):
+            y = np.pi * np.multiply.outer(xs[i:i + rows], t)
+            sin, cos = np.sin(y), np.cos(y)
+            # 1 -+ cos(y), free of cancellation at y near 0 and near pi
+            u, v = 2.0 * np.sin(0.5 * y) ** 2, 2.0 * np.cos(0.5 * y) ** 2
+            g3 = (w * cos).sum(axis=1)
+            g4 = (w * t * sin).sum(axis=1)
+            g5 = (w * t * t * cos).sum(axis=1)
+            g1_minus_g3 = (w * u).sum(axis=1)
+            g1_plus_g3 = (w * v).sum(axis=1)
+            # regress on F(x) - F(0) and F(x) + F(0); (ra, rb) and (qa, qb)
+            # are the cos and sin parts of the residuals of F'(0) and F'(x)
+            alpha = (0.5 * g4 / g1_minus_g3)[:, None]
+            beta = (0.5 * g4 / g1_plus_g3)[:, None]
+            ra, rb = alpha * u - beta * v, t - (alpha + beta) * sin
+            qa, qb = alpha * u + beta * v - t * sin, t * cos - (alpha - beta) * sin
+            C = g1_minus_g3 * g1_plus_g3
+            A = C * (w * (ra * ra + rb * rb)).sum(axis=1)
+            B = C * (w * (ra * qa + rb * qb)).sum(axis=1)
+            out[:, i:i + rows] = g3, g4, g5, A, B, C
+    return out
 
 
-def _assemble_r2(A, B, C, scale: float) -> np.ndarray:
-    """R2 from arrays (or floats) A, B, C; raises if any point is degenerate."""
+def _assemble_r2(A, B, C) -> np.ndarray:
+    """R2 from arrays A, B, C; raises if any point is degenerate."""
     if not np.all(C > 0.0) or not np.all(np.isfinite(C)):
         raise ValueError("degenerate separation: C is not positive")
     if np.any(A <= 0.0):
@@ -153,81 +167,43 @@ def _assemble_r2(A, B, C, scale: float) -> np.ndarray:
     if np.any(out):
         raise ValueError(f"arcsin argument out of range: B/A = {r[out][0]!r}")
     r = np.clip(r, -1.0, 1.0)
-    val = (B * np.arcsin(r) + np.sqrt(np.maximum(A * A - B * B, 0.0))) / C**1.5
-    return val * scale
-
-
-def pair_correlation_finite_n(profile: VarianceProfile, tau: float) -> float:
-    """Expected pair density of real zeros at separation tau (unrescaled x).
-
-    Not defined at tau = 0 (and at exact lattice symmetries of the profile)
-    where C vanishes; callers should use the small-separation expansion
-    instead of pushing tau below ~1e-2 of the mean spacing.
-    """
-    t = bbl_terms(profile, tau)
-    return float(_assemble_r2(t.A, t.B, t.C, 1.0 / math.pi**2))
+    return (B * np.arcsin(r) + np.sqrt(np.maximum(A * A - B * B, 0.0))) / C**1.5
 
 
 def pair_correlation_finite_n_rescaled(profile: VarianceProfile, x: float) -> float:
-    """Finite-N pair correlation in the unit-mean-spacing coordinate."""
-    N = profile.degree
-    return pair_correlation_finite_n(profile, math.pi * x / N) * (math.pi / N) ** 2
+    """Finite-N pair correlation in the unit-mean-spacing coordinate.
 
-
-# ---------------------------------------------------------------------------
-# large-N limit
-# ---------------------------------------------------------------------------
-
-
-def _limit_terms(p: int, xs: np.ndarray) -> MomentTerms:
-    """The limit MomentTerms, one array entry per separation in xs.
-
-    A/C and B/C are Var F'(0) and Cov(F'(0), F'(x)) given F(0) = F(x) = 0:
-    sums over the nodes of products of the residuals of F'(0), F'(x)
-    regressed on the uncorrelated F(x) -+ F(0) (variances 2(g1 -+ g3),
-    covariances +-g4), not the cancelling g2 C - g1 g4^2.  Each separation
-    is reduced on its own row, so its values do not depend on the others.
+    Even and 2N-periodic in x; raises at multiples of 2N, where C vanishes.
+    Elsewhere about 12 significant digits down to MIN_SEPARATION from those
+    multiples, except for a profile of one mode (or one to within rounding,
+    as N = 16, p = 500): its A vanishes, and the value is rounding noise
+    near 0.
     """
+    N = profile.degree
+    # fold by evenness and period 2N (exactly), so pi x t stays small
+    x = abs(math.remainder(x, 2 * N))
+    terms = _moment_terms(np.arange(N + 1) / N, profile.sigmas**2, np.array([x]))
+    return float(_assemble_r2(*terms[3:])[0])
+
+
+def pair_correlation_finite_n(profile: VarianceProfile, tau: float) -> float:
+    """Expected pair density of real zeros at separation tau (unrescaled x):
+    the rescaled curve at tau N / pi, times (N / pi)^2."""
+    N = profile.degree
+    return pair_correlation_finite_n_rescaled(profile, tau * N / math.pi) * (N / math.pi) ** 2
+
+
+def _limit_terms(p: int, xs: np.ndarray) -> np.ndarray:
+    """_moment_terms of the limit measure t^(2p) dt, on its Gauss-Legendre
+    rule."""
     if p < 0:
         raise ValueError("p must be non-negative")
     if np.any(xs > MAX_SEPARATION):
         raise ValueError(f"separation above MAX_SEPARATION = {MAX_SEPARATION}")
-    g1 = 1.0 / (2 * p + 1)
-    g2 = 1.0 / (2 * p + 3)
     half = 0.5 * (1.0 - (_TAIL ** (1.0 / (2 * p)) if p else 0.0))
     s = half * (1.0 - _NODES)  # 1 - t, exact near t = 1
-    t, w = 1.0 - s, half * _WEIGHTS * np.exp(2 * p * np.log1p(-s))
-    out = np.empty((6, len(xs)))
-    # words per point and node: about a dozen tables and temporaries
-    rows = max(1, _TABLE_WORDS // (14 * len(t)))
-    for i in range(0, len(xs), rows):
-        y = np.pi * np.multiply.outer(xs[i:i + rows], t)
-        sin, cos = np.sin(y), np.cos(y)
-        # 1 -+ cos(y), free of cancellation at y near 0 and near pi
-        u, v = 2.0 * np.sin(0.5 * y) ** 2, 2.0 * np.cos(0.5 * y) ** 2
-        g3 = (w * cos).sum(axis=1)
-        g4 = (w * t * sin).sum(axis=1)
-        g5 = (w * t * t * cos).sum(axis=1)
-        g1_minus_g3 = (w * u).sum(axis=1)
-        g1_plus_g3 = (w * v).sum(axis=1)
-        # regress on F(x) - F(0) and F(x) + F(0); (ra, rb) and (qa, qb) are
-        # the cos and sin parts of the residuals of F'(0) and F'(x) per node
-        alpha = (0.5 * g4 / g1_minus_g3)[:, None]
-        beta = (0.5 * g4 / g1_plus_g3)[:, None]
-        ra, rb = alpha * u - beta * v, t - (alpha + beta) * sin
-        qa, qb = alpha * u + beta * v - t * sin, t * cos - (alpha - beta) * sin
-        C = g1_minus_g3 * g1_plus_g3
-        A = C * (w * (ra * ra + rb * rb)).sum(axis=1)
-        B = C * (w * (ra * qa + rb * qb)).sum(axis=1)
-        out[:, i:i + rows] = g3, g4, g5, A, B, C
-    g3, g4, g5, A, B, C = out
-    return MomentTerms(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, A=A, B=B, C=C)
-
-
-def g_limit_integrals(p: int, x: float) -> tuple[float, float, float]:
-    """(g3, g4, g5) moment integrals of the limit formula."""
-    t = limit_terms(p, x)
-    return t.g3, t.g4, t.g5
+    w = half * _WEIGHTS * np.exp(2 * p * np.log1p(-s))
+    return _moment_terms(1.0 - s, w, xs)
 
 
 def limit_terms(p: int, x: float) -> MomentTerms:
@@ -237,11 +213,11 @@ def limit_terms(p: int, x: float) -> MomentTerms:
         raise ValueError("p must be non-negative")
     if x < 0:
         raise ValueError("x must be non-negative")
+    g1, g2 = 1.0 / (2 * p + 1), 1.0 / (2 * p + 3)
     if x == 0.0:
-        g1, g2 = 1.0 / (2 * p + 1), 1.0 / (2 * p + 3)
         return MomentTerms(g1=g1, g2=g2, g3=g1, g4=0.0, g5=g2, A=0.0, B=0.0, C=0.0)
-    t = _limit_terms(p, np.array([x], dtype=float))
-    return MomentTerms(**{k: float(np.ravel(v)[0]) for k, v in vars(t).items()})
+    g3, g4, g5, A, B, C = (float(v[0]) for v in _limit_terms(p, np.array([x], dtype=float)))
+    return MomentTerms(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5, A=A, B=B, C=C)
 
 
 def pair_correlation_limit(p: int, x: float) -> float:
@@ -261,5 +237,4 @@ def pair_correlation_limit_curve(p: int, xs) -> np.ndarray:
         raise ValueError(
             "below resolvable separation: use the small-x repulsion expansion"
         )
-    t = _limit_terms(p, xs)
-    return _assemble_r2(t.A, t.B, t.C, 1.0)
+    return _assemble_r2(*_limit_terms(p, xs)[3:])

@@ -7,9 +7,8 @@ import pytest
 
 from trigcrystal.analytic import (
     MAX_SEPARATION,
-    bbl_terms,
+    _moment_terms,
     expected_real_fraction,
-    g_limit_integrals,
     kac_rice_density,
     limit_terms,
     pair_correlation_finite_n,
@@ -68,29 +67,72 @@ class TestKacRice:
         )
 
 
+def finite_n_terms(prof, xs):
+    """Rows g3, g4, g5, A, B, C of the finite-N measure (mode n at t = n/N,
+    weight sigma_n^2) at rescaled separations xs."""
+    N = prof.degree
+    return _moment_terms(np.arange(N + 1) / N, prof.sigmas**2, np.asarray(xs, dtype=float))
+
+
+def finite_n_highprec(N, p, x):
+    """Oracle: pair_correlation_finite_n_rescaled from the written-out sums
+    over n = 0..N of the profile n^(2p) (1 at p = 0, mode 0 included) in
+    50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        tau = mp.pi * mp.mpf(x) / N
+        w = [mp.mpf(n) ** (2 * p) if p else mp.mpf(1) for n in range(N + 1)]
+        g1 = mp.fsum(w)
+        g2 = mp.fsum(n * n * w[n] for n in range(N + 1))
+        g3 = mp.fsum(w[n] * mp.cos(n * tau) for n in range(N + 1))
+        g4 = mp.fsum(n * w[n] * mp.sin(n * tau) for n in range(N + 1))
+        g5 = mp.fsum(n * n * w[n] * mp.cos(n * tau) for n in range(N + 1))
+        C = g1 * g1 - g3 * g3
+        A = g2 * C - g1 * g4 * g4
+        B = g5 * C - g3 * g4 * g4
+        r2 = (B * mp.asin(B / A) + mp.sqrt(A * A - B * B)) / C**1.5
+        return float(r2 / N**2)
+
+
 class TestFiniteNPairCorrelation:
     def test_moment_sums_against_direct_loop(self):
         prof = VarianceProfile.derivative(12, 2)
-        tau = 0.83
-        t = bbl_terms(prof, tau)
-        g3 = sum(prof.sigmas[n] ** 2 * math.cos(n * tau) for n in range(1, 13))
-        g4 = sum(n * prof.sigmas[n] ** 2 * math.sin(n * tau) for n in range(1, 13))
-        assert abs(t.g3 - g3) < 1e-15
-        assert abs(t.g4 - g4) < 1e-15
-        assert t.C == pytest.approx(t.g1**2 - t.g3**2, rel=1e-15)
+        x = 0.83 * 12 / math.pi
+        g3_, g4_, _, _, _, C = finite_n_terms(prof, [x])
+        s2 = prof.sigmas**2
+        g1 = math.fsum(s2)
+        ts = [n / 12 for n in range(1, 13)]
+        g3 = sum(s2[n] * math.cos(math.pi * (x * t)) for n, t in enumerate(ts, 1))
+        g4 = sum(t * s2[n] * math.sin(math.pi * (x * t)) for n, t in enumerate(ts, 1))
+        assert abs(g3_[0] - g3) < 1e-15
+        assert abs(g4_[0] - g4) < 1e-15
+        assert C[0] == pytest.approx(g1**2 - g3**2, rel=1e-15, abs=0.0)
 
     def test_c_positive_away_from_origin(self):
         prof = VarianceProfile.equal(20)
-        for tau in np.linspace(0.05, math.pi, 40):
-            t = bbl_terms(prof, float(tau))
-            assert t.C > 0.0
-            assert abs(t.g3) < t.g1
+        g3, _, _, _, _, C = finite_n_terms(prof, np.linspace(0.05, math.pi, 40) * 20 / math.pi)
+        assert np.all(C > 0.0)
+        assert np.all(np.abs(g3) < np.sum(prof.sigmas**2))
 
     def test_arcsin_domain_on_a_grid(self):
-        prof = VarianceProfile.equal(64)
-        for x in np.linspace(0.05, 6.0, 80):
-            t = bbl_terms(prof, float(math.pi * x / 64))
-            assert abs(t.B) <= t.A * (1.0 + 1e-12)
+        grids = (
+            (VarianceProfile.equal(64), np.linspace(0.05, 6.0, 80)),
+            (VarianceProfile.derivative(64, 20), np.geomspace(1e-3, 0.5, 60)),
+            (VarianceProfile.derivative(64, 500), np.geomspace(1e-3, 0.5, 60)),
+        )
+        for prof, xs in grids:
+            *_, A, B, _ = finite_n_terms(prof, xs)
+            assert np.all(np.abs(B) <= A * (1.0 + 1e-12))
+
+    def test_matches_high_precision_sums(self):
+        # A and B vanish like x^4: the written-out sums lose 7 digits at
+        # x = 0.01 and raise at (64, 500, 0.05); (10, 0) counts mode n = 0;
+        # x = 127.99 is 0.01 short of the period 2N
+        for N, p, x in ((64, 10, 0.01), (256, 20, 0.01), (64, 10, 1e-3),
+                        (64, 500, 0.05), (10, 0, 0.01), (64, 80, 127.99)):
+            got = pair_correlation_finite_n_rescaled(VarianceProfile.derivative(N, p), x)
+            ref = finite_n_highprec(N, p, x)
+            assert abs(got - ref) <= 1e-12 * ref, (N, p, x)
 
     def test_degenerate_separation_raises(self):
         prof = VarianceProfile.equal(16)
@@ -184,32 +226,32 @@ def g_recurrence_highprec(p, x):
 class TestLimitIntegrals:
     def test_exact_at_zero_separation(self):
         for p in (0, 3, 40):
-            g3, g4, g5 = g_limit_integrals(p, 0.0)
-            assert g3 == 1.0 / (2 * p + 1)
-            assert g4 == 0.0
-            assert g5 == 1.0 / (2 * p + 3)
+            t = limit_terms(p, 0.0)
+            assert t.g3 == 1.0 / (2 * p + 1)
+            assert t.g4 == 0.0
+            assert t.g5 == 1.0 / (2 * p + 3)
 
     def test_p0_x1_closed_forms(self):
-        g3, g4, _ = g_limit_integrals(0, 1.0)
-        assert abs(g3) < 1e-15              # integral of cos(pi t)
-        assert abs(g4 - 1.0 / math.pi) < 1e-14  # integral of t sin(pi t)
+        t = limit_terms(0, 1.0)
+        assert abs(t.g3) < 1e-15              # integral of cos(pi t)
+        assert abs(t.g4 - 1.0 / math.pi) < 1e-14  # integral of t sin(pi t)
 
     def test_bounds(self):
         for p in (0, 2, 9):
             for x in (0.3, 1.2, 2.7):
-                g3, g4, g5 = g_limit_integrals(p, x)
-                assert abs(g3) <= 1.0 / (2 * p + 1) + 1e-15
-                assert abs(g4) <= 1.0 / (2 * p + 2) + 1e-15
-                assert abs(g5) <= 1.0 / (2 * p + 3) + 1e-15
+                t = limit_terms(p, x)
+                assert abs(t.g3) <= 1.0 / (2 * p + 1) + 1e-15
+                assert abs(t.g4) <= 1.0 / (2 * p + 2) + 1e-15
+                assert abs(t.g5) <= 1.0 / (2 * p + 3) + 1e-15
 
     def test_agrees_with_highprec_recurrence(self):
         # the production route must match the independent recurrence oracle
         # to 1e-9 relative across the small-p validation grid
         for p in range(6):
             for x in (0.1, 0.5, 1.0, 2.0, 5.0):
-                got = g_limit_integrals(p, x)
+                t = limit_terms(p, x)
                 ref = g_recurrence_highprec(p, x)
-                for a, b in zip(got, ref):
+                for a, b in zip((t.g3, t.g4, t.g5), ref):
                     if abs(b) > 1e-12:
                         assert abs(a - b) <= 1e-9 * abs(b)
                     else:
@@ -224,18 +266,18 @@ class TestLimitIntegrals:
                 for a, b in zip(got, ref):
                     assert abs(a - b) <= 1e-9 * max(abs(b), 1e-6)
 
-    def test_series_quadrature_seam_is_continuous(self):
+    def test_agrees_with_highprec_recurrence_either_side_of_x_1_5(self):
         for p in (0, 4, 17):
             for x in (1.499, 1.501):
-                got = g_limit_integrals(p, x)
+                t = limit_terms(p, x)
                 ref = g_recurrence_highprec(p, x)
-                for a, b in zip(got, ref):
+                for a, b in zip((t.g3, t.g4, t.g5), ref):
                     assert abs(a - b) <= 1e-9 * max(abs(b), 1e-12)
 
-    def test_boundary_layer_route_for_large_p(self):
+    def test_large_p_agrees_with_mpmath_quadrature(self):
         mp = pytest.importorskip("mpmath")
         p, x = 80, 2.3
-        got = g_limit_integrals(p, x)  # the rule sits on the layer near t = 1
+        t = limit_terms(p, x)  # the rule sits on the layer near t = 1
         with mp.workdps(40):
             xm = mp.mpf(x)
             ref = (
@@ -243,7 +285,7 @@ class TestLimitIntegrals:
                 float(mp.quad(lambda t: mp.sin(mp.pi * xm * t) * t ** (2 * p + 1), [0, 1])),
                 float(mp.quad(lambda t: mp.cos(mp.pi * xm * t) * t ** (2 * p + 2), [0, 1])),
             )
-        for a, b in zip(got, ref):
+        for a, b in zip((t.g3, t.g4, t.g5), ref):
             assert abs(a - b) <= 1e-9 * max(abs(b), 1e-15)
 
 
@@ -269,8 +311,8 @@ class TestLimitPairCorrelation:
         t = limit_terms(5, 0.9)
         assert t.g1 == 1.0 / 11.0
         assert t.g2 == 1.0 / 13.0
-        assert t.C == pytest.approx(t.g1**2 - t.g3**2, rel=1e-9)
-        assert t.A == pytest.approx(t.g2 * t.C - t.g1 * t.g4**2, rel=1e-9)
+        assert t.C == pytest.approx(t.g1**2 - t.g3**2, rel=1e-9, abs=0.0)
+        assert t.A == pytest.approx(t.g2 * t.C - t.g1 * t.g4**2, rel=1e-9, abs=0.0)
 
     def test_small_x_matches_high_precision(self):
         mp = pytest.importorskip("mpmath")
@@ -289,7 +331,7 @@ class TestLimitPairCorrelation:
                 return float((B * mp.asin(B / A) + mp.sqrt(A * A - B * B)) / C ** mp.mpf(1.5))
 
         for p, x in ((0, 0.004), (3, 0.01), (10, 0.05), (1, 0.3)):
-            assert pair_correlation_limit(p, x) == pytest.approx(r2_mp(p, x), rel=1e-8)
+            assert pair_correlation_limit(p, x) == pytest.approx(r2_mp(p, x), rel=1e-8, abs=0.0)
 
     def test_curve_helper_matches_scalar(self):
         xs = np.array([0.5, 1.0, 2.5])
@@ -320,4 +362,4 @@ class TestLimitPairCorrelation:
         for p in (0, 3, 80, 500):
             peak = 1.0 + 1.0 / (2 * p) if p else 1.5
             for x in (2e-4, 0.05, 0.3, peak, 2.3, 29.98, 99.9):
-                assert pair_correlation_limit(p, x) == pytest.approx(r2_mp(p, x), rel=1e-11)
+                assert pair_correlation_limit(p, x) == pytest.approx(r2_mp(p, x), rel=1e-11, abs=0.0)
