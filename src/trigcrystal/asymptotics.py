@@ -16,7 +16,6 @@ order p, i.e. the new arrivals drive the close pairs.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -256,13 +255,6 @@ class TripleZeroDemo:
     f: np.ndarray
     fprime: np.ndarray
     derivative_zero_count: int
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,f,fprime\n")
-        for xi, fi, di in zip(self.x, self.f, self.fprime):
-            buf.write(f"{float(xi)!r},{float(fi)!r},{float(di)!r}\n")
-        return buf.getvalue()
 
 
 def triple_zero_count(a: float, num: int = 8001) -> int:

@@ -3,10 +3,16 @@
 Runs Monte Carlo ensembles, tabulates the analytic curves, exports CSV and
 renders static SVG plots.  CSV is the primary data interface; every SVG is
 rendered from CSV files that were written first, never from internal state.
-Each command writes a manifest JSON echoing the resolved value of every
-option the command takes (plus, for an ensemble, a report of its real-zero
-count invariant), and rerunning a command with the same configuration and
-seed reproduces byte-identical CSV output for any --threads value.
+
+Every option is declared once, in ``OPTIONS``: its type, default, the
+commands that take it, its choices or bounds and its help text.  The
+subcommand flags, ``RunConfig`` and the manifest are all read from that
+table, and a value from a ``--config`` JSON file passes the same type,
+choice and bound checks as the flag it stands for.  Each command writes a
+manifest JSON echoing the resolved value of every option the command takes
+(plus, for an ensemble, a report of its real-zero count invariant), and
+rerunning a command with the same configuration and seed reproduces
+byte-identical CSV output for any --threads value.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
 """
@@ -14,81 +20,90 @@ Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, analytic, asymptotics, ensemble, poly, roots, svgplot
 
-COMMANDS = (
-    "sample",
-    "roots",
-    "fraction",
-    "paircorr",
-    "spacing",
-    "vp-table",
-    "demo-triple-zero",
-    "figure",
-)
-
 MODES = ("empirical", "analytic", "asymptotic", "all")
 METHODS = ("sampled", "companion", "both")
 
-_RANGES = {
-    "N": (1, 4096),
-    "p": (0, 500),
-    "realizations": (1, 10**7),
+
+class _Option(NamedTuple):
+    """One CLI option; its flag is ``--`` plus the name with ``_`` -> ``-``.
+
+    commands None means every command.  A value must be one of choices, if
+    given, and lie between lo (excluded when lo_open) and hi; lo None means
+    unbounded.
+    """
+
+    type: type
+    default: object
+    commands: tuple[str, ...] | None
+    help: str
+    choices: tuple | None = None
+    lo: float | None = None
+    hi: float = math.inf
+    lo_open: bool = False
+
+    def takes(self, command: str) -> bool:
+        return self.commands is None or command in self.commands
+
+    def admits(self, v) -> bool:
+        if self.choices is not None:
+            return v in self.choices
+        return self.lo is None or (self.lo < v if self.lo_open else self.lo <= v) and v <= self.hi
+
+    def allowed(self) -> str:
+        if self.choices is not None:
+            return "{" + ", ".join(map(repr, self.choices)) + "}"
+        return (f"{'(' if self.lo_open else '['}{self.lo}, "
+                f"{self.hi}{']' if self.hi < math.inf else ')'}")
+
+
+_POLY = ("sample", "roots")
+_ENSEMBLE = ("fraction", "paircorr", "spacing")
+_HISTOGRAM = ("paircorr", "spacing")
+
+OPTIONS = {
+    "N": _Option(int, 30, (*_POLY, *_ENSEMBLE, "vp-table", "figure"), "polynomial degree",
+                 lo=1, hi=4096),
+    "p": _Option(int, 0, (*_POLY, *_ENSEMBLE), "derivative order", lo=0, hi=500),
+    "realizations": _Option(int, 200, _ENSEMBLE, "Monte Carlo ensemble size", lo=1, hi=10**7),
+    "seed": _Option(int, 20260809, (*_POLY, *_ENSEMBLE, "figure"), "master seed", lo=0),
+    "threads": _Option(int, None, _ENSEMBLE,
+                       "worker processes (default $CRYSTALLIZE_THREADS or 1)", lo=1),
+    "index": _Option(int, 0, _POLY, "realization index", lo=0),
+    "method": _Option(str, "sampled", ("roots",), "root finder", choices=METHODS),
+    "input": _Option(str, None, ("roots",), "polynomial fixture JSON instead of sampling"),
+    "oversample": _Option(int, 16, ("roots", *_ENSEMBLE),
+                          "root-finder grid of oversample*(2N+1) points", lo=4),
+    "mode": _Option(str, "analytic", ("fraction", "paircorr"), "estimates to write",
+                    choices=MODES),
+    "bins": _Option(float, 0.05, _HISTOGRAM, "bin width (rescaled units)", lo=0, lo_open=True),
+    "max_range": _Option(float, 6.0, _HISTOGRAM, "histogram range, above bins and at most N"),
+    "x_max": _Option(float, 6.0, ("paircorr", "figure"), "upper end of the analytic curve grid",
+                     lo=0, hi=analytic.MAX_SEPARATION, lo_open=True),
+    "p_max": _Option(int, 10, ("vp-table",), "largest derivative order", lo=0, hi=500),
+    "a": _Option(float, 0.92, ("demo-triple-zero",), "imaginary part of the bridged zero pair",
+                 lo=0, lo_open=True),
+    "find_threshold": _Option(bool, False, ("demo-triple-zero",),
+                              "bisect the 3 -> 1 transition in a"),
+    "which": _Option(int, 1, ("figure",), "figure number", choices=(1, 2, 3)),
+    "out": _Option(str, "crystallize-out", None, "output directory"),
 }
 
-DEFAULTS = dict(
-    N=30,
-    p=0,
-    realizations=200,
-    seed=20260809,
-    bins=0.05,
-    max_range=6.0,
-    mode="analytic",
-    x_max=6.0,
-    p_max=10,
-    which=1,
-    a=0.92,
-    method="sampled",
-    oversample=16,
-    index=0,
-    threads=None,  # filled from CRYSTALLIZE_THREADS, else 1
-    out="crystallize-out",
-    input=None,
-    find_threshold=False,
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", [("command", str)] + [(name, opt.type) for name, opt in OPTIONS.items()],
+    frozen=True, namespace={"__module__": __name__,
+                            "__doc__": "Fully resolved configuration of one CLI invocation."},
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved configuration of one CLI invocation."""
-
-    command: str
-    N: int
-    p: int
-    realizations: int
-    seed: int
-    bins: float
-    max_range: float
-    mode: str
-    x_max: float
-    p_max: int
-    which: int
-    a: float
-    method: str
-    oversample: int
-    index: int
-    threads: int
-    out: str
-    input: str | None
-    find_threshold: bool
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,77 +114,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"crystallize {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, *names):
-        if "N" in names:
-            sp.add_argument("--N", type=int, default=None, help="polynomial degree")
-        if "p" in names:
-            sp.add_argument("--p", type=int, default=None, help="derivative order")
-        if "realizations" in names:
-            sp.add_argument("--realizations", type=int, default=None,
-                            help="Monte Carlo ensemble size")
-        if "seed" in names:
-            sp.add_argument("--seed", type=int, default=None, help="master seed")
-        if "threads" in names:
-            sp.add_argument("--threads", type=int, default=None,
-                            help="worker processes (default $CRYSTALLIZE_THREADS or 1)")
+    for command, fn in _DISPATCH.items():
+        sp = sub.add_parser(command, help=fn.__doc__)
+        for name, opt in OPTIONS.items():
+            if not opt.takes(command):
+                continue
+            flag = "--" + name.replace("_", "-")
+            text = opt.help if opt.lo is None else f"{opt.help}, in {opt.allowed()}"
+            if opt.type is bool:
+                sp.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                sp.add_argument(flag, type=opt.type, choices=opt.choices, default=None,
+                                help=text)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON config file; explicit flags take precedence")
-        sp.add_argument("--out", type=str, default=None, help="output directory")
-
-    sp = sub.add_parser("sample", help="draw one realization and write a JSON fixture")
-    add_common(sp, "N", "p", "seed")
-    sp.add_argument("--index", type=int, default=None, help="realization index")
-
-    sp = sub.add_parser("roots", help="real/complex zeros of one realization")
-    add_common(sp, "N", "p", "seed")
-    sp.add_argument("--index", type=int, default=None)
-    sp.add_argument("--method", choices=METHODS, default=None)
-    sp.add_argument("--oversample", type=int, default=None)
-    sp.add_argument("--input", type=str, default=None,
-                    help="polynomial fixture JSON instead of sampling")
-
-    sp = sub.add_parser("fraction", help="real-zero fraction (empirical/analytic/asymptotic)")
-    add_common(sp, "N", "p", "realizations", "seed", "threads")
-    sp.add_argument("--mode", choices=MODES, default=None)
-    sp.add_argument("--oversample", type=int, default=None)
-
-    sp = sub.add_parser("paircorr", help="pair correlation of real zeros")
-    add_common(sp, "N", "p", "realizations", "seed", "threads")
-    sp.add_argument("--mode", choices=MODES, default=None)
-    sp.add_argument("--bins", type=float, default=None, help="bin width (rescaled units)")
-    sp.add_argument("--max-range", dest="max_range", type=float, default=None)
-    sp.add_argument("--x-max", dest="x_max", type=float, default=None,
-                    help="upper end of the analytic curve grid, at most "
-                    f"{analytic.MAX_SEPARATION:g}")
-    sp.add_argument("--oversample", type=int, default=None)
-
-    sp = sub.add_parser("spacing", help="nearest-neighbor spacing distribution")
-    add_common(sp, "N", "p", "realizations", "seed", "threads")
-    sp.add_argument("--bins", type=float, default=None, help="bin width (rescaled units)")
-    sp.add_argument("--max-range", dest="max_range", type=float, default=None)
-    sp.add_argument("--oversample", type=int, default=None)
-
-    sp = sub.add_parser("vp-table", help="table of real-zero fractions per derivative order")
-    add_common(sp, "N")
-    sp.add_argument("--p-max", dest="p_max", type=int, default=None)
-
-    sp = sub.add_parser("demo-triple-zero", help="close pairs from newly real zeros")
-    add_common(sp)
-    sp.add_argument("--a", type=float, default=None,
-                    help="imaginary part of the bridged zero pair")
-    sp.add_argument("--find-threshold", dest="find_threshold", action="store_true",
-                    default=None, help="bisect the 3 -> 1 transition in a")
-
-    sp = sub.add_parser("figure", help="reproduce the standard figures (CSV + SVG)")
-    add_common(sp, "N", "p", "seed")
-    sp.add_argument("--which", type=int, default=None, choices=(1, 2, 3))
-    sp.add_argument("--x-max", dest="x_max", type=float, default=None)
-
     return parser
 
 
 def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The file's values, each of its option's JSON type: an int for int, an
+    int or float for float, a bool for bool, a string for str."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -179,9 +143,18 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
         parser.error(f"--config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         parser.error("--config file must hold a JSON object")
-    unknown = sorted(set(data) - set(DEFAULTS))
+    unknown = sorted(set(data) - set(OPTIONS))
     if unknown:
         parser.error(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        opt = OPTIONS[key]
+        if value is None and opt.default is None:
+            continue
+        accepted = (int, float) if opt.type is float else opt.type
+        if isinstance(value, bool) != (opt.type is bool) or not isinstance(value, accepted):
+            parser.error(f"config key {key} must be a JSON {opt.type.__name__}, "
+                         f"got {json.dumps(value)}")
+        data[key] = opt.type(value)
     return data
 
 
@@ -195,46 +168,32 @@ def parse_config(argv=None) -> RunConfig:
     command = args.pop("command")
     config_path = args.pop("config", None)
 
-    merged = dict(DEFAULTS)
+    merged = {name: opt.default for name, opt in OPTIONS.items()}
     if config_path:
         merged.update(_load_config_file(config_path, parser))
-    for key, val in args.items():
-        if val is not None:
-            merged[key] = val
+    merged.update((key, val) for key, val in args.items() if val is not None)
     if merged["threads"] is None:
-        merged["threads"] = int(os.environ.get("CRYSTALLIZE_THREADS", "1"))
+        try:
+            merged["threads"] = int(os.environ.get("CRYSTALLIZE_THREADS", "1"))
+        except ValueError:
+            parser.error("CRYSTALLIZE_THREADS must be an integer")
 
-    for key, (lo, hi) in _RANGES.items():
-        v = merged[key]
-        if not lo <= v <= hi:
-            parser.error(f"{key} must be in [{lo}, {hi}], got {v}")
-    if merged["bins"] <= 0:
-        parser.error(f"bins must be positive, got {merged['bins']}")
-    if merged["max_range"] <= merged["bins"]:
-        parser.error("max_range must exceed the bin width bins")
-    if not 0 < merged["x_max"] <= analytic.MAX_SEPARATION:
-        parser.error(
-            f"x_max must be in (0, {analytic.MAX_SEPARATION:g}], got {merged['x_max']}"
-        )
-    if merged["p_max"] < 0 or merged["p_max"] > 500:
-        parser.error(f"p_max must be in [0, 500], got {merged['p_max']}")
-    if merged["a"] <= 0:
-        parser.error(f"a must be positive, got {merged['a']}")
-    if merged["oversample"] < 4:
-        parser.error(f"oversample must be at least 4, got {merged['oversample']}")
-    if merged["threads"] < 1:
-        parser.error(f"threads must be at least 1, got {merged['threads']}")
-    if merged["index"] < 0:
-        parser.error(f"index must be non-negative, got {merged['index']}")
-    if command in ("paircorr", "spacing") and merged["max_range"] > merged["N"]:
-        parser.error(
-            f"max_range must not exceed the half period N={merged['N']}, "
-            f"got {merged['max_range']}"
-        )
-    if merged["find_threshold"] is None:
-        merged["find_threshold"] = False
-
+    for key, opt in OPTIONS.items():
+        if not opt.admits(merged[key]):
+            parser.error(f"{key} must be in {opt.allowed()}, got {merged[key]!r}")
+    # the two histogram estimators read bins and max_range
+    if command == "spacing" or (command == "paircorr" and merged["mode"] in ("empirical", "all")):
+        if not merged["max_range"] > merged["bins"]:
+            parser.error("max_range must exceed the bin width bins")
+        if merged["max_range"] > merged["N"]:
+            parser.error(f"max_range must not exceed the half period N={merged['N']}, "
+                         f"got {merged['max_range']}")
     return RunConfig(command=command, **merged)
+
+
+def _own_options(cfg: RunConfig) -> dict:
+    """The resolved values of the options cfg's command takes."""
+    return {k: getattr(cfg, k) for k, opt in OPTIONS.items() if opt.takes(cfg.command)}
 
 
 class _Outputs:
@@ -264,13 +223,11 @@ class _Outputs:
 
 
 def _write_manifest(out: _Outputs, cfg: RunConfig, report: dict | None):
-    # the bare command parses to exactly the keys its own subparser defines
-    own = vars(build_parser().parse_args([cfg.command]))
     doc = {
         "tool": "crystallize",
         "version": __version__,
         "command": cfg.command,
-        "config": {k: v for k, v in asdict(cfg).items() if k in own},
+        "config": {"command": cfg.command, **_own_options(cfg)},
     }
     if report is not None:
         doc["report"] = report
@@ -283,6 +240,10 @@ def _curve_csv(header: str, cols) -> str:
     for row in zip(*cols):
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _histogram_csv(hist: ensemble.Histogram) -> str:
+    return _curve_csv("bin_left,bin_right,value", (hist.edges[:-1], hist.edges[1:], hist.values))
 
 
 def _read_csv(path: str) -> dict[str, list[float]]:
@@ -328,7 +289,7 @@ def _write_limit_curve(out: _Outputs, name: str, p: int, x_max: float) -> str:
 
 def _write_triple_zero(out: _Outputs, stem: str, a: float, title: str):
     demo = asymptotics.triple_zero_demo(a)
-    path = out.write_text(f"{stem}.csv", demo.to_csv())
+    path = out.write_text(f"{stem}.csv", _curve_csv("x,f,fprime", (demo.x, demo.f, demo.fprime)))
     _render(out, f"{stem}.svg", [(path, "f", "f", False), (path, "fprime", "f'", True)],
             title=title, xlabel="x", ylabel="value")
     return demo
@@ -374,12 +335,14 @@ def _fixture_polynomial(cfg: RunConfig) -> poly.TrigPolynomial:
 
 
 def _cmd_sample(cfg: RunConfig, out: _Outputs):
+    """draw one realization and write a JSON fixture"""
     f = _fixture_polynomial(cfg)
     out.write_text("sample.json", json.dumps(f.to_json(), indent=2) + "\n")
     print(f"wrote realization {cfg.index} (N={cfg.N}, p={cfg.p}) to sample.json")
 
 
 def _cmd_roots(cfg: RunConfig, out: _Outputs):
+    """real/complex zeros of one realization"""
     f = _fixture_polynomial(cfg)
     sets = {}
     if cfg.method in ("sampled", "both"):
@@ -404,6 +367,7 @@ def _cmd_roots(cfg: RunConfig, out: _Outputs):
 
 
 def _cmd_fraction(cfg: RunConfig, out: _Outputs):
+    """real-zero fraction (empirical/analytic/asymptotic)"""
     rows, report = [], None
     if cfg.mode in ("analytic", "all"):
         rows.append(("analytic", analytic.expected_real_fraction(cfg.N, cfg.p), ""))
@@ -423,6 +387,7 @@ def _cmd_fraction(cfg: RunConfig, out: _Outputs):
 
 
 def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
+    """pair correlation of real zeros"""
     if cfg.mode in ("asymptotic", "all") and cfg.p < 1:
         raise ValueError("asymptotic pair-correlation profile needs p >= 1")
     curves, report = [], None
@@ -432,7 +397,7 @@ def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
             rootsets, cfg.N, bin_width=cfg.bins, max_range=cfg.max_range,
             metadata=_spec(cfg).summary(),
         )
-        p1 = out.write_text("paircorr_empirical.csv", est.histogram.to_csv())
+        p1 = out.write_text("paircorr_empirical.csv", _histogram_csv(est.histogram))
         out.write_text("paircorr_empirical_meta.json", est.sidecar_json() + "\n")
         curves.append((p1, "value", "empirical", False))
     if cfg.mode in ("analytic", "all"):
@@ -453,11 +418,12 @@ def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
 
 
 def _cmd_spacing(cfg: RunConfig, out: _Outputs):
+    """nearest-neighbor spacing distribution"""
     rootsets, report = _ensemble(cfg)
     hist = ensemble.nearest_neighbor_spacings(
         rootsets, cfg.N, bin_width=cfg.bins, max_range=cfg.max_range
     )
-    p1 = out.write_text("spacing.csv", hist.to_csv())
+    p1 = out.write_text("spacing.csv", _histogram_csv(hist))
     mean_gap = float(np.mean(ensemble.gap_ensemble(rootsets, cfg.N)))
     print(f"spacing: {len(hist.values)} bins, ensemble mean gap {mean_gap:.6f}")
     curves = [(p1, "value", "empirical", False)]
@@ -474,6 +440,7 @@ def _cmd_spacing(cfg: RunConfig, out: _Outputs):
 
 
 def _cmd_vp_table(cfg: RunConfig, out: _Outputs):
+    """table of real-zero fractions per derivative order"""
     lines = ["p,v_p,finite_N_fraction,new_real_fraction"]
     for p in range(cfg.p_max + 1):
         vp = analytic.v_p(p)
@@ -486,6 +453,7 @@ def _cmd_vp_table(cfg: RunConfig, out: _Outputs):
 
 
 def _cmd_demo_triple_zero(cfg: RunConfig, out: _Outputs):
+    """close pairs from newly real zeros"""
     demo = _write_triple_zero(out, "triple_zero", cfg.a,
                               f"bridged-gap function, a = {cfg.a}")
     print(f"a = {cfg.a}: derivative has {demo.derivative_zero_count} real zero(s) in (0, 1)")
@@ -525,12 +493,8 @@ def _figure3(cfg: RunConfig, out: _Outputs):
 
 
 def _cmd_figure(cfg: RunConfig, out: _Outputs):
-    if cfg.which == 1:
-        _figure1(cfg, out)
-    elif cfg.which == 2:
-        _figure2(cfg, out)
-    else:
-        _figure3(cfg, out)
+    """reproduce the standard figures (CSV + SVG)"""
+    (_figure1, _figure2, _figure3)[cfg.which - 1](cfg, out)
     print(f"figure {cfg.which}: wrote {len(out.paths)} file(s)")
 
 
@@ -561,11 +525,8 @@ def run(cfg: RunConfig) -> int:
         _write_manifest(out, cfg, _DISPATCH[cfg.command](cfg, out))
     except (ValueError, RuntimeError, OverflowError, FloatingPointError, MemoryError) as exc:
         out.discard_all()
-        print(
-            f"numerical failure in {cfg.command} "
-            f"(N={cfg.N}, p={cfg.p}, seed={cfg.seed}): {exc}",
-            file=sys.stderr,
-        )
+        taken = ", ".join(f"{k}={v}" for k, v in _own_options(cfg).items())
+        print(f"numerical failure in {cfg.command} ({taken}): {exc}", file=sys.stderr)
         return 3
     return 0
 

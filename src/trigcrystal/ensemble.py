@@ -10,7 +10,6 @@ realizations were partitioned across workers.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -64,13 +63,6 @@ class Histogram:
     @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("bin_left,bin_right,value\n")
-        for left, right, v in zip(self.edges[:-1], self.edges[1:], self.values):
-            buf.write(f"{float(left)!r},{float(right)!r},{float(v)!r}\n")
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -167,6 +159,23 @@ def empirical_real_fraction(
     return float(fracs.mean()), float(fracs.std(ddof=1) / math.sqrt(len(fracs)))
 
 
+def _bin_edges(bin_width: float, max_range: float) -> np.ndarray:
+    """Edges 0, w, 2w, ... of a histogram on [0, max_range] with bin width w.
+
+    Takes round(max_range / w) bins when that many end at max_range up to
+    rounding, else floor(max_range / w), so the top edge never passes
+    max_range.
+    """
+    if not bin_width > 0:
+        raise ValueError("bin_width must be positive")
+    if bin_width >= max_range:
+        raise ValueError("bin_width must be smaller than max_range")
+    nbins = int(round(max_range / bin_width))
+    if abs(nbins * bin_width - max_range) > 1e-9 * max_range:
+        nbins = int(math.floor(max_range / bin_width))
+    return np.arange(nbins + 1) * bin_width
+
+
 def empirical_pair_correlation(
     rootsets: list[np.ndarray],
     degree: int,
@@ -184,19 +193,13 @@ def empirical_pair_correlation(
     """
     if not rootsets:
         raise ValueError("empty ensemble")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    if bin_width >= max_range:
-        raise ValueError("bin_width must be smaller than max_range")
+    edges = _bin_edges(bin_width, max_range)
     if max_range > degree:
         raise ValueError("max_range cannot exceed the half period N")
     period = 2.0 * degree
-    nbins = int(round(max_range / bin_width))
-    if abs(nbins * bin_width - max_range) > 1e-9 * max_range:
-        nbins = int(math.floor(max_range / bin_width))
-    edges = np.arange(nbins + 1) * bin_width
+    nbins = len(edges) - 1
     counts = np.zeros(nbins, dtype=np.int64)
-    top = nbins * bin_width
+    top = float(edges[-1])
     for r in rootsets:
         k = len(r)
         if k < 2:
@@ -252,10 +255,8 @@ def nearest_neighbor_spacings(
     Realizations with fewer than two roots contribute no gaps.  The values
     integrate to 1 over the histogram support.
     """
-    gaps = gap_ensemble(rootsets, degree)
-    nbins = int(round(max_range / bin_width))
-    edges = np.arange(nbins + 1) * bin_width
-    counts, _ = np.histogram(gaps, bins=edges)
+    edges = _bin_edges(bin_width, max_range)
+    counts, _ = np.histogram(gap_ensemble(rootsets, degree), bins=edges)
     in_range = counts.sum()
     if in_range == 0:
         raise ValueError("no gaps fall inside the histogram range")

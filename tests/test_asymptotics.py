@@ -24,6 +24,7 @@ from trigcrystal.asymptotics import (
     triple_zero_demo,
     triple_zero_threshold,
 )
+from trigcrystal.cli import main as cli_main
 
 
 class TestSeriesABC:
@@ -38,9 +39,9 @@ class TestSeriesABC:
             + (y * y + 8 * math.sin(2 * y) * y + 3 * (y * y - 1) * math.cos(2 * y) + 3)
             / 32 * p**-4
         )
-        assert C == pytest.approx(expected, rel=1e-15)
+        assert C == pytest.approx(expected, rel=1e-15, abs=0.0)
         # head 1/4, depleted by the p^-3 term which is exactly -1/(4p) here
-        assert C * p * p == pytest.approx(0.25 - 0.25 / p, rel=1e-4)
+        assert C * p * p == pytest.approx(0.25 - 0.25 / p, rel=1e-4, abs=0.0)
 
     def test_c_collapses_at_integer_separations(self):
         # sin(pi x) = 0 kills the p^-2 and p^-3 terms, leaving C ~ p^-4 and
@@ -48,9 +49,9 @@ class TestSeriesABC:
         p = 50
         for x in (1.0, 2.0):
             _, _, C = series_abc(p, x)
-            assert C == pytest.approx((math.pi * x) ** 2 / 8 * p**-4, rel=1e-10)
+            assert C == pytest.approx((math.pi * x) ** 2 / 8 * p**-4, rel=1e-10, abs=0.0)
             assert C**1.5 == pytest.approx(((math.pi * x) ** 2 / 8) ** 1.5 * p**-6,
-                                           rel=1e-9)
+                                           rel=1e-9, abs=0.0)
 
     def test_c_series_converges_to_quadrature(self):
         x = 0.7
@@ -68,9 +69,9 @@ class TestSeriesABC:
         p = 200
         Aq = limit_terms(p, 1.0).A
         As, Bs, _ = series_abc(p, 1.0)
-        assert As == pytest.approx(math.pi**2 / 32 * p**-5, rel=1e-12)
-        assert Bs == pytest.approx(-math.pi**2 / 32 * p**-5, rel=1e-9)
-        assert Aq == pytest.approx(As, rel=0.05)
+        assert As == pytest.approx(math.pi**2 / 32 * p**-5, rel=1e-12, abs=0.0)
+        assert Bs == pytest.approx(-math.pi**2 / 32 * p**-5, rel=1e-9, abs=0.0)
+        assert Aq == pytest.approx(As, rel=0.05, abs=0.0)
 
     def test_ab_display_terms_are_not_quantitative_between_peaks(self):
         # constraint check: away from integer x the displayed A, B heads do
@@ -175,13 +176,13 @@ class TestSpacingLaw:
 class TestRepulsion:
     def test_slope_at_p0(self):
         assert repulsion_slope(0) == pytest.approx(math.pi**2 * math.sqrt(3) / 90,
-                                                   rel=1e-14)
+                                                   rel=1e-14, abs=0.0)
 
     def test_slope_matches_limit_formula(self):
         for p in (0, 1, 3, 10):
             x = 0.002
             assert repulsion_slope(p) * x == pytest.approx(
-                pair_correlation_limit(p, x), rel=2e-3
+                pair_correlation_limit(p, x), rel=2e-3, abs=0.0
             )
 
     def test_linear_term_tracks_limit_at_x005(self):
@@ -213,7 +214,7 @@ class TestRepulsion:
 class TestNewRealZeros:
     def test_first_order_value(self):
         assert new_real_fraction(1) == pytest.approx(
-            math.sqrt(3.0 / 5.0) - math.sqrt(1.0 / 3.0), rel=1e-14
+            math.sqrt(3.0 / 5.0) - math.sqrt(1.0 / 3.0), rel=1e-14, abs=0.0
         )
         assert abs(new_real_fraction(1) - 0.1972) < 1e-4
 
@@ -227,7 +228,8 @@ class TestNewRealZeros:
 
     def test_consistency_with_v_p(self):
         for p in (1, 4, 9):
-            assert new_real_fraction(p) == pytest.approx(v_p(p) - v_p(p - 1), rel=1e-15)
+            assert new_real_fraction(p) == pytest.approx(v_p(p) - v_p(p - 1),
+                                                         rel=1e-15, abs=0.0)
 
 
 class TestTripleZero:
@@ -235,8 +237,10 @@ class TestTripleZero:
         a = 0.97
         for k in (-3, -2, -1, 2, 3, 4):
             assert abs(gap_function(float(k), a)) < 1e-12
-        assert gap_function(0.0, a) == pytest.approx(-math.pi * (0.25 + a * a), rel=1e-15)
-        assert gap_function(1.0, a) == pytest.approx(-math.pi * (0.25 + a * a), rel=1e-15)
+        assert gap_function(0.0, a) == pytest.approx(-math.pi * (0.25 + a * a),
+                                                     rel=1e-15, abs=0.0)
+        assert gap_function(1.0, a) == pytest.approx(-math.pi * (0.25 + a * a),
+                                                     rel=1e-15, abs=0.0)
         # the bridged pair keeps the function single signed inside (0, 1)
         xs = np.linspace(0.01, 0.99, 99)
         assert np.all(gap_function(xs, a) < 0)
@@ -269,15 +273,17 @@ class TestTripleZero:
         thr = triple_zero_threshold(tol=1e-7)
         assert abs(thr - TRIPLE_ZERO_CRITICAL) < 1e-4
         assert TRIPLE_ZERO_CRITICAL == pytest.approx(
-            math.sqrt(2.0 / (math.pi**2 - 8.0)), rel=1e-15
+            math.sqrt(2.0 / (math.pi**2 - 8.0)), rel=1e-15, abs=0.0
         )
 
-    def test_demo_payload(self):
+    def test_demo_payload(self, tmp_path, capsys):
         demo = triple_zero_demo(0.92)
         assert demo.derivative_zero_count == 3
         assert demo.x[0] == -0.25 and demo.x[-1] == 1.25
         assert len(demo.x) == len(demo.f) == len(demo.fprime)
-        text = demo.to_csv()
+        assert cli_main(["demo-triple-zero", "--a", "0.92", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "triple_zero.csv").read_text()
         assert text.startswith("x,f,fprime\n")
         assert len(text.strip().split("\n")) == len(demo.x) + 1
 

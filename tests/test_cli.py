@@ -55,15 +55,38 @@ class TestParsing:
         monkeypatch.delenv("CRYSTALLIZE_THREADS")
         assert parse_config(["fraction"]).threads == 1
 
-    def test_range_guards(self, capsys):
+    def test_range_guards(self, tmp_path, capsys):
         for argv in (["fraction", "--N", "0"],
                      ["fraction", "--N", "5000"],
-                     ["paircorr", "--N", "4", "--max-range", "6"],
+                     ["paircorr", "--N", "4", "--max-range", "6", "--mode", "empirical"],
                      ["fraction", "--realizations", "0"]):
             with pytest.raises(SystemExit) as exc:
                 parse_config(argv)
             assert exc.value.code == 2
             capsys.readouterr()
+        # config-file values pass the flag's own type, choices and bounds
+        cfgfile = tmp_path / "run.json"
+        for command, data in (("fraction", {"N": "64"}),
+                              ("fraction", {"N": True}),
+                              ("fraction", {"p": 2.5}),
+                              ("fraction", {"threads": "2"}),
+                              ("fraction", {"mode": "bogus"}),
+                              ("figure", {"which": 7}),
+                              ("demo-triple-zero", {"find_threshold": "yes"})):
+            cfgfile.write_text(json.dumps(data))
+            with pytest.raises(SystemExit) as exc:
+                parse_config([command, "--config", str(cfgfile)])
+            assert exc.value.code == 2
+            (key,) = data
+            assert key in capsys.readouterr().err
+        # an int is a float value; max_range <= N binds only where a
+        # histogram is built
+        cfgfile.write_text(json.dumps({"max_range": 4}))
+        assert main(["spacing", "--N", "8", "--realizations", "2", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "spacing")]) == 0
+        assert main(["paircorr", "--mode", "analytic", "--p", "3", "--N", "4",
+                     "--out", str(tmp_path / "paircorr")]) == 0
+        capsys.readouterr()
 
     def test_x_max_is_bounded_by_the_limit_rule(self, tmp_path, capsys):
         for command in ("paircorr", "figure"):
@@ -188,6 +211,14 @@ class TestCommands:
                    "which", "x_max"}
         assert not foreign & set(config)
         assert config["N"] == 8 and config["realizations"] == 2 and config["bins"] == 0.05
+        # no figure reads p, so figure takes no --p
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--p", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert main(["figure", "--which", "3", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with open(tmp_path / "figure_manifest.json") as fh:
+            assert "p" not in json.load(fh)["config"]
 
     @pytest.mark.parametrize("argv,name", [
         (["spacing"], "spacing"),
@@ -282,6 +313,11 @@ class TestFailureHandling:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+        # the message names only the options the failing command takes
+        monkeypatch.setitem(cli._DISPATCH, "demo-triple-zero", exhausts_memory)
+        assert main(["demo-triple-zero", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "a=0.92" in err and "N=" not in err and "seed=" not in err
 
     def test_asymptotic_p0_fails_before_the_ensemble(self, tmp_path, capsys, monkeypatch):
         def no_ensemble(*args, **kwargs):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trigcrystal.cli import _histogram_csv
 from trigcrystal.ensemble import (
     Histogram,
     circular_gaps,
@@ -151,6 +152,19 @@ class TestSpacings:
         with pytest.raises(ValueError):
             gap_ensemble([np.array([3.0])], deg)
 
+    def test_both_estimators_share_one_bin_edge_rule(self):
+        # 6 / 0.07 = 85.7 bins: both histograms end at 85 * 0.07 = 5.95, never
+        # past max_range
+        deg, sets = 6, [unit_lattice(6)]
+        pair = empirical_pair_correlation(sets, deg, bin_width=0.07, max_range=6.0)
+        gaps = nearest_neighbor_spacings(sets, deg, bin_width=0.07, max_range=6.0)
+        assert np.array_equal(pair.histogram.edges, gaps.edges)
+        assert len(gaps.edges) == 86 and gaps.edges[-1] <= 6.0
+        for width in (0.0, -0.05):
+            for estimator in (empirical_pair_correlation, nearest_neighbor_spacings):
+                with pytest.raises(ValueError, match="bin_width"):
+                    estimator(sets, deg, bin_width=width, max_range=6.0)
+
 
 class TestRealFraction:
     def test_pure_top_mode_is_all_real(self):
@@ -195,6 +209,6 @@ class TestHistogramType:
 
     def test_csv_header(self):
         h = Histogram(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.75]), "density")
-        text = h.to_csv()
+        text = _histogram_csv(h)
         assert text.startswith("bin_left,bin_right,value\n")
         assert "0.5,1.0,0.75" in text
