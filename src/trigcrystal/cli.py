@@ -316,10 +316,22 @@ def _ensemble(cfg: RunConfig):
     return rootsets, report
 
 
+class _InputError(Exception):
+    """The --input fixture cannot be read as a polynomial (exit 2)."""
+
+
 def _fixture_polynomial(cfg: RunConfig) -> poly.TrigPolynomial:
     if cfg.input:
-        with open(cfg.input, "r", encoding="utf-8") as fh:
-            return poly.TrigPolynomial.from_json(json.load(fh))
+        try:
+            with open(cfg.input, "r", encoding="utf-8") as fh:
+                return poly.TrigPolynomial.from_json(json.load(fh))
+        except OSError as exc:
+            raise _InputError(f"cannot read input file: {exc}") from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _InputError(
+                f"input file {cfg.input!r} is not a polynomial fixture (a JSON object "
+                f"with degree, a and b): {type(exc).__name__}: {exc}"
+            ) from exc
     # realization i depends only on (seed, i), so any ensemble past i serves
     spec = poly.EnsembleSpec.equal_variance(cfg.N, cfg.p, cfg.index + 1, cfg.seed)
     f = poly.sample(spec, cfg.index)
@@ -523,6 +535,10 @@ def run(cfg: RunConfig) -> int:
     out = _Outputs(cfg.out)
     try:
         _write_manifest(out, cfg, _DISPATCH[cfg.command](cfg, out))
+    except _InputError as exc:
+        out.discard_all()
+        print(exc, file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError, OverflowError, FloatingPointError, MemoryError) as exc:
         out.discard_all()
         taken = ", ".join(f"{k}={v}" for k, v in _own_options(cfg).items())

@@ -228,15 +228,34 @@ def _factored(c):
     return np.ascontiguousarray(C.transpose(0, 2, 1))
 
 
+def _doubled(T, size):
+    """exp(ikx) for k < size along the first axis, from T[j] = exp(i 2^j x):
+    each step multiplies the powers found so far by the next factor, so
+    power k is the product of the factors of its binary digits."""
+    out = np.empty((size, *T.shape[1:]), dtype=complex)
+    out[0] = 1.0
+    w = 1
+    for j in range(len(T)):
+        n = min(w, size - w)
+        np.multiply(out[:n], T[j], out=out[w:w + n])
+        w *= 2
+    return out
+
+
 def _series_values(C, own, x):
     """F and F' at the points of the 1-D array x, point i on row own[i] of
     the factored matrices C (K, B, 2Q); own must be non-decreasing.
 
-    Each point needs the B + Q exponentials E = exp(irx) and G = exp(iqBx),
-    and the sums are Re sum_q G_q (E @ C)_q: about 2*sqrt(N) complex
-    exponentials per point instead of N+1 cosines and N+1 sines.  The
-    arguments qBx and rx together round by at most eps*n*|x|, inside the |x|
-    term of the root finder's noise floor.
+    Each point needs the B + Q powers E = exp(irx) and G = exp(iqBx), and
+    the sums are Re sum_q G_q (E @ C)_q.  Only exponentials of power-of-two
+    multiples are taken, exp(i 2^j x) for 2^j < B and exp(i (2^j B) x) for
+    2^j < Q: about log2 N complex exponentials per point instead of N+1
+    cosines and N+1 sines.  E and G are filled from them by doubling
+    products, E[w:2w] = E[:w] exp(iwx).  The arguments 2^j x are exact and
+    (2^j B) x rounds once, so the arguments of exp(inx) together round by at
+    most eps*n*|x|, inside the |x| term of the root finder's noise floor;
+    each power is a product of at most log2 N correctly rounded factors.
+    (Squaring exp(ix) repeatedly would double its rounding with every step.)
 
     The points are grouped by row and padded to the largest group, so each
     row's points meet its own matrix in one stacked matmul.  They are taken
@@ -259,22 +278,24 @@ def _series_values(C, own, x):
         X[grp, pos] = x
     if len(rows) < K:
         C = C[rows]
-    r = np.arange(B, dtype=float)
-    qB = B * np.arange(Q, dtype=float)
+    je, jg = (B - 1).bit_length(), (Q - 1).bit_length()
+    mult = np.concatenate([2.0 ** np.arange(je), B * 2.0 ** np.arange(jg)])
     out = np.empty((len(rows), L, 2))
-    # words per point: E and G with the real and complex intermediates of
-    # 1j*outer (1 + 2 + 2 per column), the product (4 per q), the sums (4)
-    budget = max(1, _TABLE_WORDS // (5 * (B + Q) + 4 * Q + 4))
+    # words per point: the je + jg exponentials with the real and complex
+    # intermediates of 1j*outer (1 + 2 + 2 per column), E and G (2 per
+    # power), the product (4 per q), the sums (4)
+    budget = max(1, _TABLE_WORDS // (5 * (je + jg) + 2 * (B + Q) + 4 * Q + 4))
     kc = max(1, min(len(rows), budget // L))
     lc = max(1, budget // kc)
     for k in range(0, len(rows), kc):
         for i in range(0, L, lc):
             xb = X[k:k + kc, i:i + lc]
-            E = np.exp(1j * np.multiply.outer(xb, r))
-            G = np.exp(1j * np.multiply.outer(xb, qB))
-            P = np.matmul(E, C[k:k + kc]).reshape(*xb.shape, 2, Q)
-            out[k:k + kc, i:i + lc] = np.einsum("klcq,klq->klc", P, G).real
-            del E, G, P  # before the next block is built
+            # powers first, so each doubling product is one contiguous run
+            T = np.exp(1j * np.multiply.outer(mult, xb))
+            E, G = _doubled(T[:je], B), _doubled(T[je:], Q)
+            P = np.matmul(E.transpose(1, 2, 0), C[k:k + kc]).reshape(*xb.shape, 2, Q)
+            out[k:k + kc, i:i + lc] = np.matmul(P, G.transpose(1, 2, 0)[..., None])[..., 0].real
+            del T, E, G, P  # before the next block is built
     out = out[0] if len(rows) == 1 else out[grp, pos]
     return out[:, 0], out[:, 1]
 

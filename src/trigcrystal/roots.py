@@ -5,14 +5,18 @@ Two independent routes are provided and cross-validated in the test suite:
 * ``real_roots_sampled`` evaluates F and F' on a uniform grid of
   m = 16*(2N+1) points by one zero-padded inverse real FFT (O(m) memory),
   brackets the sign changes of F and refines each bracket by a safeguarded
-  Newton iteration started at the secant point.  Off the grid, F and F'
-  come from the factored evaluator of ``poly``, which writes exp(inx) as
-  exp(iqBx) exp(irx) with B = ceil(sqrt(N+1)), so each Newton point costs
-  about 2*sqrt(N) complex exponentials and one small matrix product.  A
+  Newton iteration.  It starts at the zero of the cubic Hermite
+  interpolant of F and F' at the two bracket ends, which the grid already
+  holds, so most roots take two evaluations: the start and one Newton
+  step.  Off the grid, F and F' come from the factored evaluator of
+  ``poly``, which writes exp(inx) as exp(iqBx) exp(irx) with
+  B = ceil(sqrt(N+1)) and builds both factors by doubling products from
+  the exponentials of power-of-two multiples of x, so each Newton point
+  costs about log2 N complex exponentials and one small matrix product.  A
   degree-N polynomial has at most 2N real zeros per period, so a missed
   bracket is very unlikely; a second pass inspects shallow dips that touch
   zero without a grid sign change, locating each extremum by the same
-  Newton iteration on F'.
+  Newton iteration on F' (from the secant point: there is no F'' grid).
   Refinement stops at the rounding noise of the series,
   |F(x)| <= 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)), where the
   second term is the rounding of the arguments n*x.
@@ -56,6 +60,10 @@ DEFAULT_OVERSAMPLE = 16
 DEFAULT_TOL = 1e-12
 DEFAULT_CLASSIFY_TOL = 1e-8
 MAX_REFINE_ITERATIONS = 200
+# Newton steps on the cubic of the Hermite start: from the secant point two
+# already land well inside the cubic's own error, about (N*h)^4/384 ~ 4e-6
+# of a grid cell at 16x oversampling; a third saves no evaluation
+HERMITE_STEPS = 2
 _EPS = np.finfo(float).eps
 # dips shallower than this fraction of the grid max cannot hide a root pair
 # at the default oversampling (depth <= (N*dx)^2/8 of the local scale)
@@ -151,20 +159,44 @@ def _inside(x, lo, hi):
     return np.where(bad, 0.5 * (lo + hi), x)
 
 
-def _newton(series, own, lo, hi, flo, fhi):
+def _hermite_start(lo, hi, flo, fhi, dlo, dhi):
+    """Zero of the cubic Hermite interpolant of f and f' at both ends of each
+    bracket, by HERMITE_STEPS Newton steps on t in (0, 1) from the secant t.
+
+    With m = h f' at the ends (h = hi - lo) and d = fhi - flo the cubic is
+    flo + mlo t + (3d - 2mlo - mhi) t^2 + (mlo + mhi - 2d) t^3.  On a grid
+    cell its error is O((N h)^4) of the local scale against O((N h)^2) for
+    the secant point, so it starts Newton one round closer to the root.
+    """
+    h, d = hi - lo, fhi - flo
+    m0, m1 = h * dlo, h * dhi
+    c2, c3 = 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d
+    t = -flo / d
+    for _ in range(HERMITE_STEPS):
+        t = t - (flo + t * (m0 + t * (c2 + t * c3))) / (m0 + t * (2.0 * c2 + 3.0 * t * c3))
+    return lo + t * h
+
+
+def _newton(series, own, lo, hi, flo, fhi, dlo=None, dhi=None):
     """One zero in each bracket [lo, hi] of row own[i] of the _series rows,
     flo and fhi of opposite sign; own must be non-decreasing.
 
-    Safeguarded Newton, vectorized over the brackets of every row: it starts
-    from the secant point, every evaluation shrinks the bracket, and a step
+    Safeguarded Newton, vectorized over the brackets of every row.  Given
+    the slopes dlo and dhi at the bracket ends it starts from the zero of
+    the cubic Hermite interpolant (_hermite_start), otherwise from the
+    secant point; every evaluation shrinks the bracket, and a start or step
     that would leave the bracket is replaced by its midpoint.  A bracket is
     done when |f(x)| is inside the rounding noise of its row's series, when
     the Newton step no longer moves x, or when the bracket has shrunk to
     adjacent floats.  Only the live brackets are carried from round to round.
     """
     roots = np.empty(len(lo))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = _inside((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if dlo is None:
+            x = (lo * fhi - hi * flo) / (fhi - flo)
+        else:
+            x = _hermite_start(lo, hi, flo, fhi, dlo, dhi)
+        x = _inside(x, lo, hi)
     C, c0, c1 = series
     live, lo_sign, c0, c1 = np.arange(len(x)), np.sign(flo), c0[own], c1[own]
     for _ in range(MAX_REFINE_ITERATIONS):
@@ -194,8 +226,11 @@ def _dip_brackets(c, series, x, vals, dvals):
     A pair of close real roots can sit between grid points without a sign
     change; the dip minimum is then a zero of F' with F small.  Locates the
     extremum by Newton on F' inside the grid cell pair around each candidate
-    and returns (row, lo, hi, flo, fhi) brackets on both sides of it wherever
-    F flips sign there.  vals and dvals are the (K, m) grids of F and F'.
+    (from the secant point: there is no F'' grid for a Hermite start) and
+    returns (row, lo, hi, flo, fhi, dlo, dhi) brackets on both sides of it
+    wherever F flips sign there, with F' from the grid at the outer ends and
+    from the evaluation of F at the extremum at the inner one.  vals and
+    dvals are the (K, m) grids of F and F'.
     """
     m = vals.shape[1]
     step = x[1]
@@ -211,17 +246,19 @@ def _dip_brackets(c, series, x, vals, dvals):
     if len(row):
         slope = _series(1j * np.arange(c.shape[1]) * c)
         xc = _newton(slope, row, x[j] - step, x[j] + step, da, db)
-        fc, _ = _series_values(series[0], row, xc)
+        fc, dc = _series_values(series[0], row, xc)
     else:
-        xc = fc = np.empty(0)
+        xc = fc = dc = np.empty(0)
     flips = fc * vals[row, j] < 0
-    row, j, xc, fc = row[flips], j[flips], xc[flips], fc[flips]
+    row, j, xc, fc, dc = row[flips], j[flips], xc[flips], fc[flips], dc[flips]
     return (
         np.concatenate([row, row]),
         np.concatenate([x[j] - step, xc]),
         np.concatenate([xc, x[j] + step]),
         np.concatenate([vals[row, j - 1], fc]),
         np.concatenate([fc, vals[row, (j + 1) % m]]),
+        np.concatenate([dvals[row, j - 1], dc]),
+        np.concatenate([dc, dvals[row, (j + 1) % m]]),
     )
 
 
@@ -248,13 +285,14 @@ def _real_roots_block(c, oversample=DEFAULT_OVERSAMPLE, tol=DEFAULT_TOL, buffers
 
     nxt = np.roll(vals, -1, axis=1)
     row, j = np.nonzero(vals * nxt < 0.0)
-    found = (row, x[j], xe[j + 1], vals[row, j], nxt[row, j])
+    j1 = (j + 1) % m
+    found = (row, x[j], xe[j + 1], vals[row, j], vals[row, j1], dvals[row, j], dvals[row, j1])
     dips = _dip_brackets(c, s, x, vals, dvals)
-    own, lo, hi, flo, fhi = map(np.concatenate, zip(found, dips))
+    own, *brackets = map(np.concatenate, zip(found, dips))
     order = np.argsort(own, kind="stable")
-    own, lo, hi, flo, fhi = (v[order] for v in (own, lo, hi, flo, fhi))
+    own, brackets = own[order], [v[order] for v in brackets]
     zr, zj = np.nonzero(vals == 0.0)
-    roots = np.mod(np.concatenate([x[zj], _newton(s, own, lo, hi, flo, fhi)]), 2.0 * np.pi)
+    roots = np.mod(np.concatenate([x[zj], _newton(s, own, *brackets)]), 2.0 * np.pi)
     own = np.concatenate([zr, own])
     order = np.lexsort((roots, own))
     roots, own = roots[order], own[order]

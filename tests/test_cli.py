@@ -331,6 +331,18 @@ class TestFailureHandling:
             assert "needs p >= 1" in capsys.readouterr().err
             assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("fixture", [None, [1, 2], {"degree": 2}],
+                             ids=["missing", "list", "no-coefficients"])
+    def test_unreadable_input_fixture_exits_2_naming_input(self, tmp_path, capsys, fixture):
+        fx = tmp_path / "poly.json"
+        if fixture is not None:
+            fx.write_text(json.dumps(fixture))
+        out = tmp_path / "out"
+        code = main(["roots", "--input", str(fx), "--out", str(out)])
+        assert code == 2
+        assert "input" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         target = tmp_path / "ro"
         target.mkdir()

@@ -198,6 +198,48 @@ class TestFactoredEvaluator:
         self.assert_within_floor(f, x, value, exact[:, 0], 0.25)
         self.assert_within_floor(differentiate(f, 1), x, slope, exact[:, 1], 0.25)
 
+    @pytest.mark.parametrize("N", [64, 256, 4096])
+    def test_matches_extended_precision_near_zero(self, N):
+        # top modes only: near x = 0 the floor's |x| term vanishes, so the
+        # rounding of the exponentials themselves must stay inside c0
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        a, b = np.zeros(N + 1), np.zeros(N + 1)
+        a[N], a[N - 1], b[N] = 1.0, 0.5, -0.7
+        f = TrigPolynomial(N, a, b)
+        x = np.array([1e-9, 3e-7, 1e-5, 2e-4, 3e-3])
+        exact = []
+        for xi in x:
+            value = slope = mp.mpf(0)
+            for n in (N - 1, N):
+                c, s = mp.cos(n * mp.mpf(xi)), mp.sin(n * mp.mpf(xi))
+                value += float(a[n]) * c + float(b[n]) * s
+                slope += n * (float(b[n]) * c - float(a[n]) * s)
+            exact.append((float(value), float(slope)))
+        exact = np.array(exact)
+        value, slope = _value_and_slope(f, x)
+        self.assert_within_floor(f, x, value, exact[:, 0], 0.25)
+        self.assert_within_floor(differentiate(f, 1), x, slope, exact[:, 1], 0.25)
+
+    @pytest.mark.parametrize("N", [1, 2, 64, 256, 4096])
+    def test_exponentials_per_point(self, N, monkeypatch):
+        # exp(i 2^j x) for 2^j < B and exp(i 2^j B x) for 2^j < Q only
+        f = sample(EnsembleSpec.equal_variance(N, 0, 1, 3), 0)
+        C = _factored(_coefficients(f)[None])
+        B, Q = C.shape[1], C.shape[2] // 2
+        taken, exp = [], np.exp
+
+        def counting_exp(z, *args, **kwargs):
+            taken.append(np.size(z))
+            return exp(z, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        x = np.linspace(0.1, 6.0, 50)
+        value, _ = _series_values(C, np.zeros(len(x), int), x)
+        monkeypatch.undo()
+        assert sum(taken) <= (math.ceil(math.log2(B)) + math.ceil(math.log2(Q))) * len(x)
+        self.assert_within_floor(f, x, value, dense_value_and_slope(f, x)[0], 1.0)
+
     @settings(max_examples=150, deadline=None)
     @given(f=sparse_polynomials(),
            x=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trigcrystal import roots as roots_module
 from trigcrystal.ensemble import _block_size, real_zero_ensemble
 from trigcrystal.poly import (
     EnsembleSpec,
@@ -157,6 +158,20 @@ def block_of(fs):
     return _real_roots_block(np.stack([_coefficients(f) for f in fs]))
 
 
+def seeded_block(N, p, K):
+    """The first K realizations of the seed-4242 ensemble, differentiated p times."""
+    spec = EnsembleSpec.equal_variance(N, 0, K, 4242)
+    fs = [sample(spec, i) for i in range(K)]
+    return [derivative_rescaled(f, p) for f in fs] if p else fs
+
+
+def assert_matches_companion(fs, block):
+    for f, roots in zip(fs, block):
+        oracle = all_roots_companion(f)
+        assert len(roots) == oracle.real_count
+        assert np.max(np.abs(roots - oracle.real_roots)) < 1e-8
+
+
 class TestBlock:
     def test_members_match_blocks_of_one(self):
         # a near-tangent pair in every dip (dip pass), a top-mode-only
@@ -189,14 +204,24 @@ class TestBlock:
 
     @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (64, 500)])
     def test_whole_block_matches_the_companion_oracle(self, N, p):
-        K = _block_size(N, 16)
-        spec = EnsembleSpec.equal_variance(N, 0, max(K, 2), 4242)
-        fs = [sample(spec, i) for i in range(max(K, 2))]
-        fs = [derivative_rescaled(f, p) for f in fs] if p else fs
-        for f, roots in zip(fs, block_of(fs)):
-            oracle = all_roots_companion(f)
-            assert len(roots) == oracle.real_count
-            assert np.max(np.abs(roots - oracle.real_roots)) < 1e-8
+        fs = seeded_block(N, p, max(_block_size(N, 16), 2))
+        assert_matches_companion(fs, block_of(fs))
+
+    @pytest.mark.parametrize("N,p,most", [(64, 0, 2.6), (256, 20, 2.3)])
+    def test_hermite_start_saves_evaluations(self, N, p, most, monkeypatch):
+        # points handed to the series evaluator per root found, the dip
+        # pass included; the secant start needed 3.4 (N=64) and 2.9 (N=256)
+        fs = seeded_block(N, p, _block_size(N, 16))
+        points, evaluate = [], roots_module._series_values
+
+        def counting(C, own, x):
+            points.append(len(x))
+            return evaluate(C, own, x)
+
+        monkeypatch.setattr(roots_module, "_series_values", counting)
+        block = block_of(fs)
+        assert sum(points) <= most * sum(len(r) for r in block)
+        assert_matches_companion(fs, block)
 
     def test_ensemble_is_bit_identical_across_threads(self):
         # N=10 has 48 realizations per block: two full blocks and a partial one
