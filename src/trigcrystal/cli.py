@@ -356,6 +356,13 @@ def _cmd_sample(cfg: RunConfig, out: _Outputs):
 def _cmd_roots(cfg: RunConfig, out: _Outputs):
     """real/complex zeros of one realization"""
     f = _fixture_polynomial(cfg)
+    if cfg.input and f.is_zero:
+        raise _InputError(f"input file {cfg.input!r} holds the zero polynomial, "
+                          f"which has no isolated roots")
+    top = f.degree >= 1 and (f.cos_coeffs[-1] != 0.0 or f.sin_coeffs[-1] != 0.0)
+    if cfg.input and cfg.method != "sampled" and not top:
+        raise _InputError(f"input file {cfg.input!r}: --method {cfg.method} needs degree "
+                          f">= 1 and a_N, b_N not both zero; --method sampled takes it")
     sets = {}
     if cfg.method in ("sampled", "both"):
         sets["sampled"] = roots.real_roots_sampled(f, oversample=cfg.oversample)

@@ -80,12 +80,13 @@ class PairCorrelationEstimate:
 
 
 # a block of realizations shares one root-finder grid of at most this many
-# points per row of (F, F'), so its buffers stay cache-sized
-_BLOCK_GRID_POINTS = 1 << 14
+# points per row of (F, F'), so a block's grid takes at most 512 KiB and its
+# fixed per-call cost is spread over up to 2^15 // m realizations
+_BLOCK_GRID_POINTS = 1 << 15
 
 
 def _block_size(degree: int, oversample: int) -> int:
-    """Realizations per block: max(1, 2^14 // m) for the m-point grid."""
+    """Realizations per block: max(1, 2^15 // m) for the m-point grid."""
     return max(1, _BLOCK_GRID_POINTS // (oversample * (2 * degree + 1)))
 
 
@@ -94,7 +95,7 @@ def _blocks_rescaled_roots(args):
 
     lo is a multiple of the block size, so the blocks, and with them every
     result, do not depend on how the index range was split into tasks.  The
-    grid buffers are allocated once and reused by every block.
+    sampler draws each block's coefficient rows straight into one array.
     """
     spec, lo, hi, oversample = args
     # freeing one mapped array as large as the evaluator's row blocks lifts
@@ -103,14 +104,10 @@ def _blocks_rescaled_roots(args):
     # and faulted in again on every call (other allocators ignore this)
     np.empty(poly._TABLE_WORDS)
     K = _block_size(spec.degree, oversample)
-    buffers = roots._grid_buffers(K, oversample * (2 * spec.degree + 1))
     out = []
     for start in range(lo, hi, K):
-        fs = [poly.sample(spec, i) for i in range(start, min(start + K, hi))]
-        if spec.derivative_order > 0:
-            fs = [poly.derivative_rescaled(f, spec.derivative_order) for f in fs]
-        c = np.stack([poly._coefficients(f) for f in fs])
-        for r in roots._real_roots_block(c, oversample, buffers=buffers):
+        c = poly._coefficient_rows(spec, start, min(start + K, hi))
+        for r in roots._real_roots_block(c, oversample):
             out.append(rescale_zeros(r, spec.degree))
     return out
 
@@ -123,7 +120,7 @@ def real_zero_ensemble(
     """Rescaled real roots of F^(p) for every realization, in index order.
 
     The root finder works on fixed blocks of consecutive realizations
-    (max(1, 2^14 // m) of them for an m = oversample*(2N+1) point grid).
+    (max(1, 2^15 // m) of them for an m = oversample*(2N+1) point grid).
     With threads > 1 runs of whole blocks are processed in parallel worker
     processes; each realization is a pure function of (spec, index), the
     blocks do not depend on the thread count, and the returned list is

@@ -184,23 +184,43 @@ class EnsembleSpec:
         }
 
 
+def _draws(spec: EnsembleSpec, lo: int, hi: int):
+    """Cos and sin coefficient rows (hi - lo, N+1) of realizations lo..hi-1.
+
+    Row k holds the normals of substream (master_seed, lo + k), drawn
+    straight into it, times sigma_n, with b_0 = 0.
+    """
+    z = np.empty((hi - lo, 2, spec.degree + 1))
+    for k in range(hi - lo):
+        seq = np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(lo + k,))
+        np.random.default_rng(seq).standard_normal(out=z[k])
+    z *= spec.profile.sigmas
+    z[:, 1, 0] = 0.0
+    return z[:, 0], z[:, 1]
+
+
 def sample(spec: EnsembleSpec, index: int) -> TrigPolynomial:
     """Draw realization `index` of the ensemble.
 
     Coefficients are independent Gaussian(0, sigma_n**2), generated by
     numpy's PCG64 ziggurat normal sampler on a SeedSequence substream
     spawned as (master_seed, index).  The draw is a pure function of
-    (spec, index).
+    (spec, index), and the ensemble's blocks draw it by the same routine.
     """
     if not 0 <= index < spec.realizations:
         raise IndexError(f"realization index {index} outside [0, {spec.realizations})")
-    seq = np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(index,))
-    rng = np.random.default_rng(seq)
-    z = rng.standard_normal(2 * (spec.degree + 1))
-    a = z[: spec.degree + 1] * spec.profile.sigmas
-    b = z[spec.degree + 1 :] * spec.profile.sigmas
-    b[0] = 0.0
-    return TrigPolynomial(degree=spec.degree, cos_coeffs=a, sin_coeffs=b)
+    a, b = _draws(spec, index, index + 1)
+    return TrigPolynomial(degree=spec.degree, cos_coeffs=a[0], sin_coeffs=b[0])
+
+
+def _coefficient_rows(spec: EnsembleSpec, lo: int, hi: int):
+    """Complex coefficient rows c = a - i b (hi - lo, N+1) of the rescaled
+    derivatives F^(p) N^-p of realizations lo..hi-1; row k equals
+    _coefficients(derivative_rescaled(sample(spec, lo + k), p)) bit for bit."""
+    a, b = _draws(spec, lo, hi)
+    if spec.derivative_order > 0:
+        a, b = _rescaled(a, b, spec.derivative_order)
+    return a - 1j * b
 
 
 def _coefficients(f):
@@ -323,12 +343,19 @@ def evaluate_rescaled(f: TrigPolynomial, x_rescaled):
     return evaluate(f, np.asarray(x_rescaled, dtype=float) * (np.pi / f.degree))
 
 
-def _quarter_turns(degree, a, b, times):
-    """The polynomial with coefficients (a, b) turned `times` times by
-    (a_n, b_n) -> (b_n, -a_n), the phase one derivative puts on each mode."""
+def _turned(a, b, times):
+    """Coefficients (a, b) turned `times` times by (a_n, b_n) -> (b_n, -a_n),
+    the phase one derivative puts on each mode."""
     for _ in range(times % 4):
         a, b = b, -a
-    return TrigPolynomial(degree=degree, cos_coeffs=a, sin_coeffs=b)
+    return a, b
+
+
+def _rescaled(a, b, times):
+    """Coefficient rows (..., N+1) of the `times`-th derivative scaled by
+    N**(-times): mode n weighted by (n/N)**times, then turned."""
+    w = (np.arange(a.shape[-1], dtype=float) / (a.shape[-1] - 1)) ** times
+    return _turned(w * a, w * b, times)
 
 
 def differentiate(f: TrigPolynomial, times: int = 1) -> TrigPolynomial:
@@ -345,7 +372,7 @@ def differentiate(f: TrigPolynomial, times: int = 1) -> TrigPolynomial:
     a, b = f.cos_coeffs, f.sin_coeffs
     for _ in range(times):
         a, b = n * a, n * b
-    return _quarter_turns(f.degree, a, b, times)
+    return TrigPolynomial(f.degree, *_turned(a, b, times))
 
 
 def derivative_rescaled(f: TrigPolynomial, times: int) -> TrigPolynomial:
@@ -361,5 +388,4 @@ def derivative_rescaled(f: TrigPolynomial, times: int) -> TrigPolynomial:
         return f
     if f.degree < 1:
         raise ValueError("rescaled derivative needs degree >= 1")
-    w = (np.arange(f.degree + 1, dtype=float) / f.degree) ** times
-    return _quarter_turns(f.degree, w * f.cos_coeffs, w * f.sin_coeffs, times)
+    return TrigPolynomial(f.degree, *_rescaled(f.cos_coeffs, f.sin_coeffs, times))

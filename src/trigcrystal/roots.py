@@ -3,7 +3,7 @@
 Two independent routes are provided and cross-validated in the test suite:
 
 * ``real_roots_sampled`` evaluates F and F' on a uniform grid of
-  m = 16*(2N+1) points by one zero-padded inverse real FFT (O(m) memory),
+  m = 16*(2N+1) points by one inverse real FFT of length m (O(m) memory),
   brackets the sign changes of F and refines each bracket by a safeguarded
   Newton iteration.  It starts at the zero of the cubic Hermite
   interpolant of F and F' at the two bracket ends, which the grid already
@@ -14,9 +14,12 @@ Two independent routes are provided and cross-validated in the test suite:
   the exponentials of power-of-two multiples of x, so each Newton point
   costs about log2 N complex exponentials and one small matrix product.  A
   degree-N polynomial has at most 2N real zeros per period, so a missed
-  bracket is very unlikely; a second pass inspects shallow dips that touch
-  zero without a grid sign change, locating each extremum by the same
-  Newton iteration on F' (from the secant point: there is no F'' grid).
+  bracket is very unlikely; a second pass inspects shallow dips that may
+  touch zero without a grid sign change.  It first screens them with the
+  cubic Hermite interpolant of the grid's F and F' and a proven bound on
+  its error, and only the few dips that come within that bound of zero get
+  their extremum located by the same Newton iteration on F' (from the
+  secant point: there is no F'' grid).
   Refinement stops at the rounding noise of the series,
   |F(x)| <= 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)), where the
   second term is the rounding of the arguments n*x.
@@ -28,7 +31,7 @@ Two independent routes are provided and cross-validated in the test suite:
   them, with each row's points grouped against that row's factored matrix
   and each row's own noise floor.  That pays the per-call NumPy overhead
   once per block instead of once per polynomial.  The ensemble picks
-  K = max(1, 2^14 // m), so a block's grid stays cache-sized.
+  K = max(1, 2^15 // m), so a block's F and F' grid takes at most 512 KiB.
 
 * ``all_roots_companion`` substitutes z = exp(ix), turning F into an
   algebraic polynomial Q of degree 2N with F(x) = exp(-iNx) Q(exp(ix)),
@@ -111,29 +114,21 @@ class RootSet:
         return "\n".join(repr(float(r)) for r in self.real_roots) + "\n"
 
 
-def _grid_values(c, m, buffers=None):
+def _grid_values(c, m):
     """F and F' of every coefficient row c (K, N+1) at x_k = 2*pi*k/m, k < m,
-    by one batched zero-padded inverse real FFT, as a (K, 2, m) array.
+    by one batched inverse real FFT of length m, as a (K, 2, m) array.
 
     Bin n of the half spectrum holds (m/2)(a_n - i b_n) (bin 0 holds m*a_0),
     and the derivative's bins are i*n times those, the transform of
-    (n*b_n, -n*a_n).  Needs m > 2N, which oversample >= 4 guarantees.
-    buffers, from _grid_buffers, holds a spectrum whose bins above N stay
-    zero and the output grid, so a block loop allocates neither again.
+    (n*b_n, -n*a_n).  irfft pads the N+1 bins with zeros to m/2+1 itself.
+    Needs m > 2N, which oversample >= 4 guarantees.
     """
     K, n1 = c.shape
-    spec, grid = buffers or _grid_buffers(K, m)
-    spec, grid = spec[:K], grid[:K]
-    spec[:, 0, :n1] = 0.5 * m * c
+    spec = np.empty((K, 2, n1), dtype=complex)
+    spec[:, 0] = 0.5 * m * c
     spec[:, 0, 0] = m * c[:, 0].real
-    spec[:, 1, :n1] = 1j * np.arange(n1) * spec[:, 0, :n1]
-    return np.fft.irfft(spec, m, out=grid)
-
-
-def _grid_buffers(rows, m):
-    """Zeroed spectrum and output buffers of _grid_values for up to `rows`
-    polynomials on an m-point grid."""
-    return np.zeros((rows, 2, m // 2 + 1), dtype=complex), np.empty((rows, 2, m))
+    spec[:, 1] = 1j * np.arange(n1) * spec[:, 0]
+    return np.fft.irfft(spec, m)
 
 
 def _noise_floor(c):
@@ -220,32 +215,88 @@ def _newton(series, own, lo, hi, flo, fhi, dlo=None, dhi=None):
     )
 
 
+def _dip_candidates(vals, dvals):
+    """(row, j) of the grid points that may hide a near-tangent root pair.
+
+    A candidate is a shallow interior minimum of |F| (below DIP_DEPTH_FRACTION
+    of its row's grid max) with no sign change on either side, where F'
+    changes sign across it.  Shallow points are a small share of the grid,
+    so the tests against the neighbours run on them alone.
+    """
+    m = vals.shape[1]
+    top = DIP_DEPTH_FRACTION * np.maximum(vals.max(axis=1), -vals.min(axis=1))[:, None]
+    row, j = np.nonzero((vals < top) & (vals > -top))
+    jl, jr = j - 1, (j + 1) % m
+    v, vl, vr = vals[row, j], vals[row, jl], vals[row, jr]
+    keep = (np.abs(v) < np.abs(vl)) & (np.abs(v) <= np.abs(vr))
+    keep &= (vl * v > 0) & (v * vr > 0) & (dvals[row, jl] * dvals[row, jr] < 0)
+    return row[keep], j[keep]
+
+
+def _screen(c, series, step, row, j, vals, dvals):
+    """Whether dip candidate (row, j) may hide a root pair in its two grid
+    cells [x_{j-1}, x_j] and [x_j, x_{j+1}].
+
+    On a cell of width h the cubic Hermite interpolant H of the grid's F and
+    F' differs from F by the remainder F''''(xi)/4! (x - x_0)^2 (x - x_1)^2,
+    at most h^4/384 max|F''''| <= h^4/384 sum n^4 |c_n|.  Rounding adds
+    three terms, bounded generously: each grid value of F (F') is off by
+    less than m*c0 (m*c1), since the transform's rounding is a small
+    multiple of eps log2(m) times the coefficient sums in c0 (c1); H weighs
+    those by |h00| + |h01| = 1 and h (|h10| + |h11|) <= h/4 = pi/(2m); and
+    the series evaluator's own noise is at most c0 + 2*pi*c1.  The margin
+    is their sum, h^4/384 sum n^4 |c_n| + (m + 1) c0 + 8 c1.
+
+    A candidate is kept where s*H, s the sign of the dip, comes within the
+    margin of zero on either cell.  Where it is dropped s*F stays above the
+    evaluator's noise on both cells, so F has no zero there and F at the
+    extremum keeps the sign s: no bracket is lost.  s*H is least at a cell
+    end or at a zero of H', so the cubic is evaluated at the centre grid
+    point and at both zeros of H' clipped into the cell (where H' has no
+    zero in the cell, those are just two more points of it).
+    """
+    _, c0, c1 = series
+    m = vals.shape[1]
+    n = np.arange(c.shape[1])
+    margin = step**4 / 384 * (n**4 * np.abs(c)).sum(axis=1) + (m + 1) * c0 + 8.0 * c1
+    idx = np.stack([j - 1, j, (j + 1) % m])
+    s = np.sign(vals[row, j])
+    f, d = s * vals[row, idx], s * step * dvals[row, idx]
+    # cubic f0 + m0 t + c2 t^2 + c3 t^3 on t in [0, 1], one per cell
+    f0, m0, m1 = f[:2], d[:2], d[1:]
+    df = f[1:] - f0
+    c2, c3 = 3.0 * df - 2.0 * m0 - m1, m0 + m1 - 2.0 * df
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # zeros of m0 + 2 c2 t + 3 c3 t^2 without cancellation
+        q = -(c2 + np.copysign(np.sqrt(np.maximum(c2 * c2 - 3.0 * c3 * m0, 0.0)), c2))
+        t = np.clip(np.nan_to_num(np.stack([q / (3.0 * c3), m0 / q])), 0.0, 1.0)
+    low = (f0 + t * (m0 + t * (c2 + t * c3))).min(axis=(0, 1))
+    return np.minimum(low, f[1]) <= margin[row]
+
+
 def _dip_brackets(c, series, x, vals, dvals):
     """Brackets hidden in shallow same-sign dips (near-tangent root pairs).
 
     A pair of close real roots can sit between grid points without a sign
-    change; the dip minimum is then a zero of F' with F small.  Locates the
-    extremum by Newton on F' inside the grid cell pair around each candidate
-    (from the secant point: there is no F'' grid for a Hermite start) and
-    returns (row, lo, hi, flo, fhi, dlo, dhi) brackets on both sides of it
-    wherever F flips sign there, with F' from the grid at the outer ends and
-    from the evaluation of F at the extremum at the inner one.  vals and
-    dvals are the (K, m) grids of F and F'.
+    change; the dip minimum is then a zero of F' with F small.  Only the
+    candidates (_dip_candidates) that pass the Hermite _screen get the
+    extremum located, by Newton on F' inside their grid cell pair (from the
+    secant point: there is no F'' grid for a Hermite start), and F evaluated
+    there.  Returns (row, lo, hi, flo, fhi, dlo, dhi) brackets on both sides
+    of the extremum wherever F flips sign there, with F' from the grid at
+    the outer ends and from the evaluation of F at the extremum at the inner
+    one.  vals and dvals are the (K, m) grids of F and F'.
     """
     m = vals.shape[1]
     step = x[1]
-    absv = np.abs(vals)
-    prev, nxt = np.roll(vals, 1, axis=1), np.roll(vals, -1, axis=1)
-    interior_min = (absv < np.abs(prev)) & (absv <= np.abs(nxt))
-    shallow = absv < DIP_DEPTH_FRACTION * absv.max(axis=1, keepdims=True)
-    no_change = (prev * vals > 0) & (vals * nxt > 0)
-    row, j = np.nonzero(interior_min & shallow & no_change)
-    da, db = dvals[row, j - 1], dvals[row, (j + 1) % m]
-    keep = da * db < 0
-    row, j, da, db = row[keep], j[keep], da[keep], db[keep]
+    row, j = _dip_candidates(vals, dvals)
+    keep = _screen(c, series, step, row, j, vals, dvals)
+    row, j = row[keep], j[keep]
     if len(row):
-        slope = _series(1j * np.arange(c.shape[1]) * c)
-        xc = _newton(slope, row, x[j] - step, x[j] + step, da, db)
+        rows, own = np.unique(row, return_inverse=True)
+        slope = _series(1j * np.arange(c.shape[1]) * c[rows])
+        da, db = dvals[row, j - 1], dvals[row, (j + 1) % m]
+        xc = _newton(slope, own, x[j] - step, x[j] + step, da, db)
         fc, dc = _series_values(series[0], row, xc)
     else:
         xc = fc = dc = np.empty(0)
@@ -262,7 +313,7 @@ def _dip_brackets(c, series, x, vals, dvals):
     )
 
 
-def _real_roots_block(c, oversample=DEFAULT_OVERSAMPLE, tol=DEFAULT_TOL, buffers=None):
+def _real_roots_block(c, oversample=DEFAULT_OVERSAMPLE, tol=DEFAULT_TOL):
     """Sorted real zeros in [0, 2*pi) of each coefficient row of c (K, N+1),
     one array per row.
 
@@ -279,12 +330,15 @@ def _real_roots_block(c, oversample=DEFAULT_OVERSAMPLE, tol=DEFAULT_TOL, buffers
     m = oversample * (2 * n1 - 1)
     xe = np.arange(m + 1) * (2.0 * np.pi / m)
     x = xe[:m]
-    grid = _grid_values(c, m, buffers)
+    grid = _grid_values(c, m)
     vals, dvals = grid[:, 0], grid[:, 1]
     s = _series(c)
 
-    nxt = np.roll(vals, -1, axis=1)
-    row, j = np.nonzero(vals * nxt < 0.0)
+    # F changes sign between x_j and x_j+1 (the last cell wraps to x_0)
+    change = np.empty(vals.shape, dtype=bool)
+    np.less(vals[:, :-1] * vals[:, 1:], 0.0, out=change[:, :-1])
+    change[:, -1] = vals[:, -1] * vals[:, 0] < 0.0
+    row, j = np.nonzero(change)
     j1 = (j + 1) % m
     found = (row, x[j], xe[j + 1], vals[row, j], vals[row, j1], dvals[row, j], dvals[row, j1])
     dips = _dip_brackets(c, s, x, vals, dvals)

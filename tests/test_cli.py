@@ -343,6 +343,23 @@ class TestFailureHandling:
         assert "input" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("fixture,method", [
+        ({"degree": 2, "a": [0, 0, 0], "b": [0, 0, 0]}, "sampled"),
+        ({"degree": 0, "a": [1], "b": [0]}, "companion"),
+    ], ids=["all-zero", "degree-0-companion"])
+    def test_fixture_without_roots_to_find_exits_2_naming_input(self, tmp_path, capsys,
+                                                                 fixture, method):
+        fx = tmp_path / "poly.json"
+        fx.write_text(json.dumps(fixture))
+        out = tmp_path / "out"
+        code = main(["roots", "--input", str(fx), "--method", method, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "input" in err and "numerical failure" not in err
+        # --input makes the command ignore the sampling options
+        assert "N=" not in err and "seed=" not in err
+        assert os.listdir(out) == []
+
     def test_unwritable_output_dir_exits_2(self, tmp_path, capsys):
         target = tmp_path / "ro"
         target.mkdir()

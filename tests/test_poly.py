@@ -13,6 +13,7 @@ from trigcrystal.poly import (
     EnsembleSpec,
     TrigPolynomial,
     VarianceProfile,
+    _coefficient_rows,
     _coefficients,
     _factored,
     _series_values,
@@ -97,6 +98,31 @@ class TestSampling:
         a2 = np.array([sample(spec, i).cos_coeffs[2] for i in range(M)])
         assert abs(a2.mean()) < 4.0 / math.sqrt(M)
         assert abs(a2.var(ddof=1) - 1.0) < 0.10
+
+    def test_draw_is_the_substream_normals_times_sigma(self):
+        # the per-realization recipe of the sampler, written out: realization
+        # i is 2(N+1) ziggurat normals of substream (master_seed, i)
+        N = 9
+        prof = VarianceProfile(np.linspace(0.5, 2.0, N + 1))
+        spec = EnsembleSpec(N, 0, prof, 20, 2718)
+        for i in (0, 7, 19):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=2718, spawn_key=(i,)))
+            z = rng.standard_normal(2 * (N + 1))
+            a, b = z[: N + 1] * prof.sigmas, z[N + 1:] * prof.sigmas
+            b[0] = 0.0
+            f = sample(spec, i)
+            assert f.cos_coeffs.tobytes() == a.tobytes()
+            assert f.sin_coeffs.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("p", [0, 1, 3, 20])
+    def test_block_rows_equal_sample_bit_for_bit(self, p):
+        spec = EnsembleSpec.equal_variance(17, p, 12, 4242)
+        rows = _coefficient_rows(spec, 3, 12)
+        assert rows.shape == (9, 18)
+        for k, row in enumerate(rows):
+            f = sample(spec, 3 + k)
+            f = derivative_rescaled(f, p) if p else f
+            assert row.tobytes() == _coefficients(f).tobytes()
 
     def test_serial_matches_worker_partition(self):
         spec = EnsembleSpec.equal_variance(12, 1, 24, 77)

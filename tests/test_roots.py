@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigcrystal import roots as roots_module
 from trigcrystal.ensemble import _block_size, real_zero_ensemble
@@ -12,9 +14,19 @@ from trigcrystal.poly import (
     TrigPolynomial,
     _coefficients,
     derivative_rescaled,
+    differentiate,
+    evaluate,
     sample,
 )
-from trigcrystal.roots import _real_roots_block, all_roots_companion, real_roots_sampled
+from trigcrystal.roots import (
+    _dip_candidates,
+    _grid_values,
+    _real_roots_block,
+    _screen,
+    _series,
+    all_roots_companion,
+    real_roots_sampled,
+)
 
 
 def cosine(N):
@@ -70,6 +82,16 @@ class TestSampled:
             rc = all_roots_companion(f)
             assert rs.real_count == rc.real_count == 16
             assert np.max(np.abs(rs.real_roots - rc.real_roots)) < 1e-8
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_tangent_dips_above_zero_have_no_roots(self, eps):
+        # cos(8x) + 1 + eps stays above zero by eps at eight grid-point
+        # minima; the dip screen's margin is 3e-6 here, so the dips at
+        # eps <= 1e-6 reach Newton on F' and must still not flip
+        a = np.zeros(9)
+        a[0], a[8] = 1.0 + eps, 1.0
+        f = TrigPolynomial(8, a, np.zeros(9))
+        assert real_roots_sampled(f).real_count == all_roots_companion(f).real_count == 0
 
 
 class TestCompanion:
@@ -224,13 +246,114 @@ class TestBlock:
         assert_matches_companion(fs, block)
 
     def test_ensemble_is_bit_identical_across_threads(self):
-        # N=10 has 48 realizations per block: two full blocks and a partial one
-        spec = EnsembleSpec.equal_variance(10, 0, 101, 77)
-        assert _block_size(10, 16) == 48
+        # N=10 has 97 realizations per block: two full blocks and a partial one
+        spec = EnsembleSpec.equal_variance(10, 0, 201, 77)
+        assert _block_size(10, 16) == 97
         serial = real_zero_ensemble(spec, threads=1)
         parallel = real_zero_ensemble(spec, threads=3)
-        assert len(serial) == len(parallel) == 101
+        assert len(serial) == len(parallel) == 201
         assert all(np.array_equal(a, b) for a, b in zip(serial, parallel))
+
+
+def polynomial_of(row):
+    return TrigPolynomial(len(row) - 1, row.real, -row.imag)
+
+
+class TestDipScreen:
+    """The Hermite screen drops only dip candidates that cannot hide a root."""
+
+    def blocks(self):
+        # ordinary draws with many shallow dips, the crystallized regime, and
+        # tangent dips just above and just below zero on the grid and off it
+        tangent = []
+        for eps in (1e-2, 1e-5, -1e-5, 1e-9, -1e-9):
+            for shift in (0.0, 0.37):
+                a, b = np.zeros(9), np.zeros(9)
+                a[0] = 1.0 + eps
+                a[8], b[8] = math.cos(8 * shift), math.sin(8 * shift)
+                tangent.append(TrigPolynomial(8, a, b))
+        return [seeded_block(64, 0, _block_size(64, 16)), seeded_block(256, 20, 3), tangent]
+
+    def screened(self, fs):
+        c = np.stack([_coefficients(f) for f in fs])
+        m = 16 * (2 * c.shape[1] - 1)
+        grid = _grid_values(c, m)
+        vals, dvals = grid[:, 0], grid[:, 1]
+        row, j = _dip_candidates(vals, dvals)
+        keep = _screen(c, _series(c), 2 * math.pi / m, row, j, vals, dvals)
+        return c, m, vals, row, j, keep
+
+    def test_dropped_candidates_have_no_sign_change(self):
+        dropped = 0
+        for fs in self.blocks():
+            c, m, vals, row, j, keep = self.screened(fs)
+            for r, k in zip(row[~keep], j[~keep]):
+                xs = np.linspace(k - 1, k + 1, 801) * (2 * math.pi / m)
+                assert np.all(evaluate(polynomial_of(c[r]), xs) * vals[r, k] > 0)
+                dropped += 1
+        assert dropped > 50
+
+    def test_hermite_cubic_is_within_the_margin(self):
+        # the truncation term of the screen's margin, h^4/384 sum n^4 |c_n|,
+        # bounds |F - H| on every candidate cell
+        for fs in self.blocks():
+            c, m, vals, row, j, keep = self.screened(fs)
+            h = 2 * math.pi / m
+            n = np.arange(c.shape[1])
+            bound = h**4 / 384 * (n**4 * np.abs(c)).sum(axis=1)
+            t = np.linspace(0.0, 1.0, 65)
+            h00, h01 = (1 + 2 * t) * (1 - t) ** 2, t * t * (3 - 2 * t)
+            h10, h11 = t * (1 - t) ** 2, t * t * (t - 1)
+            for r, k in zip(row[:40], j[:40]):
+                f = polynomial_of(c[r])
+                x0 = (k + np.array([-1, 0])) * h
+                f0, d0 = evaluate(f, x0), evaluate(differentiate(f), x0)
+                f1, d1 = evaluate(f, x0 + h), evaluate(differentiate(f), x0 + h)
+                for i in range(2):
+                    cubic = f0[i] * h00 + f1[i] * h01 + h * (d0[i] * h10 + d1[i] * h11)
+                    assert np.max(np.abs(evaluate(f, x0[i] + t * h) - cubic)) <= bound[r]
+
+    def test_only_a_few_candidates_reach_newton(self):
+        # at N=64, p=0 fewer than one candidate in a hundred comes within
+        # the margin of zero (4 of 915 here); in the crystallized regime none
+        keep = self.screened(seeded_block(64, 0, 240))[-1]
+        assert len(keep) > 500 and keep.sum() <= 0.01 * len(keep)
+        assert not self.screened(seeded_block(256, 20, 6))[-1].any()
+
+
+@st.composite
+def adversarial_polynomials(draw):
+    """Dense or sparse spectra of degree 1..40 differentiated up to 500
+    times, half of them with a constant that puts the global minimum a
+    relative 1e-8..1e-3 above or below zero (a near-tangent pair)."""
+    N = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = np.ones(N + 1, dtype=bool)
+    if draw(st.booleans()):
+        modes[:] = False
+        modes[draw(st.lists(st.integers(0, N), max_size=4))] = True
+        modes[N] = True
+    a, b = rng.standard_normal(N + 1) * modes, rng.standard_normal(N + 1) * modes
+    b[0] = 0.0
+    f = TrigPolynomial(N, a, b)
+    p = draw(st.integers(0, 500))
+    f = derivative_rescaled(f, p) if p else f
+    depth = draw(st.none() | st.floats(1e-8, 1e-3) | st.floats(-1e-3, -1e-8))
+    if depth is not None:
+        ext = all_roots_companion(differentiate(f)).real_roots
+        low = np.min(evaluate(f, ext)) if len(ext) else 0.0
+        scale = np.abs(f.cos_coeffs).sum() + np.abs(f.sin_coeffs).sum()
+        a = f.cos_coeffs.copy()
+        a[0] += depth * scale - low
+        f = TrigPolynomial(N, a, f.sin_coeffs)
+    return f
+
+
+class TestAdversarial:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(adversarial_polynomials())
+    def test_sampled_count_equals_the_companion_count(self, f):
+        assert real_roots_sampled(f).real_count == all_roots_companion(f).real_count
 
 
 class TestRootSet:
