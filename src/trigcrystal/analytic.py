@@ -19,20 +19,22 @@
   w = sigma_n^2, mode 0 included (sample() draws a_0 with sigma_0); the
   curve at an unrescaled separation tau is R2(tau N / pi) (N / pi)^2.  For
   the p-th derivative at large N the measure is t^(2p) dt, so
-  g1 = 1/(2p+1) and g2 = 1/(2p+3); one Gauss-Legendre rule, with enough
-  nodes to resolve cos(pi x t) up to x = MAX_SEPARATION, is mapped for each
-  p onto the part of [0, 1] where t^(2p) > 1e-16, with t^(2p) folded into
-  its weights.
+  g1 = 1/(2p+1) and g2 = 1/(2p+3).  Gauss-Legendre rules of 60, 80, 119
+  and 198 nodes, each built on first use, resolve cos(pi x t) up to x = 12.5,
+  25, 50 and 100; each x takes the smallest that resolves it, so its value
+  depends on x alone.  That rule is mapped for each p onto the part of [0, 1]
+  where t^(2p) > 1e-16, with t^(2p) folded into its weights.
 
   A, B and C vanish like x^4, x^4 and x^2, so the form above cancels at
   small x.  _moment_terms, the one place g3, g4, g5, A, B and C are
-  computed, sums C = (g1 - g3)(g1 + g3) from 2 sin^2 and 2 cos^2 of
-  pi x t / 2, and A, B from regression residuals: about 12 significant
-  digits down to MIN_SEPARATION.
+  computed, takes sin and cos of pi x t / 2 only, sums
+  C = (g1 - g3)(g1 + g3) from their doubled squares, and A, B from
+  regression residuals: about 12 significant digits down to MIN_SEPARATION.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,14 +58,11 @@ __all__ = [
 # small-x repulsion expansion (asymptotics module); the residual sums keep
 # about 12 significant digits down to it
 MIN_SEPARATION = 1e-4
-# the largest separation the limit rule below resolves
+# the largest separation the limit rules below resolve
 MAX_SEPARATION = 100.0
-# Gauss-Legendre nodes and weights on [-1, 1]: cos(pi x t) over t in [0, 1]
-# makes pi x / 2 radians of turn per unit of the node variable
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(
-    40 + math.ceil(math.pi * MAX_SEPARATION / 2)
-)
-# the rule drops the part of [0, 1] where t^(2p) is below this
+# a separation x takes the Gauss-Legendre rule of the smallest cap >= x
+_CAPS = MAX_SEPARATION / np.array([8.0, 4.0, 2.0, 1.0])
+# each rule drops the part of [0, 1] where t^(2p) is below this
 _TAIL = 1e-16
 
 
@@ -130,14 +129,17 @@ def _moment_terms(t: np.ndarray, w: np.ndarray, xs: np.ndarray) -> np.ndarray:
     Where g1 -+ g3 vanishes (x = 0) C is 0, which _assemble_r2 rejects.
     """
     out = np.empty((6, len(xs)))
-    # words per point and node: about a dozen tables and temporaries
-    rows = max(1, _TABLE_WORDS // (14 * len(t)))
+    # words per point and node: at most 10 tables and temporaries at once
+    rows = max(1, _TABLE_WORDS // (12 * len(t)))
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(0, len(xs), rows):
-            y = np.pi * np.multiply.outer(xs[i:i + rows], t)
-            sin, cos = np.sin(y), np.cos(y)
+            # the half angle y/2 = pi x t / 2; its cosine overwrites it
+            h = (0.5 * np.pi) * np.multiply.outer(xs[i:i + rows], t)
+            s, c = np.sin(h), np.cos(h, out=h)
             # 1 -+ cos(y), free of cancellation at y near 0 and near pi
-            u, v = 2.0 * np.sin(0.5 * y) ** 2, 2.0 * np.cos(0.5 * y) ** 2
+            u, v, sin = 2.0 * s * s, 2.0 * c * c, 2.0 * s * c
+            del h, s, c
+            cos = 0.5 * (v - u)
             g3 = (w * cos).sum(axis=1)
             g4 = (w * t * sin).sum(axis=1)
             g5 = (w * t * t * cos).sum(axis=1)
@@ -153,6 +155,7 @@ def _moment_terms(t: np.ndarray, w: np.ndarray, xs: np.ndarray) -> np.ndarray:
             A = C * (w * (ra * ra + rb * rb)).sum(axis=1)
             B = C * (w * (ra * qa + rb * qb)).sum(axis=1)
             out[:, i:i + rows] = g3, g4, g5, A, B, C
+            del u, v, sin, cos, ra, rb, qa, qb  # freed before the next block's
     return out
 
 
@@ -193,17 +196,28 @@ def pair_correlation_finite_n(profile: VarianceProfile, tau: float) -> float:
     return pair_correlation_finite_n_rescaled(profile, tau * N / math.pi) * (N / math.pi) ** 2
 
 
+@functools.cache
+def _rule(cap: float):
+    """Gauss-Legendre rule on [-1, 1] for x <= cap: cos(pi x t) over t in
+    [0, 1] turns pi x / 2 radians per unit of the node variable."""
+    return np.polynomial.legendre.leggauss(40 + math.ceil(math.pi * cap / 2))
+
+
 def _limit_terms(p: int, xs: np.ndarray) -> np.ndarray:
-    """_moment_terms of the limit measure t^(2p) dt, on its Gauss-Legendre
-    rule."""
+    """_moment_terms of the limit measure t^(2p) dt, each x on its own rule."""
     if p < 0:
         raise ValueError("p must be non-negative")
-    if np.any(xs > MAX_SEPARATION):
+    if not np.all(xs <= MAX_SEPARATION):
         raise ValueError(f"separation above MAX_SEPARATION = {MAX_SEPARATION}")
     half = 0.5 * (1.0 - (_TAIL ** (1.0 / (2 * p)) if p else 0.0))
-    s = half * (1.0 - _NODES)  # 1 - t, exact near t = 1
-    w = half * _WEIGHTS * np.exp(2 * p * np.log1p(-s))
-    return _moment_terms(1.0 - s, w, xs)
+    rung = np.searchsorted(_CAPS, xs)
+    out = np.empty((6, len(xs)))
+    for k in np.unique(rung):
+        nodes, weights = _rule(_CAPS[k])
+        s = half * (1.0 - nodes)  # 1 - t, exact near t = 1
+        w = half * weights * np.exp(2 * p * np.log1p(-s))
+        out[:, rung == k] = _moment_terms(1.0 - s, w, xs[rung == k])
+    return out
 
 
 def limit_terms(p: int, x: float) -> MomentTerms:

@@ -181,6 +181,9 @@ def parse_config(argv=None) -> RunConfig:
     for key, opt in OPTIONS.items():
         if not opt.admits(merged[key]):
             parser.error(f"{key} must be in {opt.allowed()}, got {merged[key]!r}")
+    if command == "paircorr" and merged["mode"] in ("asymptotic", "all") and merged["p"] < 1:
+        parser.error(f"p must be at least 1 for the asymptotic pair-correlation profile "
+                     f"of mode {merged['mode']}, got {merged['p']}")
     # the two histogram estimators read bins and max_range
     if command == "spacing" or (command == "paircorr" and merged["mode"] in ("empirical", "all")):
         if not merged["max_range"] > merged["bins"]:
@@ -407,8 +410,6 @@ def _cmd_fraction(cfg: RunConfig, out: _Outputs):
 
 def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
     """pair correlation of real zeros"""
-    if cfg.mode in ("asymptotic", "all") and cfg.p < 1:
-        raise ValueError("asymptotic pair-correlation profile needs p >= 1")
     curves, report = [], None
     if cfg.mode in ("empirical", "all"):
         rootsets, report = _ensemble(cfg)

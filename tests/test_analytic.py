@@ -334,15 +334,22 @@ class TestLimitPairCorrelation:
             assert pair_correlation_limit(p, x) == pytest.approx(r2_mp(p, x), rel=1e-8, abs=0.0)
 
     def test_curve_helper_matches_scalar(self):
-        xs = np.array([0.5, 1.0, 2.5])
-        curve = pair_correlation_limit_curve(2, xs)
-        for x, val in zip(xs, curve):
-            assert val == pair_correlation_limit(2, float(x))
+        # points on every rule of the ladder, either side of each cap, in a
+        # shuffled order: each value is the scalar's and the sorted curve's
+        xs = np.array([0.5, 1.0, 2.5, 12.5, 12.6, 25.0, 30.0, 50.0, 50.1, 99.9])
+        shuffled = np.random.default_rng(11).permutation(xs)
+        for p in (0, 2, 80):
+            by_x = dict(zip(xs, pair_correlation_limit_curve(p, xs)))
+            for x, val in zip(shuffled, pair_correlation_limit_curve(p, shuffled)):
+                assert val == pair_correlation_limit(p, float(x))
+                assert val == by_x[x]
 
     def test_matches_mpmath_over_the_whole_domain(self):
         # reference: the moment integrals as 1F2 hypergeometric functions at
         # 40 digits; x runs from near MIN_SEPARATION, where A and B vanish
-        # like x^4, through the first peak 1 + 1/(2p) to near MAX_SEPARATION
+        # like x^4, through the first peak 1 + 1/(2p) to near MAX_SEPARATION,
+        # and pins each rule of the ladder at its cap, where it is least
+        # accurate, and just past it
         mp = pytest.importorskip("mpmath")
 
         def r2_mp(p, x):
@@ -361,5 +368,6 @@ class TestLimitPairCorrelation:
 
         for p in (0, 3, 80, 500):
             peak = 1.0 + 1.0 / (2 * p) if p else 1.5
-            for x in (2e-4, 0.05, 0.3, peak, 2.3, 29.98, 99.9):
+            for x in (2e-4, 0.05, 0.3, peak, 2.3, 12.5, 12.5000001, 25.0, 25.0000001,
+                      29.98, 50.0, 50.0000001, 99.9):
                 assert pair_correlation_limit(p, x) == pytest.approx(r2_mp(p, x), rel=1e-11, abs=0.0)

@@ -293,14 +293,18 @@ class TestLargeDegree:
 
 
 class TestFailureHandling:
-    def test_numerical_failure_exits_3_and_cleans_partials(self, tmp_path, capsys):
-        # mode all with p=0: the asymptotic profile needs p >= 1, and the
-        # run must leave nothing behind
-        code = main(["paircorr", "--N", "8", "--p", "0", "--mode", "all",
+    def test_numerical_failure_exits_3_and_cleans_partials(self, tmp_path, capsys, monkeypatch):
+        # a command that fails after writing a file must leave nothing behind
+        def fails_midway(cfg, out):
+            out.write_text("paircorr_analytic.csv", "x,R2\n")
+            raise ValueError("arcsin argument out of range")
+
+        monkeypatch.setitem(cli._DISPATCH, "paircorr", fails_midway)
+        code = main(["paircorr", "--N", "8", "--p", "2", "--mode", "all",
                      "--realizations", "4", "--out", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
-        assert "numerical failure" in err
+        assert "numerical failure" in err and "arcsin" in err
         assert os.listdir(tmp_path) == []
 
     def test_memory_error_exits_3_and_cleans_partials(self, tmp_path, capsys, monkeypatch):
@@ -320,15 +324,18 @@ class TestFailureHandling:
         assert "a=0.92" in err and "N=" not in err and "seed=" not in err
 
     def test_asymptotic_p0_fails_before_the_ensemble(self, tmp_path, capsys, monkeypatch):
+        # p = 0 has no asymptotic profile: a usage error, found before any work
         def no_ensemble(*args, **kwargs):
             raise AssertionError("the ensemble ran before the p >= 1 check")
 
         monkeypatch.setattr(ensemble, "real_zero_ensemble", no_ensemble)
         for mode in ("all", "asymptotic"):
-            code = main(["paircorr", "--N", "8", "--p", "0", "--mode", mode,
-                         "--out", str(tmp_path)])
-            assert code == 3
-            assert "needs p >= 1" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:
+                main(["paircorr", "--N", "8", "--p", "0", "--mode", mode,
+                      "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "p must be at least 1" in err and "numerical failure" not in err
             assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("fixture", [None, [1, 2], {"degree": 2}],
