@@ -105,7 +105,7 @@ def series_abc(p: int, x: float) -> tuple[float, float, float]:
     return A, B, C
 
 
-def peak_location(n: int, p: int, tol: float = 1e-12) -> float:
+def peak_location(n: int, p: int) -> float:
     """Solve tan(2 pi x) = pi x / p for the root nearest the integer n.
 
     This stationarity condition locates the pair-correlation peak, shifted
@@ -128,7 +128,7 @@ def peak_location(n: int, p: int, tol: float = 1e-12) -> float:
     x = min(max(n * (1.0 + 1.0 / (2.0 * p)), lo), hi)
     for _ in range(60):
         gx = g(x)
-        if abs(gx) < tol:
+        if abs(gx) < 1e-12:
             return x
         step = gx / gprime(x)
         x_new = x - step
@@ -141,7 +141,7 @@ def peak_location(n: int, p: int, tol: float = 1e-12) -> float:
     for _ in range(200):
         c = 0.5 * (a + b)
         gc = g(c)
-        if abs(gc) < tol or b - a < 1e-15:
+        if abs(gc) < 1e-12 or b - a < 1e-15:
             return c
         if (gc > 0) == (ga > 0):
             a, ga = c, gc
@@ -265,14 +265,14 @@ def triple_zero_count(a: float, num: int = 8001) -> int:
     return int(np.sum(s[1:] != s[:-1]))
 
 
-def triple_zero_demo(a: float, num: int = 6001, margin: float = 0.25) -> TripleZeroDemo:
-    """Evaluate the gap function and derivative over (0,1) plus margins.
+def triple_zero_demo(a: float) -> TripleZeroDemo:
+    """Evaluate the gap function and derivative on 6001 points of [-1/4, 5/4].
 
     Below the critical a the derivative has three zeros in (0, 1): the pair
     flanking 1/2 are exactly the closely spaced zeros that newly real
     arrivals produce.  Above it only the midpoint zero survives.
     """
-    x = np.linspace(-margin, 1.0 + margin, num)
+    x = np.linspace(-0.25, 1.25, 6001)
     return TripleZeroDemo(
         a=a,
         x=x,

@@ -10,9 +10,10 @@ subcommand flags, ``RunConfig`` and the manifest are all read from that
 table, and a value from a ``--config`` JSON file passes the same type,
 choice and bound checks as the flag it stands for.  Each command writes a
 manifest JSON echoing the resolved value of every option the command takes
-(plus, for an ensemble, a report of its real-zero count invariant), and
-rerunning a command with the same configuration and seed reproduces
-byte-identical CSV output for any --threads value.
+(plus, for an ensemble, a report of its real-zero count invariant and, for
+paircorr, its ordered pair count), and rerunning a command with the same
+configuration and seed reproduces byte-identical CSV output for any
+--threads value.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
 """
@@ -82,8 +83,6 @@ OPTIONS = {
     "index": _Option(int, 0, _POLY, "realization index", lo=0),
     "method": _Option(str, "sampled", ("roots",), "root finder", choices=METHODS),
     "input": _Option(str, None, ("roots",), "polynomial fixture JSON instead of sampling"),
-    "oversample": _Option(int, 16, ("roots", *_ENSEMBLE),
-                          "root-finder grid of oversample*(2N+1) points", lo=4),
     "mode": _Option(str, "analytic", ("fraction", "paircorr"), "estimates to write",
                     choices=MODES),
     "bins": _Option(float, 0.05, _HISTOGRAM, "bin width (rescaled units)", lo=0, lo_open=True),
@@ -181,6 +180,10 @@ def parse_config(argv=None) -> RunConfig:
     for key, opt in OPTIONS.items():
         if not opt.admits(merged[key]):
             parser.error(f"{key} must be in {opt.allowed()}, got {merged[key]!r}")
+    if (command == "fraction" and merged["mode"] in ("empirical", "all")
+            and merged["realizations"] < 2):
+        parser.error(f"realizations must be at least 2 for the standard error of mode "
+                     f"{merged['mode']}, got {merged['realizations']}")
     if command == "paircorr" and merged["mode"] in ("asymptotic", "all") and merged["p"] < 1:
         parser.error(f"p must be at least 1 for the asymptotic pair-correlation profile "
                      f"of mode {merged['mode']}, got {merged['p']}")
@@ -307,9 +310,7 @@ def _spec(cfg: RunConfig) -> poly.EnsembleSpec:
 def _ensemble(cfg: RunConfig):
     """The run's rootsets and the manifest report of their count invariant:
     every realization has an even number of real zeros, at most 2N."""
-    rootsets = ensemble.real_zero_ensemble(
-        _spec(cfg), oversample=cfg.oversample, threads=cfg.threads
-    )
+    rootsets = ensemble.real_zero_ensemble(_spec(cfg), threads=cfg.threads)
     counts = np.array([len(r) for r in rootsets])
     report = {
         "realizations": len(rootsets),
@@ -368,7 +369,7 @@ def _cmd_roots(cfg: RunConfig, out: _Outputs):
                           f">= 1 and a_N, b_N not both zero; --method sampled takes it")
     sets = {}
     if cfg.method in ("sampled", "both"):
-        sets["sampled"] = roots.real_roots_sampled(f, oversample=cfg.oversample)
+        sets["sampled"] = roots.real_roots_sampled(f)
     if cfg.method in ("companion", "both"):
         sets["companion"] = roots.all_roots_companion(f)
     primary = sets.get("companion", sets.get("sampled"))
@@ -414,11 +415,10 @@ def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
     if cfg.mode in ("empirical", "all"):
         rootsets, report = _ensemble(cfg)
         est = ensemble.empirical_pair_correlation(
-            rootsets, cfg.N, bin_width=cfg.bins, max_range=cfg.max_range,
-            metadata=_spec(cfg).summary(),
+            rootsets, cfg.N, bin_width=cfg.bins, max_range=cfg.max_range
         )
+        report["ordered_pairs"] = est.metadata["ordered_pairs"]
         p1 = out.write_text("paircorr_empirical.csv", _histogram_csv(est.histogram))
-        out.write_text("paircorr_empirical_meta.json", est.sidecar_json() + "\n")
         curves.append((p1, "value", "empirical", False))
     if cfg.mode in ("analytic", "all"):
         p2 = _write_limit_curve(out, "paircorr_analytic.csv", cfg.p, cfg.x_max)

@@ -10,7 +10,6 @@ realizations were partitioned across workers.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -40,11 +39,10 @@ def rescale_zeros(zeros, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Binned statistic with explicit edges and a normalization tag."""
+    """Binned statistic with explicit edges."""
 
     edges: np.ndarray
     values: np.ndarray
-    normalization: str  # "raw" | "density" | "pair-correlation"
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=float)
@@ -67,16 +65,11 @@ class Histogram:
 
 @dataclass(frozen=True)
 class PairCorrelationEstimate:
-    """Pair-correlation histogram plus the ensemble metadata that produced it."""
+    """Pair-correlation histogram plus the facts of its estimate: realizations,
+    degree, bin_width, max_range and ordered_pairs."""
 
     histogram: Histogram
     metadata: dict = field(default_factory=dict)
-    rescale: str = "unit-mean-spacing"
-
-    def sidecar_json(self) -> str:
-        return json.dumps(
-            {"rescale": self.rescale, "metadata": self.metadata}, sort_keys=True, indent=2
-        )
 
 
 # a block of realizations shares one root-finder grid of at most this many
@@ -85,9 +78,9 @@ class PairCorrelationEstimate:
 _BLOCK_GRID_POINTS = 1 << 15
 
 
-def _block_size(degree: int, oversample: int) -> int:
+def _block_size(degree: int) -> int:
     """Realizations per block: max(1, 2^15 // m) for the m-point grid."""
-    return max(1, _BLOCK_GRID_POINTS // (oversample * (2 * degree + 1)))
+    return max(1, _BLOCK_GRID_POINTS // (roots.OVERSAMPLE * (2 * degree + 1)))
 
 
 def _blocks_rescaled_roots(args):
@@ -97,43 +90,39 @@ def _blocks_rescaled_roots(args):
     result, do not depend on how the index range was split into tasks.  The
     sampler draws each block's coefficient rows straight into one array.
     """
-    spec, lo, hi, oversample = args
+    spec, lo, hi = args
     # freeing one mapped array as large as the evaluator's row blocks lifts
     # glibc's dynamic mmap threshold, and with it the heap trim threshold,
     # above the block's temporaries; otherwise they are mapped or trimmed
     # and faulted in again on every call (other allocators ignore this)
     np.empty(poly._TABLE_WORDS)
-    K = _block_size(spec.degree, oversample)
+    K = _block_size(spec.degree)
     out = []
     for start in range(lo, hi, K):
         c = poly._coefficient_rows(spec, start, min(start + K, hi))
-        for r in roots._real_roots_block(c, oversample):
+        for r in roots._real_roots_block(c):
             out.append(rescale_zeros(r, spec.degree))
     return out
 
 
-def real_zero_ensemble(
-    spec: poly.EnsembleSpec,
-    oversample: int = roots.DEFAULT_OVERSAMPLE,
-    threads: int = 1,
-) -> list[np.ndarray]:
+def real_zero_ensemble(spec: poly.EnsembleSpec, threads: int = 1) -> list[np.ndarray]:
     """Rescaled real roots of F^(p) for every realization, in index order.
 
     The root finder works on fixed blocks of consecutive realizations
-    (max(1, 2^15 // m) of them for an m = oversample*(2N+1) point grid).
+    (max(1, 2^15 // m) of them for the m = 16*(2N+1) point grid).
     With threads > 1 runs of whole blocks are processed in parallel worker
     processes; each realization is a pure function of (spec, index), the
     blocks do not depend on the thread count, and the returned list is
     always ordered by index, so the output is identical for any thread count.
     """
     M = spec.realizations
-    K = _block_size(spec.degree, oversample)
+    K = _block_size(spec.degree)
     blocks = math.ceil(M / K)
     if threads <= 1 or blocks == 1:
-        return _blocks_rescaled_roots((spec, 0, M, oversample))
+        return _blocks_rescaled_roots((spec, 0, M))
     workers = min(threads, os.cpu_count() or 1, blocks)
     step = K * max(1, math.ceil(blocks / (4 * workers)))
-    tasks = [(spec, lo, min(lo + step, M), oversample) for lo in range(0, M, step)]
+    tasks = [(spec, lo, min(lo + step, M)) for lo in range(0, M, step)]
     out: list[np.ndarray] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_blocks_rescaled_roots, tasks):
@@ -143,7 +132,6 @@ def real_zero_ensemble(
 
 def empirical_real_fraction(
     spec: poly.EnsembleSpec,
-    oversample: int = roots.DEFAULT_OVERSAMPLE,
     threads: int = 1,
     rootsets: list[np.ndarray] | None = None,
 ) -> tuple[float, float]:
@@ -151,7 +139,7 @@ def empirical_real_fraction(
     if spec.realizations < 2:
         raise ValueError("need at least 2 realizations for a standard error")
     if rootsets is None:
-        rootsets = real_zero_ensemble(spec, oversample=oversample, threads=threads)
+        rootsets = real_zero_ensemble(spec, threads=threads)
     fracs = np.array([len(r) / (2.0 * spec.degree) for r in rootsets])
     return float(fracs.mean()), float(fracs.std(ddof=1) / math.sqrt(len(fracs)))
 
@@ -178,7 +166,6 @@ def empirical_pair_correlation(
     degree: int,
     bin_width: float = 0.05,
     max_range: float = 6.0,
-    metadata: dict | None = None,
 ) -> PairCorrelationEstimate:
     """Histogram estimate of the pair correlation of rescaled real zeros.
 
@@ -216,11 +203,9 @@ def empirical_pair_correlation(
         counts += np.bincount(idx, minlength=nbins)
     M = len(rootsets)
     values = counts / (M * period * bin_width)
-    hist = Histogram(edges=edges, values=values, normalization="pair-correlation")
-    meta = dict(metadata or {})
-    meta.update({"realizations": M, "degree": degree, "bin_width": bin_width,
-                 "max_range": top, "ordered_pairs": int(counts.sum())})
-    return PairCorrelationEstimate(histogram=hist, metadata=meta)
+    meta = {"realizations": M, "degree": degree, "bin_width": bin_width,
+            "max_range": top, "ordered_pairs": int(counts.sum())}
+    return PairCorrelationEstimate(histogram=Histogram(edges, values), metadata=meta)
 
 
 def circular_gaps(zeros, period: float) -> np.ndarray:
@@ -258,4 +243,4 @@ def nearest_neighbor_spacings(
     if in_range == 0:
         raise ValueError("no gaps fall inside the histogram range")
     values = counts / (in_range * bin_width)
-    return Histogram(edges=edges, values=values, normalization="density")
+    return Histogram(edges, values)

@@ -175,14 +175,6 @@ class EnsembleSpec:
             master_seed=master_seed,
         )
 
-    def summary(self) -> dict:
-        return {
-            "degree": self.degree,
-            "derivative_order": self.derivative_order,
-            "realizations": self.realizations,
-            "master_seed": self.master_seed,
-        }
-
 
 def _draws(spec: EnsembleSpec, lo: int, hi: int):
     """Cos and sin coefficient rows (hi - lo, N+1) of realizations lo..hi-1.

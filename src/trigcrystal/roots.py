@@ -59,8 +59,10 @@ __all__ = [
     "all_roots_companion",
 ]
 
-DEFAULT_OVERSAMPLE = 16
-DEFAULT_TOL = 1e-12
+# the grid has m = OVERSAMPLE*(2N+1) points; the dip pass is argued for 16
+OVERSAMPLE = 16
+# two refined roots of one polynomial closer than 10*TOL count as one
+TOL = 1e-12
 DEFAULT_CLASSIFY_TOL = 1e-8
 MAX_REFINE_ITERATIONS = 200
 # Newton steps on the cubic of the Hermite start: from the secant point two
@@ -69,7 +71,8 @@ MAX_REFINE_ITERATIONS = 200
 HERMITE_STEPS = 2
 _EPS = np.finfo(float).eps
 # dips shallower than this fraction of the grid max cannot hide a root pair
-# at the default oversampling (depth <= (N*dx)^2/8 of the local scale)
+# on the 16x grid (depth <= (N*dx)^2/8 of the local scale); like the F'
+# sign-change test of _dip_candidates, this holds for that grid alone
 DIP_DEPTH_FRACTION = 0.05
 
 
@@ -121,7 +124,7 @@ def _grid_values(c, m):
     Bin n of the half spectrum holds (m/2)(a_n - i b_n) (bin 0 holds m*a_0),
     and the derivative's bins are i*n times those, the transform of
     (n*b_n, -n*a_n).  irfft pads the N+1 bins with zeros to m/2+1 itself.
-    Needs m > 2N, which oversample >= 4 guarantees.
+    Needs m > 2N, which the OVERSAMPLE grid has.
     """
     K, n1 = c.shape
     spec = np.empty((K, 2, n1), dtype=complex)
@@ -222,6 +225,11 @@ def _dip_candidates(vals, dvals):
     of its row's grid max) with no sign change on either side, where F'
     changes sign across it.  Shallow points are a small share of the grid,
     so the tests against the neighbours run on them alone.
+
+    Both filters are argued for the 16x grid alone.  On a 5x grid the
+    realization N=16, p=3, seed 7, index 3291 loses a root pair: F' has two
+    zeros between the grid points either side of its dip, so the F' test
+    drops it.
     """
     m = vals.shape[1]
     top = DIP_DEPTH_FRACTION * np.maximum(vals.max(axis=1), -vals.min(axis=1))[:, None]
@@ -313,21 +321,19 @@ def _dip_brackets(c, series, x, vals, dvals):
     )
 
 
-def _real_roots_block(c, oversample=DEFAULT_OVERSAMPLE, tol=DEFAULT_TOL):
+def _real_roots_block(c):
     """Sorted real zeros in [0, 2*pi) of each coefficient row of c (K, N+1),
     one array per row.
 
     One batched grid for the block, sign-change and dip brackets found on
     the 2-D grid with their row index, and one Newton pass over every
-    bracket of the block.  Two refined roots of a row closer than 10*tol
+    bracket of the block.  Two refined roots of a row closer than 10*TOL
     count as one.
     """
-    if oversample < 4:
-        raise ValueError("oversample must be at least 4")
     if not np.all(np.any(c != 0.0, axis=1)):
         raise ValueError("degenerate input: polynomial is identically zero")
     K, n1 = c.shape
-    m = oversample * (2 * n1 - 1)
+    m = OVERSAMPLE * (2 * n1 - 1)
     xe = np.arange(m + 1) * (2.0 * np.pi / m)
     x = xe[:m]
     grid = _grid_values(c, m)
@@ -350,31 +356,27 @@ def _real_roots_block(c, oversample=DEFAULT_OVERSAMPLE, tol=DEFAULT_TOL):
     own = np.concatenate([zr, own])
     order = np.lexsort((roots, own))
     roots, own = roots[order], own[order]
-    # per row: drop a root within 10*tol of the one before it, and the
+    # per row: drop a root within 10*TOL of the one before it, and the
     # wrap-around duplicate (a root found both near 0 and near 2*pi)
     first = np.diff(own, prepend=-1) != 0
-    keep = first | (np.diff(roots, prepend=-np.inf) > 10 * tol)
+    keep = first | (np.diff(roots, prepend=-np.inf) > 10 * TOL)
     head = np.flatnonzero(first)
     tail = np.append(head, len(roots))[1:] - 1
-    wrap = roots[tail] - roots[head] > 2.0 * np.pi - 10 * tol
+    wrap = roots[tail] - roots[head] > 2.0 * np.pi - 10 * TOL
     keep[tail[wrap]] = False
     counts = np.bincount(own[keep], minlength=K)
     return np.split(roots[keep], np.cumsum(counts)[:-1])
 
 
-def real_roots_sampled(
-    f: TrigPolynomial,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    tol: float = DEFAULT_TOL,
-) -> RootSet:
+def real_roots_sampled(f: TrigPolynomial) -> RootSet:
     """All real zeros in [0, 2*pi) by dense sampling plus bracket refinement.
 
-    Each root is refined to the rounding noise of the series; tol is the
-    separation below which two refined roots count as one.  This is the
-    block finder run on a block of one.
+    Each root is refined to the rounding noise of the series; two refined
+    roots closer than 10*TOL count as one.  This is the block finder run on
+    a block of one.
     """
-    (roots,) = _real_roots_block(_coefficients(f)[None], oversample, tol)
-    return RootSet(real_roots=roots, complex_roots=None, method="sampled", tolerance=tol)
+    (roots,) = _real_roots_block(_coefficients(f)[None])
+    return RootSet(real_roots=roots, complex_roots=None, method="sampled", tolerance=TOL)
 
 
 def _polish_real(f, x0):
@@ -390,16 +392,15 @@ def _polish_real(f, x0):
 
 
 def all_roots_companion(
-    f: TrigPolynomial,
-    classify_tol: float = DEFAULT_CLASSIFY_TOL,
-    polish: bool = True,
+    f: TrigPolynomial, classify_tol: float = DEFAULT_CLASSIFY_TOL
 ) -> RootSet:
     """All 2N zeros via companion-matrix eigenvalues of Q(z), z = exp(ix).
 
     Q has coefficients c_{N+n} = (a_n - i b_n)/2, c_{N-n} = (a_n + i b_n)/2,
     c_N = a_0, so that F(x) = exp(-iNx) Q(exp(ix)).  Eigenvalues z with
     ||z| - 1| < classify_tol are classified real and mapped to x = arg z
-    (mod 2*pi); the remainder are reported as complex x = -i log z.
+    (mod 2*pi) and polished by Newton steps on the series; the remainder
+    are reported as complex x = -i log z.
     """
     N = f.degree
     if N < 1:
@@ -417,7 +418,7 @@ def all_roots_companion(
     dist = np.abs(np.abs(z) - 1.0)
     on_circle = dist < classify_tol
     real = np.mod(np.angle(z[on_circle]), 2.0 * np.pi)
-    if polish and len(real):
+    if len(real):
         real = np.mod(_polish_real(f, real), 2.0 * np.pi)
     real = np.sort(real)
     off = z[~on_circle]

@@ -17,10 +17,10 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 46
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5):
+def _nice_ticks(lo: float, hi: float):
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo, hi]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -40,18 +40,17 @@ def _fmt(v: float) -> str:
 
 
 class Series:
-    def __init__(self, x, y, label="", kind="line", dashed=False, color=None):
+    def __init__(self, x, y, label="", kind="line", dashed=False):
         self.x = list(map(float, x))
         self.y = list(map(float, y))
         self.label = label
         self.kind = kind  # "line" | "hist"
         self.dashed = dashed
-        self.color = color
 
 
-def render(path, series, title="", xlabel="", ylabel="", size=(720, 480)):
-    """Write an SVG plot of the given series list to `path`."""
-    width, height = size
+def render(path, series, title="", xlabel="", ylabel=""):
+    """Write a 720 x 480 SVG plot of the given series list to `path`."""
+    width, height = 720, 480
     xs = [v for s in series for v in s.x]
     ys = [v for s in series for v in s.y]
     if not xs:
@@ -113,7 +112,7 @@ def render(path, series, title="", xlabel="", ylabel="", size=(720, 480)):
         )
 
     for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         dash = ' stroke-dasharray="5,4"' if s.dashed else ""
         if s.kind == "hist":
             pts = []
@@ -149,7 +148,7 @@ def render(path, series, title="", xlabel="", ylabel="", size=(720, 480)):
     for i, s in enumerate(series):
         if not s.label:
             continue
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         lx = _MARGIN_L + pw - 10
         out.append(
             f'<text x="{lx}" y="{ly}" font-size="11" text-anchor="end" '

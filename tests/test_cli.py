@@ -42,12 +42,15 @@ class TestParsing:
         cfg = parse_config(["fraction", "--config", str(cfgfile)])
         assert cfg.p == 3
 
-    def test_unknown_config_keys_rejected(self, tmp_path):
+    def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.json"
-        cfgfile.write_text(json.dumps({"p": 3, "warp_factor": 9}))
-        with pytest.raises(SystemExit) as exc:
-            parse_config(["fraction", "--config", str(cfgfile)])
-        assert exc.value.code == 2
+        for command, data in (("fraction", {"p": 3, "warp_factor": 9}),
+                              ("roots", {"oversample": 16})):
+            cfgfile.write_text(json.dumps(data))
+            with pytest.raises(SystemExit) as exc:
+                parse_config([command, "--config", str(cfgfile)])
+            assert exc.value.code == 2
+            assert "unknown config keys" in capsys.readouterr().err
 
     def test_threads_env_default(self, monkeypatch):
         monkeypatch.setenv("CRYSTALLIZE_THREADS", "5")
@@ -59,11 +62,16 @@ class TestParsing:
         for argv in (["fraction", "--N", "0"],
                      ["fraction", "--N", "5000"],
                      ["paircorr", "--N", "4", "--max-range", "6", "--mode", "empirical"],
-                     ["fraction", "--realizations", "0"]):
+                     ["fraction", "--realizations", "0"],
+                     ["fraction", "--mode", "empirical", "--realizations", "1"],
+                     ["fraction", "--mode", "all", "--realizations", "1"],
+                     ["roots", "--oversample", "16"]):
             with pytest.raises(SystemExit) as exc:
                 parse_config(argv)
             assert exc.value.code == 2
             capsys.readouterr()
+        # one realization has no standard error, but the analytic mode needs none
+        assert parse_config(["fraction", "--mode", "analytic", "--realizations", "1"])
         # config-file values pass the flag's own type, choices and bounds
         cfgfile = tmp_path / "run.json"
         for command, data in (("fraction", {"N": "64"}),
@@ -232,8 +240,12 @@ class TestCommands:
         with open(tmp_path / f"{name}_manifest.json") as fh:
             report = json.load(fh)["report"]
         sets = ensemble.real_zero_ensemble(EnsembleSpec.equal_variance(8, 1, 5, 3))
-        assert report == {"realizations": 5, "roots": sum(len(r) for r in sets),
-                          "count_violations": 0}
+        expected = {"realizations": 5, "roots": sum(len(r) for r in sets),
+                    "count_violations": 0}
+        if name == "paircorr":
+            est = ensemble.empirical_pair_correlation(sets, 8)
+            expected["ordered_pairs"] = est.metadata["ordered_pairs"]
+        assert report == expected
 
     def test_manifest_report_counts_violations(self, tmp_path, capsys, monkeypatch):
         # odd and above-2N counts are reported, not dropped

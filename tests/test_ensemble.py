@@ -203,12 +203,12 @@ class TestScaleInvariance:
 class TestHistogramType:
     def test_edges_values_shape_contract(self):
         with pytest.raises(ValueError):
-            Histogram(np.array([0.0, 1.0]), np.array([1.0, 2.0]), "raw")
+            Histogram(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            Histogram(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0]), "raw")
+            Histogram(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0]))
 
     def test_csv_header(self):
-        h = Histogram(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.75]), "density")
+        h = Histogram(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.75]))
         text = _histogram_csv(h)
         assert text.startswith("bin_left,bin_right,value\n")
         assert "0.5,1.0,0.75" in text

@@ -66,22 +66,24 @@ class TestSampled:
         with pytest.raises(ValueError, match="degenerate"):
             real_roots_sampled(f)
 
-    def test_oversample_floor(self):
-        with pytest.raises(ValueError):
-            real_roots_sampled(cosine(2), oversample=2)
-
     def test_near_tangent_pairs_are_recovered(self):
         # cos(8x) + (1 - eps) dips just below zero at eight minima; each dip
         # hides a close root pair with no grid sign change
+        cases = []
         for eps in (1e-3, 1e-5, 1e-9, 1e-11):
             a = np.zeros(9)
             a[0] = 1.0 - eps
             a[8] = 1.0
-            f = TrigPolynomial(8, a, np.zeros(9))
+            cases.append((TrigPolynomial(8, a, np.zeros(9)), 16, 1e-8))
+        # a sampled realization whose pair a 5x grid loses: F' has two zeros
+        # between the grid points either side of its dip
+        spec = EnsembleSpec.equal_variance(16, 3, 3292, 7)
+        cases.append((derivative_rescaled(sample(spec, 3291), 3), 32, 1e-12))
+        for f, count, gap in cases:
             rs = real_roots_sampled(f)
             rc = all_roots_companion(f)
-            assert rs.real_count == rc.real_count == 16
-            assert np.max(np.abs(rs.real_roots - rc.real_roots)) < 1e-8
+            assert rs.real_count == rc.real_count == count
+            assert np.max(np.abs(rs.real_roots - rc.real_roots)) < gap
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
     def test_tangent_dips_above_zero_have_no_roots(self, eps):
@@ -226,14 +228,14 @@ class TestBlock:
 
     @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (64, 500)])
     def test_whole_block_matches_the_companion_oracle(self, N, p):
-        fs = seeded_block(N, p, max(_block_size(N, 16), 2))
+        fs = seeded_block(N, p, max(_block_size(N), 2))
         assert_matches_companion(fs, block_of(fs))
 
     @pytest.mark.parametrize("N,p,most", [(64, 0, 2.6), (256, 20, 2.3)])
     def test_hermite_start_saves_evaluations(self, N, p, most, monkeypatch):
         # points handed to the series evaluator per root found, the dip
         # pass included; the secant start needed 3.4 (N=64) and 2.9 (N=256)
-        fs = seeded_block(N, p, _block_size(N, 16))
+        fs = seeded_block(N, p, _block_size(N))
         points, evaluate = [], roots_module._series_values
 
         def counting(C, own, x):
@@ -248,7 +250,7 @@ class TestBlock:
     def test_ensemble_is_bit_identical_across_threads(self):
         # N=10 has 97 realizations per block: two full blocks and a partial one
         spec = EnsembleSpec.equal_variance(10, 0, 201, 77)
-        assert _block_size(10, 16) == 97
+        assert _block_size(10) == 97
         serial = real_zero_ensemble(spec, threads=1)
         parallel = real_zero_ensemble(spec, threads=3)
         assert len(serial) == len(parallel) == 201
@@ -272,7 +274,7 @@ class TestDipScreen:
                 a[0] = 1.0 + eps
                 a[8], b[8] = math.cos(8 * shift), math.sin(8 * shift)
                 tangent.append(TrigPolynomial(8, a, b))
-        return [seeded_block(64, 0, _block_size(64, 16)), seeded_block(256, 20, 3), tangent]
+        return [seeded_block(64, 0, _block_size(64)), seeded_block(256, 20, 3), tangent]
 
     def screened(self, fs):
         c = np.stack([_coefficients(f) for f in fs])
