@@ -44,6 +44,8 @@ __all__ = [
 # pitchfork of the derivative of the gap function at x = 1/2:
 # f''(1/2) = 4 (pi^2 - 8) a^2 - 8 changes sign here
 TRIPLE_ZERO_CRITICAL = math.sqrt(2.0 / (math.pi**2 - 8.0))
+# triple_zero_count samples the derivative at this many interior points
+TRIPLE_ZERO_POINTS = 8001
 
 
 def theorem_profile(n: int, p: int, u):
@@ -257,9 +259,10 @@ class TripleZeroDemo:
     derivative_zero_count: int
 
 
-def triple_zero_count(a: float, num: int = 8001) -> int:
-    """Sign changes of the gap-function derivative strictly inside (0, 1)."""
-    x = np.linspace(0.0, 1.0, num + 2)[1:-1]
+def triple_zero_count(a: float) -> int:
+    """Sign changes of the gap-function derivative strictly inside (0, 1),
+    sampled at TRIPLE_ZERO_POINTS interior points."""
+    x = np.linspace(0.0, 1.0, TRIPLE_ZERO_POINTS + 2)[1:-1]
     d = gap_function_derivative(x, a)
     s = np.sign(d[np.abs(d) > 1e-12 * np.max(np.abs(d))])
     return int(np.sum(s[1:] != s[:-1]))

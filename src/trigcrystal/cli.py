@@ -357,6 +357,21 @@ def _cmd_sample(cfg: RunConfig, out: _Outputs):
     print(f"wrote realization {cfg.index} (N={cfg.N}, p={cfg.p}) to sample.json")
 
 
+# --method both pairs a root of one finder with one of the other this close
+_PARTNER_GAP = 1e-8
+
+
+def _unmatched(x, y):
+    """The roots of x (sorted, in [0, 2*pi)) with no root of y within
+    _PARTNER_GAP, measured around the circle."""
+    if len(y) == 0:
+        return x
+    i = np.searchsorted(y, x)
+    gap = np.abs(x - np.stack([y[i - 1], y[i % len(y)]]))
+    gap = np.minimum(gap, 2.0 * np.pi - gap).min(axis=0)
+    return x[gap > _PARTNER_GAP]
+
+
 def _cmd_roots(cfg: RunConfig, out: _Outputs):
     """real/complex zeros of one realization"""
     f = _fixture_polynomial(cfg)
@@ -377,13 +392,17 @@ def _cmd_roots(cfg: RunConfig, out: _Outputs):
     out.write_text("roots.json", json.dumps(primary.to_json(), indent=2) + "\n")
     if cfg.method == "both":
         a, b = sets["sampled"], sets["companion"]
-        diff = np.nan
-        if a.real_count == b.real_count and a.real_count:
-            diff = float(np.max(np.abs(a.real_roots - b.real_roots)))
-        print(
-            f"sampled {a.real_count} real roots, companion {b.real_count}; "
-            f"max position difference {diff:.3e}"
-        )
+        head = f"sampled {a.real_count} real roots, companion {b.real_count}; "
+        if a.real_count == b.real_count:
+            diff = np.nan
+            if a.real_count:
+                diff = float(np.max(np.abs(a.real_roots - b.real_roots)))
+            print(head + f"max position difference {diff:.3e}")
+        else:
+            lone = [", ".join(repr(float(x)) for x in _unmatched(u, v)) or "none"
+                    for u, v in ((a.real_roots, b.real_roots), (b.real_roots, a.real_roots))]
+            print(head + f"no partner within {_PARTNER_GAP:g}: sampled {lone[0]}; "
+                  f"companion {lone[1]}")
     else:
         print(f"{primary.method}: {primary.real_count} real roots "
               f"of 2N = {2 * f.degree}")

@@ -131,15 +131,14 @@ def real_zero_ensemble(spec: poly.EnsembleSpec, threads: int = 1) -> list[np.nda
 
 
 def empirical_real_fraction(
-    spec: poly.EnsembleSpec,
-    threads: int = 1,
-    rootsets: list[np.ndarray] | None = None,
+    spec: poly.EnsembleSpec, rootsets: list[np.ndarray] | None = None
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the real-zero fraction."""
+    """Monte Carlo mean and standard error of the real-zero fraction, of the
+    given rescaled root sets or else of a one-thread run of the ensemble."""
     if spec.realizations < 2:
         raise ValueError("need at least 2 realizations for a standard error")
     if rootsets is None:
-        rootsets = real_zero_ensemble(spec, threads=threads)
+        rootsets = real_zero_ensemble(spec)
     fracs = np.array([len(r) / (2.0 * spec.degree) for r in rootsets])
     return float(fracs.mean()), float(fracs.std(ddof=1) / math.sqrt(len(fracs)))
 
@@ -159,6 +158,42 @@ def _bin_edges(bin_width: float, max_range: float) -> np.ndarray:
     if abs(nbins * bin_width - max_range) > 1e-9 * max_range:
         nbins = int(math.floor(max_range / bin_width))
     return np.arange(nbins + 1) * bin_width
+
+
+# the pair histogram takes runs of whole realizations holding at most this
+# many roots at once, so its temporaries stay small beside the ensemble
+_PAIR_ROOTS = 1 << 14
+
+
+def _pair_counts(rootsets, period, top, bin_width, nbins):
+    """Histogram counts of the ordered pairs of rescaled roots closer than
+    top around the circle, over every realization of rootsets at once.
+
+    Lag l pairs each root r_i with the l-th root after it in r followed by
+    r + period, as long as that one is still below r_i + top: the diffs are
+    the same doubles a loop over the realizations takes, and the lags stop
+    when no root has a partner left.  A root's partners never reach the
+    next realization's roots, since r_i + period is not below r_i + top.
+    """
+    r = np.concatenate(rootsets)
+    k = np.array([len(x) for x in rootsets])
+    # each realization's r, then r + period; root t sits at ext[at[t]]
+    at = np.arange(len(r)) + np.repeat(np.cumsum(k) - k, k)
+    ext = np.empty(2 * len(r))
+    ext[at] = r
+    ext[at + np.repeat(k, k)] = r + period
+    counts = np.zeros(nbins, dtype=np.int64)
+    live, bound = np.arange(len(r)), r + top
+    lag = 1
+    while len(live):
+        j = at[live] + lag
+        near = ext[j] < bound[live]
+        live, j = live[near], j[near]
+        idx = ((ext[j] - r[live]) / bin_width).astype(np.int64)
+        idx = idx[idx < nbins]  # guard rounding exactly onto the top edge
+        counts += np.bincount(idx, minlength=nbins)
+        lag += 1
+    return counts
 
 
 def empirical_pair_correlation(
@@ -182,25 +217,11 @@ def empirical_pair_correlation(
         raise ValueError("max_range cannot exceed the half period N")
     period = 2.0 * degree
     nbins = len(edges) - 1
-    counts = np.zeros(nbins, dtype=np.int64)
     top = float(edges[-1])
-    for r in rootsets:
-        k = len(r)
-        if k < 2:
-            continue
-        ext = np.concatenate([r, r + period])
-        hi = np.searchsorted(ext, r + top, side="left")
-        lo = np.arange(k) + 1
-        lens = hi - lo
-        total = int(lens.sum())
-        if total == 0:
-            continue
-        starts = np.repeat(lo, lens)
-        offsets = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-        diffs = ext[starts + offsets] - np.repeat(r, lens)
-        idx = (diffs / bin_width).astype(np.int64)
-        idx = idx[idx < nbins]  # guard rounding exactly onto the top edge
-        counts += np.bincount(idx, minlength=nbins)
+    counts = np.zeros(nbins, dtype=np.int64)
+    step = max(1, _PAIR_ROOTS // (2 * degree))
+    for lo in range(0, len(rootsets), step):
+        counts += _pair_counts(rootsets[lo:lo + step], period, top, bin_width, nbins)
     M = len(rootsets)
     values = counts / (M * period * bin_width)
     meta = {"realizations": M, "degree": degree, "bin_width": bin_width,

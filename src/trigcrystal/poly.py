@@ -293,9 +293,12 @@ def _series_values(C, own, x):
     je, jg = (B - 1).bit_length(), (Q - 1).bit_length()
     mult = np.concatenate([2.0 ** np.arange(je), B * 2.0 ** np.arange(jg)])
     out = np.empty((len(rows), L, 2))
-    # words per point: the je + jg exponentials with the real and complex
+    # words per point, summed over the temporaries as if all were alive at
+    # once: the je + jg exponentials T with the real and complex
     # intermediates of 1j*outer (1 + 2 + 2 per column), E and G (2 per
-    # power), the product (4 per q), the sums (4)
+    # power), the product P (2Q complex values, 4 per q), the sums (4).
+    # T is freed before P is built, so the true peak is the larger of
+    # T + E + G and E + G + P + the sums, well inside the budget
     budget = max(1, _TABLE_WORDS // (5 * (je + jg) + 2 * (B + Q) + 4 * Q + 4))
     kc = max(1, min(len(rows), budget // L))
     lc = max(1, budget // kc)
@@ -305,9 +308,10 @@ def _series_values(C, own, x):
             # powers first, so each doubling product is one contiguous run
             T = np.exp(1j * np.multiply.outer(mult, xb))
             E, G = _doubled(T[:je], B), _doubled(T[je:], Q)
+            del T  # before the product is built
             P = np.matmul(E.transpose(1, 2, 0), C[k:k + kc]).reshape(*xb.shape, 2, Q)
             out[k:k + kc, i:i + lc] = np.matmul(P, G.transpose(1, 2, 0)[..., None])[..., 0].real
-            del T, E, G, P  # before the next block is built
+            del E, G, P  # before the next block is built
     out = out[0] if len(rows) == 1 else out[grp, pos]
     return out[:, 0], out[:, 1]
 

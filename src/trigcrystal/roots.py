@@ -7,8 +7,13 @@ Two independent routes are provided and cross-validated in the test suite:
   brackets the sign changes of F and refines each bracket by a safeguarded
   Newton iteration.  It starts at the zero of the cubic Hermite
   interpolant of F and F' at the two bracket ends, which the grid already
-  holds, so most roots take two evaluations: the start and one Newton
-  step.  Off the grid, F and F' come from the factored evaluator of
+  holds, and accepts the Newton point from there without evaluating it
+  when a proven bound puts |F| there within twice the noise floor: the
+  second-order Taylor remainder, at most sum n^2 |c_n| D^2 / 2 for a step
+  D, plus the evaluator's errors at the start and the rounding of the step
+  (``_newton``).  So most roots take one evaluation, at the start (1.03
+  per root at N=256, p=20; 1.38 at N=64, p=0, with its many close pairs).
+  Off the grid, F and F' come from the factored evaluator of
   ``poly``, which writes exp(inx) as exp(iqBx) exp(irx) with
   B = ceil(sqrt(N+1)) and builds both factors by doubling products from
   the exponentials of power-of-two multiples of x, so each Newton point
@@ -20,9 +25,11 @@ Two independent routes are provided and cross-validated in the test suite:
   its error, and only the few dips that come within that bound of zero get
   their extremum located by the same Newton iteration on F' (from the
   secant point: there is no F'' grid).
-  Refinement stops at the rounding noise of the series,
-  |F(x)| <= 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)), where the
-  second term is the rounding of the arguments n*x.
+  Refinement stops at the rounding noise of the series: a root x has
+  |F(x)| <= 2 e(x), e(x) = 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)),
+  where the second term is the rounding of the arguments n*x; an evaluated
+  point is accepted when its computed |F| is within e(x), the Newton point
+  when the bound above is within 2 e(x).
 
   The finder works on a block of K polynomials of one degree
   (``_real_roots_block``); ``real_roots_sampled`` is a block of one.  The
@@ -63,7 +70,8 @@ __all__ = [
 OVERSAMPLE = 16
 # two refined roots of one polynomial closer than 10*TOL count as one
 TOL = 1e-12
-DEFAULT_CLASSIFY_TOL = 1e-8
+# companion eigenvalues with ||z| - 1| below this are real roots
+CLASSIFY_TOL = 1e-8
 MAX_REFINE_ITERATIONS = 200
 # Newton steps on the cubic of the Hermite start: from the secant point two
 # already land well inside the cubic's own error, about (N*h)^4/384 ~ 4e-6
@@ -135,26 +143,31 @@ def _grid_values(c, m):
 
 
 def _noise_floor(c):
-    """(c0, c1) of each coefficient row of c (..., N+1), c_n = a_n - i b_n.
+    """(c0, c1, c2) of each coefficient row of c (..., N+1), c_n = a_n - i b_n:
+    c_k = 4 eps sum n^k (|a_n| + |b_n|).
 
-    c0 covers the cos/sin values and the sum, c1 the rounding of the
-    arguments n*x, which dominates at large N.
+    The evaluator's F is within c0 + c1|x| of the exact value: c0 covers
+    the cos/sin values and the sum, c1 the rounding of the arguments n*x,
+    which dominates at large N.  Its F' is within c1 + c2|x|, the floor of
+    the derivative's coefficients, and c2 / (4 eps) >= sum n^2 |c_n| bounds
+    |F''|.
     """
     w = np.abs(c.real) + np.abs(c.imag)
     n = np.arange(c.shape[-1])
-    return 4.0 * _EPS * w.sum(axis=-1), 4.0 * _EPS * (n * w).sum(axis=-1)
+    return tuple(4.0 * _EPS * (n**k * w).sum(axis=-1) for k in range(3))
 
 
 def _series(c):
     """Coefficient rows prepared for Newton: the factored value/slope
-    matrices and each row's noise floor (c0, c1)."""
+    matrices and each row's noise floor (c0, c1, c2)."""
     return (_factored(c), *_noise_floor(c))
 
 
 def _inside(x, lo, hi):
-    """x where it lies strictly inside (lo, hi), the midpoint elsewhere."""
-    bad = ~np.isfinite(x) | (x <= lo) | (x >= hi)
-    return np.where(bad, 0.5 * (lo + hi), x)
+    """(x where it lies strictly inside (lo, hi), the midpoint elsewhere;
+    the mask of the points kept)."""
+    ok = np.isfinite(x) & (x > lo) & (x < hi)
+    return np.where(ok, x, 0.5 * (lo + hi)), ok
 
 
 def _hermite_start(lo, hi, flo, fhi, dlo, dhi):
@@ -184,9 +197,34 @@ def _newton(series, own, lo, hi, flo, fhi, dlo=None, dhi=None):
     the cubic Hermite interpolant (_hermite_start), otherwise from the
     secant point; every evaluation shrinks the bracket, and a start or step
     that would leave the bracket is replaced by its midpoint.  A bracket is
-    done when |f(x)| is inside the rounding noise of its row's series, when
-    the Newton step no longer moves x, or when the bracket has shrunk to
-    adjacent floats.  Only the live brackets are carried from round to round.
+    done at x when |f(x)| is inside the rounding noise e(x) = c0 + c1|x| of
+    its row's series, when the Newton step no longer moves x, or when the
+    bracket has shrunk to adjacent floats; or at the Newton point x1 when it
+    lies strictly inside the bracket and a proven bound puts |F(x1)| within
+    2 e(x1) without evaluating it.  Only the live brackets are carried from
+    round to round.
+
+    The bound.  The evaluator gives f0 and d0 at x0 with |f0 - F(x0)| <=
+    e(x0) and |d0 - F'(x0)| <= e'(x0) = c1 + c2|x0| (tests/test_poly.py
+    checks both against 40-digit sums), and |F''| <= S2 = sum n^2 |c_n| <=
+    c2 / (4 eps).  With u = eps/2, x1 = fl(x0 - fl(f0/d0)) is x0 - q + eta
+    with q = (f0/d0)(1 + t), |t| <= u, and |eta| <= u|x1|, so the step
+    D = x1 - x0 = -q + eta gives f0 + d0 D = -f0 t + d0 eta.  Taylor's
+    theorem, F(x1) = F(x0) + F'(x0) D + F''(xi) D^2 / 2, then gives
+
+        |F(x1)| <= e(x0) + u (|f0| + |d0| |x1|) + e'(x0) |D| + S2 D^2 / 2,
+
+    and x1 is accepted when that is at most 2 e(x1): the guarantee of the
+    evaluated test |f(x1)| <= e(x1), which with the evaluator's own error
+    e(x1) also says |F(x1)| <= 2 e(x1).  D is the computed x1 - x0, exact
+    by Sterbenz's lemma unless x0 and x1 differ by more than a factor two
+    (near x = 0), and then off by at most u|D|.  Like that rounding, the
+    relative O(N eps) rounding of the bound's own arithmetic and of the
+    sums c0, c1, c2 is far inside the room the evaluator leaves: its errors
+    stay below a quarter of e and e' in those tests.  The dip pass's Newton
+    on F' runs the same rule on the slope rows, with their own (c0, c1, c2).
+    At N = 256, p = 20 the first Newton step is certified for nearly every
+    root, so a root costs one evaluation, at the Hermite start.
     """
     roots = np.empty(len(lo))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -194,22 +232,30 @@ def _newton(series, own, lo, hi, flo, fhi, dlo=None, dhi=None):
             x = (lo * fhi - hi * flo) / (fhi - flo)
         else:
             x = _hermite_start(lo, hi, flo, fhi, dlo, dhi)
-        x = _inside(x, lo, hi)
-    C, c0, c1 = series
-    live, lo_sign, c0, c1 = np.arange(len(x)), np.sign(flo), c0[own], c1[own]
+        x, _ = _inside(x, lo, hi)
+    C, c0, c1, c2 = series
+    live, lo_sign = np.arange(len(x)), np.sign(flo)
+    c0, c1, c2 = c0[own], c1[own], c2[own]
     for _ in range(MAX_REFINE_ITERATIONS):
         fx, dfx = _series_values(C, own, x)
         on_lo = np.sign(fx) == lo_sign
         lo, hi = np.where(on_lo, x, lo), np.where(on_lo, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        ax = np.abs(x)
+        e0 = c0 + c1 * ax
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xn = x - fx / dfx
-        done = (np.abs(fx) <= c0 + c1 * np.abs(x)) | (xn == x)
-        xn = _inside(xn, lo, hi)
+            step = np.abs(xn - x)
+            bound = (e0 + 0.5 * _EPS * (np.abs(fx) + np.abs(dfx) * np.abs(xn))
+                     + (c1 + c2 * ax) * step + c2 / (8.0 * _EPS) * step * step)
+        done = (np.abs(fx) <= e0) | (xn == x)
+        xn, newton = _inside(xn, lo, hi)
+        sure = newton & ~done & (bound <= 2.0 * (c0 + c1 * np.abs(xn)))
         done |= xn == x
         roots[live[done]] = x[done]
-        go = ~done
+        roots[live[sure]] = xn[sure]
+        go = ~(done | sure)
         live, x, lo, hi, own = live[go], xn[go], lo[go], hi[go], own[go]
-        lo_sign, c0, c1 = lo_sign[go], c0[go], c1[go]
+        lo_sign, c0, c1, c2 = lo_sign[go], c0[go], c1[go], c2[go]
         if len(live) == 0:
             return roots
     raise RuntimeError(
@@ -263,7 +309,7 @@ def _screen(c, series, step, row, j, vals, dvals):
     point and at both zeros of H' clipped into the cell (where H' has no
     zero in the cell, those are just two more points of it).
     """
-    _, c0, c1 = series
+    _, c0, c1, _ = series
     m = vals.shape[1]
     n = np.arange(c.shape[1])
     margin = step**4 / 384 * (n**4 * np.abs(c)).sum(axis=1) + (m + 1) * c0 + 8.0 * c1
@@ -391,14 +437,12 @@ def _polish_real(f, x0):
     return x
 
 
-def all_roots_companion(
-    f: TrigPolynomial, classify_tol: float = DEFAULT_CLASSIFY_TOL
-) -> RootSet:
+def all_roots_companion(f: TrigPolynomial) -> RootSet:
     """All 2N zeros via companion-matrix eigenvalues of Q(z), z = exp(ix).
 
     Q has coefficients c_{N+n} = (a_n - i b_n)/2, c_{N-n} = (a_n + i b_n)/2,
     c_N = a_0, so that F(x) = exp(-iNx) Q(exp(ix)).  Eigenvalues z with
-    ||z| - 1| < classify_tol are classified real and mapped to x = arg z
+    ||z| - 1| < CLASSIFY_TOL are classified real and mapped to x = arg z
     (mod 2*pi) and polished by Newton steps on the series; the remainder
     are reported as complex x = -i log z.
     """
@@ -416,7 +460,7 @@ def all_roots_companion(
     z = np.polynomial.polynomial.polyroots(c)
 
     dist = np.abs(np.abs(z) - 1.0)
-    on_circle = dist < classify_tol
+    on_circle = dist < CLASSIFY_TOL
     real = np.mod(np.angle(z[on_circle]), 2.0 * np.pi)
     if len(real):
         real = np.mod(_polish_real(f, real), 2.0 * np.pi)
@@ -428,5 +472,5 @@ def all_roots_companion(
         real_roots=real,
         complex_roots=cplx[order],
         method="companion",
-        tolerance=classify_tol,
+        tolerance=CLASSIFY_TOL,
     )

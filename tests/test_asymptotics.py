@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from trigcrystal import asymptotics
 from trigcrystal.analytic import limit_terms, pair_correlation_limit, v_p
 from trigcrystal.asymptotics import (
     TRIPLE_ZERO_CRITICAL,
@@ -262,12 +263,13 @@ class TestTripleZero:
         assert gap_function_derivative(0.0, a) == math.pi * (0.75 - a * a)
         assert gap_function_derivative(1.0, a) == -math.pi * (0.75 - a * a)
 
-    def test_counts_on_both_sides_of_the_transition(self):
+    def test_counts_on_both_sides_of_the_transition(self, monkeypatch):
         assert triple_zero_count(0.92) == 3
         assert triple_zero_count(1.1) == 1
         # grid refinement does not change the verdicts
-        assert triple_zero_count(0.92, num=32001) == 3
-        assert triple_zero_count(1.1, num=32001) == 1
+        monkeypatch.setattr(asymptotics, "TRIPLE_ZERO_POINTS", 32001)
+        assert triple_zero_count(0.92) == 3
+        assert triple_zero_count(1.1) == 1
 
     def test_threshold_matches_the_pitchfork_constant(self):
         thr = triple_zero_threshold(tol=1e-7)

@@ -1,5 +1,6 @@
 """CLI: parsing precedence, outputs, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import math
 import os
@@ -186,6 +187,26 @@ class TestCommands:
         with open(tmp_path / "roots.csv") as fh:
             n_lines = len([ln for ln in fh if ln.strip()])
         assert n_lines == len(doc["real"])
+
+    def test_roots_both_names_the_roots_without_a_partner(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # a sampled finder that loses its first root: the counts disagree,
+        # and the line names that root as the companion's alone
+        sampled = cli.roots.real_roots_sampled
+
+        def losing(f):
+            rs = sampled(f)
+            return dataclasses.replace(rs, real_roots=rs.real_roots[1:])
+
+        monkeypatch.setattr(cli.roots, "real_roots_sampled", losing)
+        assert main(["roots", "--N", "12", "--p", "2", "--method", "both",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        with open(tmp_path / "roots.json") as fh:
+            real = json.load(fh)["real"]
+        assert (f"sampled {len(real) - 1} real roots, companion {len(real)}; "
+                f"no partner within 1e-08: sampled none; companion {real[0]!r}\n") in out
+        assert "nan" not in out
 
     def test_roots_from_fixture_input(self, tmp_path, capsys):
         fx = tmp_path / "poly.json"

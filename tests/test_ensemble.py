@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from trigcrystal import ensemble
 from trigcrystal.cli import _histogram_csv
 from trigcrystal.ensemble import (
     Histogram,
@@ -71,6 +72,18 @@ class TestPairCorrelation:
                         counts[int(d / 0.25)] += 1
         expect = counts / (len(sets) * L * 0.25)
         assert np.array_equal(est.histogram.values, expect)
+
+    def test_runs_of_realizations_count_the_same_pairs(self, monkeypatch):
+        # one realization per run, as a loop over the realizations takes
+        # them, against the whole ensemble in one run; some hold 0 or 1 roots
+        rng = np.random.default_rng(5)
+        deg = 20
+        sets = [np.sort(rng.uniform(0, 2 * deg, n)) for n in rng.integers(0, 40, 60)]
+        whole = empirical_pair_correlation(sets, deg, bin_width=0.1, max_range=6.0)
+        monkeypatch.setattr(ensemble, "_PAIR_ROOTS", 2 * deg)
+        apart = empirical_pair_correlation(sets, deg, bin_width=0.1, max_range=6.0)
+        assert np.array_equal(whole.histogram.values, apart.histogram.values)
+        assert whole.metadata["ordered_pairs"] == apart.metadata["ordered_pairs"] > 0
 
     def test_total_pair_mass_identity(self):
         rng = np.random.default_rng(7)

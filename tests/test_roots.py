@@ -124,13 +124,14 @@ class TestCompanion:
         with pytest.raises(ValueError, match="degree deficient"):
             all_roots_companion(f)
 
-    def test_classify_tol_insensitive(self):
+    def test_classify_tol_insensitive(self, monkeypatch):
         counts = {}
         for tol in (1e-10, 1e-8, 1e-6):
+            monkeypatch.setattr(roots_module, "CLASSIFY_TOL", tol)
             total = 0
             for seed in range(20):
                 f = random_derivative(10, 2, 31337 + seed)
-                total += all_roots_companion(f, classify_tol=tol).real_count
+                total += all_roots_companion(f).real_count
             counts[tol] = total
         assert counts[1e-10] == counts[1e-8] == counts[1e-6]
 
@@ -231,10 +232,12 @@ class TestBlock:
         fs = seeded_block(N, p, max(_block_size(N), 2))
         assert_matches_companion(fs, block_of(fs))
 
-    @pytest.mark.parametrize("N,p,most", [(64, 0, 2.6), (256, 20, 2.3)])
+    @pytest.mark.parametrize("N,p,most", [(64, 0, 1.5), (256, 20, 1.15)])
     def test_hermite_start_saves_evaluations(self, N, p, most, monkeypatch):
         # points handed to the series evaluator per root found, the dip
-        # pass included; the secant start needed 3.4 (N=64) and 2.9 (N=256)
+        # pass included; the secant start needed 3.4 (N=64) and 2.9 (N=256),
+        # the Hermite start with an evaluated Newton point 2.1 and 2.0; with
+        # the certified Newton point most roots take the start alone
         fs = seeded_block(N, p, _block_size(N))
         points, evaluate = [], roots_module._series_values
 
@@ -246,6 +249,23 @@ class TestBlock:
         block = block_of(fs)
         assert sum(points) <= most * sum(len(r) for r in block)
         assert_matches_companion(fs, block)
+
+    @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (64, 500)])
+    def test_every_root_is_within_twice_the_noise_floor(self, N, p):
+        # the guarantee of both stopping rules, evaluated and certified:
+        # |F(root)| <= 2 (c0 + c1 |root|) in 40-digit arithmetic
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        fs = seeded_block(N, p, max(_block_size(N), 2))
+        for f, roots in zip(fs, block_of(fs)):
+            c0, c1, _ = roots_module._noise_floor(_coefficients(f))
+            coeffs = [mp.mpc(float(a), -float(b)) for a, b in zip(f.cos_coeffs, f.sin_coeffs)]
+            for x in roots:
+                z, w, value = mp.expj(mp.mpf(float(x))), mp.mpc(1), mp.mpf(0)
+                for cn in coeffs:
+                    value += (cn * w).real
+                    w *= z
+                assert abs(float(value)) <= 2.0 * (c0 + c1 * abs(x))
 
     def test_ensemble_is_bit_identical_across_threads(self):
         # N=10 has 97 realizations per block: two full blocks and a partial one
