@@ -242,10 +242,9 @@ def _write_manifest(out: _Outputs, cfg: RunConfig, report: dict | None):
 
 
 def _curve_csv(header: str, cols) -> str:
-    lines = [header]
-    for row in zip(*cols):
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    # tolist() gives Python floats, whose repr is the shortest round trip
+    rows = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in cols))
+    return "\n".join([header, *map(",".join, rows), ""])
 
 
 def _histogram_csv(hist: ensemble.Histogram) -> str:
@@ -393,10 +392,10 @@ def _cmd_roots(cfg: RunConfig, out: _Outputs):
     if cfg.method == "both":
         a, b = sets["sampled"], sets["companion"]
         head = f"sampled {a.real_count} real roots, companion {b.real_count}; "
-        if a.real_count == b.real_count:
-            diff = np.nan
-            if a.real_count:
-                diff = float(np.max(np.abs(a.real_roots - b.real_roots)))
+        if a.real_count == b.real_count == 0:
+            print(head + "no real roots to compare")
+        elif a.real_count == b.real_count:
+            diff = float(np.max(np.abs(a.real_roots - b.real_roots)))
             print(head + f"max position difference {diff:.3e}")
         else:
             lone = [", ".join(repr(float(x)) for x in _unmatched(u, v)) or "none"

@@ -347,9 +347,10 @@ class TestLimitPairCorrelation:
     def test_matches_mpmath_over_the_whole_domain(self):
         # reference: the moment integrals as 1F2 hypergeometric functions at
         # 40 digits; x runs from near MIN_SEPARATION, where A and B vanish
-        # like x^4, through the first peak 1 + 1/(2p) to near MAX_SEPARATION,
-        # and pins each rule of the ladder at its cap, where it is least
-        # accurate, and just past it
+        # like x^4, through the first peak 1 + 1/(2p), and over the top
+        # quarter of each rule of the ladder, where it is least accurate, to
+        # its cap and just past it.  The values sit at the ~1e-13 rounding
+        # floor; rules of pi cap / 4 + 16 nodes miss 1e-12 at caps 50 and 100
         mp = pytest.importorskip("mpmath")
 
         def r2_mp(p, x):
@@ -366,8 +367,11 @@ class TestLimitPairCorrelation:
                 B = g5 * C - g3 * g4 * g4
                 return float((B * mp.asin(B / A) + mp.sqrt(A * A - B * B)) / C**1.5)
 
-        for p in (0, 3, 80, 500):
+        top_quarters = np.concatenate([np.linspace(0.75 * cap, cap, 11)
+                                       for cap in (12.5, 25.0, 50.0, MAX_SEPARATION)])
+        for p in (0, 1, 3, 10, 80, 500):
             peak = 1.0 + 1.0 / (2 * p) if p else 1.5
-            for x in (2e-4, 0.05, 0.3, peak, 2.3, 12.5, 12.5000001, 25.0, 25.0000001,
-                      29.98, 50.0, 50.0000001, 99.9):
-                assert pair_correlation_limit(p, x) == pytest.approx(r2_mp(p, x), rel=1e-11, abs=0.0)
+            xs = np.concatenate([[2e-4, 0.05, 0.3, peak, 2.3, 12.5000001, 25.0000001,
+                                  50.0000001], top_quarters])
+            for x, got in zip(xs, pair_correlation_limit_curve(p, xs)):
+                assert got == pytest.approx(r2_mp(p, x), rel=1e-12, abs=0.0), (p, x)

@@ -219,6 +219,15 @@ class TestCommands:
             doc = json.load(fh)
         assert len(doc["real"]) == 4  # cos(2x)
 
+    def test_roots_both_without_real_roots(self, tmp_path, capsys):
+        # 2 + cos(2x) + sin(2x)/2 > 0: both finders agree on no real root
+        fx = tmp_path / "poly.json"
+        fx.write_text(json.dumps({"degree": 2, "a": [2, 0, 1], "b": [0, 0, 0.5]}))
+        assert main(["roots", "--input", str(fx), "--method", "both",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out == "sampled 0 real roots, companion 0; no real roots to compare\n"
+
     def test_manifest_echoes_config(self, tmp_path, capsys):
         assert main(["vp-table", "--p-max", "2", "--N", "17",
                      "--out", str(tmp_path)]) == 0
