@@ -36,11 +36,11 @@ for x in (0.5, 1.0, 1.1, 1.5, 2.1, 3.5, 5.0):
     print(f"{x:>5.2f} {h.values[k]:>10.4f} "
           f"{tc.pair_correlation_limit(p, float(h.centers[k])):>10.4f}")
 
-hx, hy = svgplot.hist_xy(h.edges, h.values)
+hx, hy = svgplot.steps(h.edges, h.values)
 svgplot.render(
     os.path.join(OUT, "pair_correlation.svg"),
     [
-        svgplot.Series(hx, hy, label=f"ensemble (M={M})", kind="hist"),
+        svgplot.Series(hx, hy, label=f"ensemble (M={M})"),
         svgplot.Series(xs, curve, label="exact curve"),
     ],
     title=f"pair correlation of real zeros, p={p}",

@@ -40,12 +40,12 @@ for uu in (0.0, 0.5, 1.0, 2.0, 3.0):
 print(f"\ntail ratio law/gaussian at u=2: "
       f"{tc.nn_density(2.0) / np.exp(-24.0):.1e} (Gaussian is hopeless)")
 
-hx, hy = svgplot.hist_xy(edges, density)
+hx, hy = svgplot.steps(edges, density)
 us = np.linspace(-4, 4, 401)
 svgplot.render(
     os.path.join(OUT, "spacing_law.svg"),
     [
-        svgplot.Series(hx, hy, label="ensemble gaps", kind="hist"),
+        svgplot.Series(hx, hy, label="ensemble gaps"),
         svgplot.Series(us, tc.nn_density(us), label="(1+4u^2)^(-3/2)"),
     ],
     title=f"rescaled nearest-neighbor gaps, p={p}",

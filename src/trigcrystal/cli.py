@@ -2,7 +2,7 @@
 
 Runs Monte Carlo ensembles, tabulates the analytic curves, exports CSV and
 renders static SVG plots.  CSV is the primary data interface; every SVG is
-rendered from CSV files that were written first, never from internal state.
+drawn from the same floats its CSV holds.
 
 Every option is declared once, in ``OPTIONS``: its type, default, the
 commands that take it, its choices or bounds and its help text.  The
@@ -241,24 +241,22 @@ def _write_manifest(out: _Outputs, cfg: RunConfig, report: dict | None):
     out.write_text(name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _curve_csv(header: str, cols) -> str:
-    # tolist() gives Python floats, whose repr is the shortest round trip
-    rows = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in cols))
-    return "\n".join([header, *map(",".join, rows), ""])
-
-
-def _histogram_csv(hist: ensemble.Histogram) -> str:
-    return _curve_csv("bin_left,bin_right,value", (hist.edges[:-1], hist.edges[1:], hist.values))
-
-
-def _read_csv(path: str) -> dict[str, list[float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        cols = {h: [] for h in header}
-        for line in fh:
-            for h, v in zip(header, line.strip().split(",")):
-                cols[h].append(float(v))
+def _write_csv(out: _Outputs, name: str, header: str, cols) -> list[list[float]]:
+    """Write the columns under header to the CSV `name` and return them as
+    lists of Python floats, the values its SVG is drawn from.  A float's
+    repr is its shortest round trip, so the file parses back to them."""
+    cols = [np.asarray(c, dtype=float).tolist() for c in cols]
+    rows = zip(*(map(repr, c) for c in cols))
+    out.write_text(name, "\n".join([header, *map(",".join, rows), ""]))
     return cols
+
+
+def _write_histogram(out: _Outputs, name: str, hist: ensemble.Histogram,
+                     label: str) -> svgplot.Series:
+    """Write hist's bins to the CSV `name`; returns their step series."""
+    left, right, values = _write_csv(out, name, "bin_left,bin_right,value",
+                                     (hist.edges[:-1], hist.edges[1:], hist.values))
+    return svgplot.Series(*svgplot.steps(left + right[-1:], values), label=label)
 
 
 def _analytic_grid(x_max: float, step: float = 0.02) -> np.ndarray:
@@ -266,37 +264,22 @@ def _analytic_grid(x_max: float, step: float = 0.02) -> np.ndarray:
     return np.round(ks * step, 10)
 
 
-def _render(out: _Outputs, name: str, curves, **labels):
-    """Render the SVG `name` from CSV files already written.
-
-    curves holds (csv_path, column, label, dashed).  A histogram CSV gives a
-    step series of its bins; any other CSV plots `column` against its first
-    column.
-    """
-    tables = {path: _read_csv(path) for path, *_ in curves}
-    series = []
-    for path, column, label, dashed in curves:
-        cols = tables[path]
-        if "bin_left" in cols:
-            xs, ys = svgplot.hist_xy(cols["bin_left"] + cols["bin_right"][-1:], cols[column])
-            series.append(svgplot.Series(xs, ys, label=label, kind="hist"))
-        else:
-            xs = next(iter(cols.values()))
-            series.append(svgplot.Series(xs, cols[column], label=label, dashed=dashed))
-    svgplot.render(out.path(name), series, **labels)
-
-
-def _write_limit_curve(out: _Outputs, name: str, p: int, x_max: float) -> str:
+def _write_limit_curve(out: _Outputs, name: str, p: int, x_max: float,
+                       label: str) -> svgplot.Series:
+    """Write the large-N pair correlation on the analytic grid to the CSV
+    `name`; returns its series."""
     xs = _analytic_grid(x_max)
     r2 = analytic.pair_correlation_limit_curve(p, xs)
-    return out.write_text(name, _curve_csv("x,R2", (xs, r2)))
+    return svgplot.Series(*_write_csv(out, name, "x,R2", (xs, r2)), label=label)
 
 
 def _write_triple_zero(out: _Outputs, stem: str, a: float, title: str):
     demo = asymptotics.triple_zero_demo(a)
-    path = out.write_text(f"{stem}.csv", _curve_csv("x,f,fprime", (demo.x, demo.f, demo.fprime)))
-    _render(out, f"{stem}.svg", [(path, "f", "f", False), (path, "fprime", "f'", True)],
-            title=title, xlabel="x", ylabel="value")
+    xs, f, fprime = _write_csv(out, f"{stem}.csv", "x,f,fprime", (demo.x, demo.f, demo.fprime))
+    svgplot.render(out.path(f"{stem}.svg"),
+                   [svgplot.Series(xs, f, label="f"),
+                    svgplot.Series(xs, fprime, label="f'", dashed=True)],
+                   title=title, xlabel="x", ylabel="value")
     return demo
 
 
@@ -337,11 +320,8 @@ def _fixture_polynomial(cfg: RunConfig) -> poly.TrigPolynomial:
             ) from exc
     # realization i depends only on (seed, i), so any ensemble past i serves
     spec = poly.EnsembleSpec.equal_variance(cfg.N, cfg.p, cfg.index + 1, cfg.seed)
-    f = poly.sample(spec, cfg.index)
-    if cfg.p > 0:
-        # scaled by N^-p; the zero set is unchanged and stays in float range
-        f = poly.derivative_rescaled(f, cfg.p)
-    return f
+    # scaled by N^-p; the zero set is unchanged and stays in float range
+    return poly.derivative_rescaled(poly.sample(spec, cfg.index), cfg.p)
 
 
 # ---------------------------------------------------------------------------
@@ -429,29 +409,29 @@ def _cmd_fraction(cfg: RunConfig, out: _Outputs):
 
 def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
     """pair correlation of real zeros"""
-    curves, report = [], None
+    series, report = [], None
     if cfg.mode in ("empirical", "all"):
         rootsets, report = _ensemble(cfg)
         est = ensemble.empirical_pair_correlation(
             rootsets, cfg.N, bin_width=cfg.bins, max_range=cfg.max_range
         )
         report["ordered_pairs"] = est.metadata["ordered_pairs"]
-        p1 = out.write_text("paircorr_empirical.csv", _histogram_csv(est.histogram))
-        curves.append((p1, "value", "empirical", False))
+        series.append(_write_histogram(out, "paircorr_empirical.csv", est.histogram,
+                                       "empirical"))
     if cfg.mode in ("analytic", "all"):
-        p2 = _write_limit_curve(out, "paircorr_analytic.csv", cfg.p, cfg.x_max)
-        curves.append((p2, "R2", "analytic", False))
+        series.append(_write_limit_curve(out, "paircorr_analytic.csv", cfg.p, cfg.x_max,
+                                         "analytic"))
     if cfg.mode in ("asymptotic", "all"):
         us = np.linspace(-3.0, 3.0, 121)
         xs = 1.0 + 1.0 / (2.0 * cfg.p) + us / cfg.p
         r2 = np.array([asymptotics.theorem_profile(1, cfg.p, u) for u in us])
-        p3 = out.write_text("paircorr_theorem.csv", _curve_csv("x,R2", (xs, r2)))
-        curves.append((p3, "R2", "asymptotic", True))
-    print(f"paircorr mode={cfg.mode}: wrote {len(curves)} CSV file(s)")
+        cols = _write_csv(out, "paircorr_theorem.csv", "x,R2", (xs, r2))
+        series.append(svgplot.Series(*cols, label="asymptotic", dashed=True))
+    print(f"paircorr mode={cfg.mode}: wrote {len(series)} CSV file(s)")
     if cfg.mode == "all":
-        _render(out, "paircorr.svg", curves,
-                title=f"pair correlation, N={cfg.N}, p={cfg.p}",
-                xlabel="separation (mean total spacing = 1)", ylabel="R2")
+        svgplot.render(out.path("paircorr.svg"), series,
+                       title=f"pair correlation, N={cfg.N}, p={cfg.p}",
+                       xlabel="separation (mean total spacing = 1)", ylabel="R2")
     return report
 
 
@@ -461,19 +441,18 @@ def _cmd_spacing(cfg: RunConfig, out: _Outputs):
     hist = ensemble.nearest_neighbor_spacings(
         rootsets, cfg.N, bin_width=cfg.bins, max_range=cfg.max_range
     )
-    p1 = out.write_text("spacing.csv", _histogram_csv(hist))
+    series = [_write_histogram(out, "spacing.csv", hist, "empirical")]
     mean_gap = float(np.mean(ensemble.gap_ensemble(rootsets, cfg.N)))
     print(f"spacing: {len(hist.values)} bins, ensemble mean gap {mean_gap:.6f}")
-    curves = [(p1, "value", "empirical", False)]
     if cfg.p >= 1:
         ss = _analytic_grid(cfg.max_range, 0.01)
         us = cfg.p * (ss - 1.0 - 1.0 / (2.0 * cfg.p))
         dens = cfg.p * asymptotics.nn_density(us)
-        p2 = out.write_text("spacing_model.csv", _curve_csv("s,density", (ss, dens)))
-        curves.append((p2, "density", "model", True))
-    _render(out, "spacing.svg", curves,
-            title=f"nearest-neighbor spacing, N={cfg.N}, p={cfg.p}",
-            xlabel="gap (mean total spacing = 1)", ylabel="density")
+        cols = _write_csv(out, "spacing_model.csv", "s,density", (ss, dens))
+        series.append(svgplot.Series(*cols, label="model", dashed=True))
+    svgplot.render(out.path("spacing.svg"), series,
+                   title=f"nearest-neighbor spacing, N={cfg.N}, p={cfg.p}",
+                   xlabel="gap (mean total spacing = 1)", ylabel="density")
     return report
 
 
@@ -507,21 +486,20 @@ def _figure1(cfg: RunConfig, out: _Outputs):
     xs = np.linspace(0.0, 2.0 * cfg.N, 1201)
     panels = [("F", 0), ("d1", 1), ("d3", 3), ("d10", 10)]
     for name, order in panels:
-        g = poly.derivative_rescaled(f, order) if order else f
-        vals = poly.evaluate_rescaled(g, xs)
+        vals = poly.evaluate_rescaled(poly.derivative_rescaled(f, order), xs)
         vals = vals / np.max(np.abs(vals))
-        path = out.write_text(f"figure1_{name}.csv", _curve_csv("x,value", (xs, vals)))
-        _render(out, f"figure1_{name}.svg", [(path, "value", name, False)],
-                title=f"degree-{cfg.N} realization, panel {name} (normalized)",
-                xlabel="x (rescaled)", ylabel="value")
+        cols = _write_csv(out, f"figure1_{name}.csv", "x,value", (xs, vals))
+        svgplot.render(out.path(f"figure1_{name}.svg"), [svgplot.Series(*cols, label=name)],
+                       title=f"degree-{cfg.N} realization, panel {name} (normalized)",
+                       xlabel="x (rescaled)", ylabel="value")
 
 
 def _figure2(cfg: RunConfig, out: _Outputs):
     for p in (0, 1, 3, 10):
-        path = _write_limit_curve(out, f"figure2_p{p}.csv", p, cfg.x_max)
-        _render(out, f"figure2_p{p}.svg", [(path, "R2", f"p={p}", False)],
-                title=f"pair correlation of real zeros, p={p}",
-                xlabel="separation", ylabel="R2")
+        curve = _write_limit_curve(out, f"figure2_p{p}.csv", p, cfg.x_max, f"p={p}")
+        svgplot.render(out.path(f"figure2_p{p}.svg"), [curve],
+                       title=f"pair correlation of real zeros, p={p}",
+                       xlabel="separation", ylabel="R2")
 
 
 def _figure3(cfg: RunConfig, out: _Outputs):

@@ -96,7 +96,6 @@ class RootSet:
     real_roots: np.ndarray
     complex_roots: np.ndarray | None
     method: str
-    tolerance: float
 
     def __post_init__(self):
         rr = np.asarray(self.real_roots, dtype=float)
@@ -422,7 +421,7 @@ def real_roots_sampled(f: TrigPolynomial) -> RootSet:
     a block of one.
     """
     (roots,) = _real_roots_block(_coefficients(f)[None])
-    return RootSet(real_roots=roots, complex_roots=None, method="sampled", tolerance=TOL)
+    return RootSet(real_roots=roots, complex_roots=None, method="sampled")
 
 
 def _polish_real(f, x0):
@@ -468,9 +467,4 @@ def all_roots_companion(f: TrigPolynomial) -> RootSet:
     off = z[~on_circle]
     cplx = np.angle(off) - 1j * np.log(np.abs(off))
     order = np.lexsort((cplx.imag, cplx.real))
-    return RootSet(
-        real_roots=real,
-        complex_roots=cplx[order],
-        method="companion",
-        tolerance=CLASSIFY_TOL,
-    )
+    return RootSet(real_roots=real, complex_roots=cplx[order], method="companion")

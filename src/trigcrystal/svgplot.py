@@ -1,9 +1,8 @@
-"""Small deterministic SVG line/histogram plotter (no plotting dependency).
+"""Small deterministic SVG line plotter (no plotting dependency).
 
-Renders polylines and step histograms with axes, 1-2-5 ticks and a text
-legend.  Output is a pure function of the input data plus the package
-version string in a comment, so replotting identical CSV data yields
-identical files.
+Renders polylines with axes, 1-2-5 ticks and a text legend.  Output is a
+pure function of the input data plus the package version string in a
+comment, so replotting identical data yields identical files.
 """
 
 from __future__ import annotations
@@ -40,12 +39,21 @@ def _fmt(v: float) -> str:
 
 
 class Series:
-    def __init__(self, x, y, label="", kind="line", dashed=False):
+    def __init__(self, x, y, label="", dashed=False):
         self.x = list(map(float, x))
         self.y = list(map(float, y))
         self.label = label
-        self.kind = kind  # "line" | "hist"
         self.dashed = dashed
+
+
+def steps(edges, values):
+    """The polyline of a step histogram: points (edges[j], values[j]) and
+    (edges[j+1], values[j]) for each bin j."""
+    xs, ys = [], []
+    for j, v in enumerate(values):
+        xs += [edges[j], edges[j + 1]]
+        ys += [v, v]
+    return xs, ys
 
 
 def render(path, series, title="", xlabel="", ylabel=""):
@@ -114,14 +122,7 @@ def render(path, series, title="", xlabel="", ylabel=""):
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         dash = ' stroke-dasharray="5,4"' if s.dashed else ""
-        if s.kind == "hist":
-            pts = []
-            for j in range(len(s.y)):
-                pts.append((s.x[2 * j], s.y[j]))
-                pts.append((s.x[2 * j + 1], s.y[j]))
-        else:
-            pts = list(zip(s.x, s.y))
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.x, s.y))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} '
             f'points="{coords}"/>'
@@ -160,11 +161,3 @@ def render(path, series, title="", xlabel="", ylabel=""):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")
 
-
-def hist_xy(edges, values):
-    """Edge pairs for a step-histogram Series: x has 2*len(values) entries."""
-    xs = []
-    for j in range(len(values)):
-        xs.append(edges[j])
-        xs.append(edges[j + 1])
-    return xs, list(values)

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from trigcrystal import cli, ensemble
+from trigcrystal import cli, ensemble, svgplot
 from trigcrystal.cli import main, parse_config
 from trigcrystal.poly import EnsembleSpec, TrigPolynomial, derivative_rescaled, sample
 
@@ -443,3 +443,33 @@ class TestReproducibility:
         capsys.readouterr()
         assert (d1 / "spacing.csv").read_bytes() == (d2 / "spacing.csv").read_bytes()
         assert (d1 / "spacing.svg").read_bytes() == (d2 / "spacing.svg").read_bytes()
+
+    def test_each_svg_shows_the_floats_of_its_csv(self, tmp_path, capsys):
+        def columns(path):
+            header, rows = read_csv(path)
+            return {h: [float(r[i]) for r in rows] for i, h in enumerate(header)}
+
+        out = tmp_path / "out"
+        assert main(["spacing", "--N", "32", "--p", "2", "--realizations", "20",
+                     "--out", str(out)]) == 0
+        assert main(["demo-triple-zero", "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        hist, model = columns(out / "spacing.csv"), columns(out / "spacing_model.csv")
+        steps_x = [e for pair in zip(hist["bin_left"], hist["bin_right"]) for e in pair]
+        steps_y = [v for v in hist["value"] for _ in range(2)]
+        svgplot.render(tmp_path / "spacing.svg",
+                       [svgplot.Series(steps_x, steps_y, label="empirical"),
+                        svgplot.Series(model["s"], model["density"], label="model",
+                                       dashed=True)],
+                       title="nearest-neighbor spacing, N=32, p=2",
+                       xlabel="gap (mean total spacing = 1)", ylabel="density")
+
+        demo = columns(out / "triple_zero.csv")
+        svgplot.render(tmp_path / "triple_zero.svg",
+                       [svgplot.Series(demo["x"], demo["f"], label="f"),
+                        svgplot.Series(demo["x"], demo["fprime"], label="f'", dashed=True)],
+                       title="bridged-gap function, a = 0.92", xlabel="x", ylabel="value")
+
+        for name in ("spacing.svg", "triple_zero.svg"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trigcrystal import ensemble
-from trigcrystal.cli import _histogram_csv
+from trigcrystal.cli import _Outputs, _write_histogram
 from trigcrystal.ensemble import (
     Histogram,
     circular_gaps,
@@ -220,8 +220,9 @@ class TestHistogramType:
         with pytest.raises(ValueError):
             Histogram(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0]))
 
-    def test_csv_header(self):
+    def test_csv_header(self, tmp_path):
         h = Histogram(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.75]))
-        text = _histogram_csv(h)
+        _write_histogram(_Outputs(str(tmp_path)), "h.csv", h, "h")
+        text = (tmp_path / "h.csv").read_text()
         assert text.startswith("bin_left,bin_right,value\n")
         assert "0.5,1.0,0.75" in text
