@@ -72,29 +72,33 @@ class PairCorrelationEstimate:
     metadata: dict = field(default_factory=dict)
 
 
-# a block of realizations shares one root-finder grid of at most this many
-# points per row of (F, F'), so a block's grid takes at most 512 KiB and its
-# fixed per-call cost is spread over up to 2^15 // m realizations
-_BLOCK_GRID_POINTS = 1 << 15
+# the root finder takes a batch of this many grid chunks of realizations at
+# once: the grid is still computed one chunk at a time, and everything after
+# it runs once per batch
+_BATCH_CHUNKS = 8
 
 
 def _block_size(degree: int) -> int:
-    """Realizations per block: max(1, 2^15 // m) for the m-point grid."""
-    return max(1, _BLOCK_GRID_POINTS // (roots.OVERSAMPLE * (2 * degree + 1)))
+    """Realizations per batch: _BATCH_CHUNKS grid chunks of max(1, 2^15 // m)
+    realizations each, for the m-point grid."""
+    return _BATCH_CHUNKS * roots._chunk_rows(degree + 1)
 
 
 def _blocks_rescaled_roots(args):
-    """Rescaled roots of realizations lo..hi-1, found block by block.
+    """Rescaled roots of realizations lo..hi-1, found batch by batch.
 
-    lo is a multiple of the block size, so the blocks, and with them every
-    result, do not depend on how the index range was split into tasks.  The
-    sampler draws each block's coefficient rows straight into one array.
+    lo is a multiple of the batch size, so the batches do not depend on how
+    the index range was split into tasks; nor does any root depend on the
+    batch it was found in.  The sampler draws each batch's coefficient rows
+    straight into one array.
     """
     spec, lo, hi = args
-    # freeing one mapped array as large as the evaluator's row blocks lifts
-    # glibc's dynamic mmap threshold, and with it the heap trim threshold,
-    # above the block's temporaries; otherwise they are mapped or trimmed
-    # and faulted in again on every call (other allocators ignore this)
+    # freeing one mapped array larger than any temporary of a batch (the
+    # evaluator's budget, a chunk's F and F' grid, the transform's own
+    # buffers: several MiB at N = 4096) lifts glibc's dynamic mmap
+    # threshold, and with it the heap trim threshold, above them; otherwise
+    # they are mapped or trimmed and faulted in again on every call (other
+    # allocators ignore this)
     np.empty(poly._TABLE_WORDS)
     K = _block_size(spec.degree)
     out = []
@@ -108,12 +112,13 @@ def _blocks_rescaled_roots(args):
 def real_zero_ensemble(spec: poly.EnsembleSpec, threads: int = 1) -> list[np.ndarray]:
     """Rescaled real roots of F^(p) for every realization, in index order.
 
-    The root finder works on fixed blocks of consecutive realizations
-    (max(1, 2^15 // m) of them for the m = 16*(2N+1) point grid).
-    With threads > 1 runs of whole blocks are processed in parallel worker
-    processes; each realization is a pure function of (spec, index), the
-    blocks do not depend on the thread count, and the returned list is
-    always ordered by index, so the output is identical for any thread count.
+    The root finder works on fixed batches of consecutive realizations
+    (_block_size: 8 grid chunks of max(1, 2^15 // m) realizations for the
+    m = 16*(2N+1) point grid).  With threads > 1 runs of whole batches are
+    processed in parallel worker processes.  Each realization is a pure
+    function of (spec, index), its roots do not depend on the batch it is
+    found in, and the returned list is always ordered by index, so the
+    output is identical for any thread count.
     """
     M = spec.realizations
     K = _block_size(spec.degree)

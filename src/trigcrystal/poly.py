@@ -31,9 +31,15 @@ __all__ = [
     "derivative_rescaled",
 ]
 
-# row blocks of the series evaluator allocate at most this many float64
+# row blocks of the limit curves' tables allocate at most this many float64
 # words of temporaries (16 MiB)
 _TABLE_WORDS = 1 << 21
+# the series evaluator's temporaries hold at most this many float64 words
+# (512 KiB) at once
+_SERIES_WORDS = 1 << 16
+# the series evaluator pads each row's points to whole tiles of this many
+# points, so that no point falls in the remainder of a BLAS or SIMD kernel
+_TILE = 16
 
 
 def _frozen_array(values, name):
@@ -221,18 +227,24 @@ def _coefficients(f):
     return f.cos_coeffs - 1j * f.sin_coeffs
 
 
+def _radix(n1):
+    """(B, Q) of the factored evaluator for N+1 = n1 coefficients:
+    B = ceil(sqrt(N+1)) and Q = ceil((N+1)/B)."""
+    B = math.isqrt(n1 - 1) + 1
+    return B, -(-n1 // B)
+
+
 def _factored(c):
     """Value/slope matrices of the factored evaluator for coefficient rows c.
 
     With c_n = a_n - i b_n, F(x) = Re sum_n c_n exp(inx) and F'(x) =
-    Re sum_n i n c_n exp(inx).  Writing n = qB + r with B = ceil(sqrt(N+1)),
-    r < B and q < Q = ceil((N+1)/B) factors exp(inx) = exp(iqBx) exp(irx):
-    each row of c (K, N+1), zero-padded to Q*B, becomes a (B, 2Q) matrix of
-    value and slope columns, returned as one (K, B, 2Q) array.
+    Re sum_n i n c_n exp(inx).  Writing n = qB + r with (B, Q) = _radix(N+1),
+    r < B and q < Q factors exp(inx) = exp(iqBx) exp(irx): each row of c
+    (K, N+1), zero-padded to Q*B, becomes a (B, 2Q) matrix of value and
+    slope columns, returned as one (K, B, 2Q) array.
     """
     K, n1 = c.shape
-    B = math.isqrt(n1 - 1) + 1
-    Q = -(-n1 // B)
+    B, Q = _radix(n1)
     cp = np.zeros((K, Q * B), dtype=complex)
     cp[:, :n1] = c
     slope = 1j * np.arange(Q * B) * cp
@@ -254,71 +266,84 @@ def _doubled(T, size):
     return out
 
 
-def _series_values(C, own, x):
-    """F and F' at the points of the 1-D array x, point i on row own[i] of
-    the factored matrices C (K, B, 2Q); own must be non-decreasing.
+def _series_values(c, own, x):
+    """F and F' at the points of the 1-D array x, point i on the coefficient
+    row own[i] of c (K, N+1); own must be non-decreasing.
 
     Each point needs the B + Q powers E = exp(irx) and G = exp(iqBx), and
-    the sums are Re sum_q G_q (E @ C)_q.  Only exponentials of power-of-two
-    multiples are taken, exp(i 2^j x) for 2^j < B and exp(i (2^j B) x) for
-    2^j < Q: about log2 N complex exponentials per point instead of N+1
-    cosines and N+1 sines.  E and G are filled from them by doubling
-    products, E[w:2w] = E[:w] exp(iwx).  The arguments 2^j x are exact and
-    (2^j B) x rounds once, so the arguments of exp(inx) together round by at
-    most eps*n*|x|, inside the |x| term of the root finder's noise floor;
-    each power is a product of at most log2 N correctly rounded factors.
+    the sums are Re sum_q G_q (E @ C)_q with C the row's factored matrix
+    (_factored), built for each block's rows as it is taken.  Only
+    exponentials of power-of-two multiples are taken, exp(i 2^j x) for
+    2^j < B and exp(i (2^j B) x) for 2^j < Q: about log2 N complex
+    exponentials per point instead of N+1 cosines and N+1 sines.  E and G
+    are filled from them by doubling products, E[w:2w] = E[:w] exp(iwx).
+    The arguments 2^j x are exact and (2^j B) x rounds once, so the
+    arguments of exp(inx) together round by at most eps*n*|x|, inside the
+    |x| term of the root finder's noise floor; each power is a product of
+    at most log2 N correctly rounded factors.
     (Squaring exp(ix) repeatedly would double its rounding with every step.)
 
-    The points are grouped by row and padded to the largest group, so each
-    row's points meet its own matrix in one stacked matmul.  They are taken
-    in blocks whose temporaries together hold at most _TABLE_WORDS float64
-    words, so memory stays bounded at large degree.
+    The points are grouped by row, and each row's group is padded with
+    zeros to whole tiles of _TILE points.  Rows of equal padded length go
+    together into blocks, each padded to its longest row, so that each
+    row's points meet its own matrix in one stacked matmul; a block takes
+    as many whole rows, or as large a slice of whole tiles of one long row,
+    as keeps its temporaries within _SERIES_WORDS float64 words.  Every
+    row's product E @ C then has a multiple of _TILE points, which the BLAS
+    kernels split into whole tiles, and every elementwise array a multiple
+    of _TILE entries: a point's values depend only on its row and on that
+    row's points in the call, not on the other rows or on how many there
+    are.
     """
-    K, B, Q = C.shape[0], C.shape[1], C.shape[2] // 2
+    B, Q = _radix(c.shape[1])
     n = len(x)
+    res = np.empty((n, 2))
     if n == 0:
-        return np.empty(0), np.empty(0)
-    if own[0] == own[-1]:
-        rows, L, X = own[:1], n, x[None]
-    else:
-        starts = np.flatnonzero(np.diff(own, prepend=-1))
-        counts = np.diff(np.append(starts, n))
-        rows, L = own[starts], int(counts.max())
-        grp = np.repeat(np.arange(len(rows)), counts)
-        pos = np.arange(n) - starts[grp]
-        X = np.zeros((len(rows), L))
-        X[grp, pos] = x
-    if len(rows) < K:
-        C = C[rows]
+        return res[:, 0], res[:, 1]
+    starts = np.flatnonzero(np.diff(own, prepend=-1))
+    counts = np.diff(np.append(starts, n))
+    # each row's points padded to whole tiles; rows of equal length together
+    L = -(-counts // _TILE) * _TILE
+    rows = np.argsort(-L, kind="stable")
     je, jg = (B - 1).bit_length(), (Q - 1).bit_length()
     mult = np.concatenate([2.0 ** np.arange(je), B * 2.0 ** np.arange(jg)])
-    out = np.empty((len(rows), L, 2))
-    # words per point, summed over the temporaries as if all were alive at
-    # once: the je + jg exponentials T with the real and complex
-    # intermediates of 1j*outer (1 + 2 + 2 per column), E and G (2 per
-    # power), the product P (2Q complex values, 4 per q), the sums (4).
-    # T is freed before P is built, so the true peak is the larger of
-    # T + E + G and E + G + P + the sums, well inside the budget
-    budget = max(1, _TABLE_WORDS // (5 * (je + jg) + 2 * (B + Q) + 4 * Q + 4))
-    kc = max(1, min(len(rows), budget // L))
-    lc = max(1, budget // kc)
-    for k in range(0, len(rows), kc):
-        for i in range(0, L, lc):
-            xb = X[k:k + kc, i:i + lc]
+    # words per point: the block's padded points (1) and sums (2), and at
+    # the peak of its other temporaries the largest of exp's argument and
+    # result (2 + 2 per exponential), T with E and G (2 per exponential,
+    # 2 per power), and E, G, the product P (4 per q) and its sums (4)
+    J = je + jg
+    words = 3 + max(4 * J, 2 * (J + B + Q), 2 * B + 6 * Q + 4)
+    budget = max(_TILE, _SERIES_WORDS // words)
+    lc = budget // _TILE * _TILE
+    k = 0
+    while k < len(rows):
+        Lb = int(L[rows[k]])  # the longest row of the block
+        block = rows[k:k + max(1, budget // Lb)]
+        k += len(block)
+        cnt = counts[block]
+        grp = np.repeat(np.arange(len(block)), cnt)
+        pos = np.arange(len(grp)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        at = starts[block][grp] + pos
+        X = np.zeros((len(block), Lb))
+        X[grp, pos] = x[at]
+        C = _factored(c[own[starts[block]]])
+        out = np.empty((len(block), Lb, 2))
+        for i in range(0, Lb, lc):
+            xb = X[:, i:i + lc]
             # powers first, so each doubling product is one contiguous run
             T = np.exp(1j * np.multiply.outer(mult, xb))
             E, G = _doubled(T[:je], B), _doubled(T[je:], Q)
             del T  # before the product is built
-            P = np.matmul(E.transpose(1, 2, 0), C[k:k + kc]).reshape(*xb.shape, 2, Q)
-            out[k:k + kc, i:i + lc] = np.matmul(P, G.transpose(1, 2, 0)[..., None])[..., 0].real
+            P = np.matmul(E.transpose(1, 2, 0), C).reshape(*xb.shape, 2, Q)
+            out[:, i:i + lc] = np.matmul(P, G.transpose(1, 2, 0)[..., None])[..., 0].real
             del E, G, P  # before the next block is built
-    out = out[0] if len(rows) == 1 else out[grp, pos]
-    return out[:, 0], out[:, 1]
+        res[at] = out[grp, pos]
+    return res[:, 0], res[:, 1]
 
 
 def _value_and_slope(f, x):
     """F(x) and F'(x) of one polynomial at the points of the 1-D array x."""
-    return _series_values(_factored(_coefficients(f)[None]), np.zeros(len(x), int), x)
+    return _series_values(_coefficients(f)[None], np.zeros(len(x), int), x)
 
 
 def evaluate(f: TrigPolynomial, x):

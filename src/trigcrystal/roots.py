@@ -31,14 +31,19 @@ Two independent routes are provided and cross-validated in the test suite:
   point is accepted when its computed |F| is within e(x), the Newton point
   when the bound above is within 2 e(x).
 
-  The finder works on a block of K polynomials of one degree
-  (``_real_roots_block``); ``real_roots_sampled`` is a block of one.  The
-  block's grids come from one batched transform, its brackets from the 2-D
-  grid, each carrying its row index, and one Newton pass refines all of
-  them, with each row's points grouped against that row's factored matrix
-  and each row's own noise floor.  That pays the per-call NumPy overhead
-  once per block instead of once per polynomial.  The ensemble picks
-  K = max(1, 2^15 // m), so a block's F and F' grid takes at most 512 KiB.
+  The finder works on a batch of K polynomials of one degree
+  (``_real_roots_block``); ``real_roots_sampled`` is a batch of one.  The
+  grid pass takes the batch in chunks of max(1, 2^15 // m) rows, so a
+  chunk's F and F' grid takes at most 512 KiB: one batched transform per
+  chunk, whose sign-change brackets, exact zeros and dip candidates come
+  from the 2-D grid, each carrying its row index, before the grid is
+  freed.  Everything after it runs once per batch: the dip screen, one
+  sort and one Newton pass over every bracket, with each row's points
+  grouped against that row's factored matrix and each row's own noise
+  floor.  That pays the per-call NumPy overhead once per batch instead of
+  once per polynomial.  The evaluator is batch-invariant, so a root is the
+  same bit for bit whatever batch it is found in; the ensemble's batches
+  are 8 chunks.
 
 * ``all_roots_companion`` substitutes z = exp(ix), turning F into an
   algebraic polynomial Q of degree 2N with F(x) = exp(-iNx) Q(exp(ix)),
@@ -55,7 +60,6 @@ import numpy as np
 from .poly import (
     TrigPolynomial,
     _coefficients,
-    _factored,
     _series_values,
     _value_and_slope,
 )
@@ -82,6 +86,10 @@ _EPS = np.finfo(float).eps
 # on the 16x grid (depth <= (N*dx)^2/8 of the local scale); like the F'
 # sign-change test of _dip_candidates, this holds for that grid alone
 DIP_DEPTH_FRACTION = 0.05
+# the grid pass takes rows in chunks of at most this many grid points per
+# row of F and F', so its grid takes at most 512 KiB however many rows the
+# finder is given
+_CHUNK_GRID_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -157,9 +165,9 @@ def _noise_floor(c):
 
 
 def _series(c):
-    """Coefficient rows prepared for Newton: the factored value/slope
-    matrices and each row's noise floor (c0, c1, c2)."""
-    return (_factored(c), *_noise_floor(c))
+    """Coefficient rows prepared for Newton: the rows and each row's noise
+    floor (c0, c1, c2)."""
+    return (c, *_noise_floor(c))
 
 
 def _inside(x, lo, hi):
@@ -187,21 +195,36 @@ def _hermite_start(lo, hi, flo, fhi, dlo, dhi):
     return lo + t * h
 
 
-def _newton(series, own, lo, hi, flo, fhi, dlo=None, dhi=None):
-    """One zero in each bracket [lo, hi] of row own[i] of the _series rows,
-    flo and fhi of opposite sign; own must be non-decreasing.
+def _start(lo, hi, flo, fhi, dlo=None, dhi=None):
+    """Newton's start in each bracket [lo, hi] with f = flo, fhi of opposite
+    sign at its ends, and the sign of flo.
 
-    Safeguarded Newton, vectorized over the brackets of every row.  Given
-    the slopes dlo and dhi at the bracket ends it starts from the zero of
-    the cubic Hermite interpolant (_hermite_start), otherwise from the
-    secant point; every evaluation shrinks the bracket, and a start or step
-    that would leave the bracket is replaced by its midpoint.  A bracket is
-    done at x when |f(x)| is inside the rounding noise e(x) = c0 + c1|x| of
-    its row's series, when the Newton step no longer moves x, or when the
-    bracket has shrunk to adjacent floats; or at the Newton point x1 when it
-    lies strictly inside the bracket and a proven bound puts |F(x1)| within
-    2 e(x1) without evaluating it.  Only the live brackets are carried from
-    round to round.
+    Given the slopes dlo and dhi at the ends the start is the zero of the
+    cubic Hermite interpolant (_hermite_start), otherwise the secant point;
+    where it would leave the bracket, the midpoint.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if dlo is None:
+            x = (lo * fhi - hi * flo) / (fhi - flo)
+        else:
+            x = _hermite_start(lo, hi, flo, fhi, dlo, dhi)
+        x, _ = _inside(x, lo, hi)
+    return x, np.sign(flo)
+
+
+def _newton(series, own, lo, hi, x, lo_sign):
+    """One zero in each bracket [lo, hi] of row own[i] of the _series rows,
+    from the start x inside it, lo_sign the sign of f at lo (_start); own
+    must be non-decreasing.  lo and hi are narrowed in place.
+
+    Safeguarded Newton, vectorized over the brackets of every row.  Every
+    evaluation shrinks the bracket, and a step that would leave the bracket
+    is replaced by its midpoint.  A bracket is done at x when |f(x)| is
+    inside the rounding noise e(x) = c0 + c1|x| of its row's series, when
+    the Newton step no longer moves x, or when the bracket has shrunk to
+    adjacent floats; or at the Newton point x1 when it lies strictly inside
+    the bracket and a proven bound puts |F(x1)| within 2 e(x1) without
+    evaluating it.  Only the live brackets are carried from round to round.
 
     The bound.  The evaluator gives f0 and d0 at x0 with |f0 - F(x0)| <=
     e(x0) and |d0 - F'(x0)| <= e'(x0) = c1 + c2|x0| (tests/test_poly.py
@@ -225,36 +248,37 @@ def _newton(series, own, lo, hi, flo, fhi, dlo=None, dhi=None):
     At N = 256, p = 20 the first Newton step is certified for nearly every
     root, so a root costs one evaluation, at the Hermite start.
     """
-    roots = np.empty(len(lo))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if dlo is None:
-            x = (lo * fhi - hi * flo) / (fhi - flo)
-        else:
-            x = _hermite_start(lo, hi, flo, fhi, dlo, dhi)
-        x, _ = _inside(x, lo, hi)
-    C, c0, c1, c2 = series
-    live, lo_sign = np.arange(len(x)), np.sign(flo)
-    c0, c1, c2 = c0[own], c1[own], c2[own]
+    roots = np.empty(len(x))
+    c, c0, c1, c2 = series
+    live = np.arange(len(x))
     for _ in range(MAX_REFINE_ITERATIONS):
-        fx, dfx = _series_values(C, own, x)
+        fx, dfx = _series_values(c, own, x)
         on_lo = np.sign(fx) == lo_sign
-        lo, hi = np.where(on_lo, x, lo), np.where(on_lo, hi, x)
+        np.copyto(lo, x, where=on_lo)
+        np.copyto(hi, x, where=~on_lo)
+        # the first round holds every bracket of the batch, so each
+        # temporary goes as soon as it is used
+        del on_lo
         ax = np.abs(x)
-        e0 = c0 + c1 * ax
+        e0 = c0[own] + c1[own] * ax
+        done = np.abs(fx) <= e0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xn = x - fx / dfx
             step = np.abs(xn - x)
-            bound = (e0 + 0.5 * _EPS * (np.abs(fx) + np.abs(dfx) * np.abs(xn))
-                     + (c1 + c2 * ax) * step + c2 / (8.0 * _EPS) * step * step)
-        done = (np.abs(fx) <= e0) | (xn == x)
+            bound = e0 + 0.5 * _EPS * (np.abs(fx) + np.abs(dfx) * np.abs(xn))
+            del fx, dfx, e0
+            bound += (c1[own] + c2[own] * ax) * step
+            bound += c2[own] / (8.0 * _EPS) * step * step
+        done |= xn == x
+        del ax, step
         xn, newton = _inside(xn, lo, hi)
-        sure = newton & ~done & (bound <= 2.0 * (c0 + c1 * np.abs(xn)))
+        sure = newton & ~done & (bound <= 2.0 * (c0[own] + c1[own] * np.abs(xn)))
         done |= xn == x
         roots[live[done]] = x[done]
         roots[live[sure]] = xn[sure]
         go = ~(done | sure)
-        live, x, lo, hi, own = live[go], xn[go], lo[go], hi[go], own[go]
-        lo_sign, c0, c1, c2 = lo_sign[go], c0[go], c1[go], c2[go]
+        del bound, newton, done, sure
+        live, x, lo, hi, own, lo_sign = live[go], xn[go], lo[go], hi[go], own[go], lo_sign[go]
         if len(live) == 0:
             return roots
     raise RuntimeError(
@@ -263,13 +287,20 @@ def _newton(series, own, lo, hi, flo, fhi, dlo=None, dhi=None):
     )
 
 
-def _dip_candidates(vals, dvals):
-    """(row, j) of the grid points that may hide a near-tangent root pair.
+def _dip_candidates(vals, dvals, change):
+    """Exact zeros and dip candidates of one chunk's grids of F and F',
+    vals and dvals (K, m), where change[k, j] says F changes sign between
+    x_j and x_j+1 on row k.
 
-    A candidate is a shallow interior minimum of |F| (below DIP_DEPTH_FRACTION
+    Returns (zr, zj) of the grid points where F is exactly zero, and
+    (row, j, f, d) of the grid points that may hide a near-tangent root
+    pair, with f and d (3, n) the grid's F and F' at j-1, j and j+1.  A
+    candidate is a shallow interior minimum of |F| (below DIP_DEPTH_FRACTION
     of its row's grid max) with no sign change on either side, where F'
     changes sign across it.  Shallow points are a small share of the grid,
-    so the tests against the neighbours run on them alone.
+    so the tests against the neighbours run on them alone, after the points
+    beside a sign change are cleared.  An exact zero is a shallow point that
+    no sign change touches, so the zeros come from the same list.
 
     Both filters are argued for the 16x grid alone.  On a 5x grid the
     realization N=16, p=3, seed 7, index 3291 loses a root pair: F' has two
@@ -277,18 +308,28 @@ def _dip_candidates(vals, dvals):
     drops it.
     """
     m = vals.shape[1]
-    top = DIP_DEPTH_FRACTION * np.maximum(vals.max(axis=1), -vals.min(axis=1))[:, None]
-    row, j = np.nonzero((vals < top) & (vals > -top))
+    size = np.abs(vals)
+    shallow = size < DIP_DEPTH_FRACTION * size.max(axis=1)[:, None]
+    beside = change.copy()
+    beside[:, 1:] |= change[:, :-1]
+    beside[:, 0] |= change[:, -1]
+    row, j = np.divmod(np.flatnonzero(shallow & ~beside), m)
+    v = vals[row, j]
+    zero = v == 0.0
+    zr, zj = row[zero], j[zero]
     jl, jr = j - 1, (j + 1) % m
-    v, vl, vr = vals[row, j], vals[row, jl], vals[row, jr]
+    vl, vr = vals[row, jl], vals[row, jr]
     keep = (np.abs(v) < np.abs(vl)) & (np.abs(v) <= np.abs(vr))
     keep &= (vl * v > 0) & (v * vr > 0) & (dvals[row, jl] * dvals[row, jr] < 0)
-    return row[keep], j[keep]
+    row, j = row[keep], j[keep]
+    idx = np.stack([j - 1, j, (j + 1) % m])
+    return zr, zj, row, j, vals[row, idx], dvals[row, idx]
 
 
-def _screen(c, series, step, row, j, vals, dvals):
-    """Whether dip candidate (row, j) may hide a root pair in its two grid
-    cells [x_{j-1}, x_j] and [x_j, x_{j+1}].
+def _screen(c, series, row, f, d):
+    """Whether the dip candidate on row `row` of c, with the grid's F and F'
+    at x_{j-1}, x_j and x_{j+1} in f and d (3, n), may hide a root pair in
+    its two grid cells [x_{j-1}, x_j] and [x_j, x_{j+1}].
 
     On a cell of width h the cubic Hermite interpolant H of the grid's F and
     F' differs from F by the remainder F''''(xi)/4! (x - x_0)^2 (x - x_1)^2,
@@ -309,12 +350,12 @@ def _screen(c, series, step, row, j, vals, dvals):
     zero in the cell, those are just two more points of it).
     """
     _, c0, c1, _ = series
-    m = vals.shape[1]
+    m = OVERSAMPLE * (2 * c.shape[1] - 1)
+    step = 2.0 * np.pi / m
     n = np.arange(c.shape[1])
     margin = step**4 / 384 * (n**4 * np.abs(c)).sum(axis=1) + (m + 1) * c0 + 8.0 * c1
-    idx = np.stack([j - 1, j, (j + 1) % m])
-    s = np.sign(vals[row, j])
-    f, d = s * vals[row, idx], s * step * dvals[row, idx]
+    s = np.sign(f[1])
+    f, d = s * f, s * step * d
     # cubic f0 + m0 t + c2 t^2 + c3 t^3 on t in [0, 1], one per cell
     f0, m0, m1 = f[:2], d[:2], d[1:]
     df = f[1:] - f0
@@ -327,79 +368,105 @@ def _screen(c, series, step, row, j, vals, dvals):
     return np.minimum(low, f[1]) <= margin[row]
 
 
-def _dip_brackets(c, series, x, vals, dvals):
+def _dip_brackets(c, series, x, row, j, f, d):
     """Brackets hidden in shallow same-sign dips (near-tangent root pairs).
 
     A pair of close real roots can sit between grid points without a sign
     change; the dip minimum is then a zero of F' with F small.  Only the
-    candidates (_dip_candidates) that pass the Hermite _screen get the
-    extremum located, by Newton on F' inside their grid cell pair (from the
-    secant point: there is no F'' grid for a Hermite start), and F evaluated
-    there.  Returns (row, lo, hi, flo, fhi, dlo, dhi) brackets on both sides
-    of the extremum wherever F flips sign there, with F' from the grid at
-    the outer ends and from the evaluation of F at the extremum at the inner
-    one.  vals and dvals are the (K, m) grids of F and F'.
+    candidates (row of c, grid index j and stencils f, d of
+    _dip_candidates) that pass the Hermite _screen get the extremum
+    located, by Newton on F' inside their grid cell pair (from the secant
+    point: there is no F'' grid for a Hermite start), and F evaluated there.
+    Returns (row, lo, hi, start, sign) brackets (_start) on both sides of
+    the extremum wherever F flips sign there, each started from the cubic
+    Hermite zero of F and F' from the stencil at its outer end and from the
+    evaluation at the extremum at its inner one.  x is the grid.
     """
-    m = vals.shape[1]
     step = x[1]
-    row, j = _dip_candidates(vals, dvals)
-    keep = _screen(c, series, step, row, j, vals, dvals)
-    row, j = row[keep], j[keep]
+    keep = _screen(c, series, row, f, d)
+    row, j, f, d = row[keep], j[keep], f[:, keep], d[:, keep]
     if len(row):
         rows, own = np.unique(row, return_inverse=True)
         slope = _series(1j * np.arange(c.shape[1]) * c[rows])
-        da, db = dvals[row, j - 1], dvals[row, (j + 1) % m]
-        xc = _newton(slope, own, x[j] - step, x[j] + step, da, db)
+        lo, hi = x[j] - step, x[j] + step
+        xc = _newton(slope, own, lo, hi, *_start(lo, hi, d[0], d[2]))
         fc, dc = _series_values(series[0], row, xc)
     else:
         xc = fc = dc = np.empty(0)
-    flips = fc * vals[row, j] < 0
+    flips = fc * f[1] < 0
     row, j, xc, fc, dc = row[flips], j[flips], xc[flips], fc[flips], dc[flips]
-    return (
-        np.concatenate([row, row]),
-        np.concatenate([x[j] - step, xc]),
-        np.concatenate([xc, x[j] + step]),
-        np.concatenate([vals[row, j - 1], fc]),
-        np.concatenate([fc, vals[row, (j + 1) % m]]),
-        np.concatenate([dvals[row, j - 1], dc]),
-        np.concatenate([dc, dvals[row, (j + 1) % m]]),
-    )
+    f, d = f[:, flips], d[:, flips]
+    lo, hi = np.concatenate([x[j] - step, xc]), np.concatenate([xc, x[j] + step])
+    starts = _start(lo, hi, np.concatenate([f[0], fc]), np.concatenate([fc, f[2]]),
+                    np.concatenate([d[0], dc]), np.concatenate([dc, d[2]]))
+    return (np.concatenate([row, row]), lo, hi, *starts)
+
+
+def _chunk_rows(n1):
+    """Rows per grid chunk for coefficient rows of length n1: max(1, 2^15 // m)
+    for the m-point grid."""
+    return max(1, _CHUNK_GRID_POINTS // (OVERSAMPLE * (2 * n1 - 1)))
+
+
+def _scan(c, k0, k1, xe):
+    """The grid pass over rows k0..k1-1 of the coefficient rows c, on the
+    grid xe[:-1] of m points: the rows' sign-change brackets (row, lo, hi,
+    start, sign) with their Hermite start (_start), then the exact zeros and
+    dip candidates of _dip_candidates, each with its row in c.  The chunk's
+    grid is freed on return."""
+    m = len(xe) - 1
+    grid = _grid_values(c[k0:k1], m)
+    vals, dvals = grid[:, 0], grid[:, 1]
+    # F changes sign between x_j and x_j+1 (the last cell wraps to x_0)
+    change = np.empty(vals.shape, dtype=bool)
+    np.less(vals[:, :-1] * vals[:, 1:], 0.0, out=change[:, :-1])
+    change[:, -1] = vals[:, -1] * vals[:, 0] < 0.0
+    row, j = np.divmod(np.flatnonzero(change), m)
+    j1 = (j + 1) % m
+    lo, hi = xe[j], xe[j + 1]
+    start = _start(lo, hi, vals[row, j], vals[row, j1], dvals[row, j], dvals[row, j1])
+    zr, zj, drow, dj, f, d = _dip_candidates(vals, dvals, change)
+    return row + k0, lo, hi, *start, zr + k0, zj, drow + k0, dj, f, d
 
 
 def _real_roots_block(c):
     """Sorted real zeros in [0, 2*pi) of each coefficient row of c (K, N+1),
     one array per row.
 
-    One batched grid for the block, sign-change and dip brackets found on
-    the 2-D grid with their row index, and one Newton pass over every
-    bracket of the block.  Two refined roots of a row closer than 10*TOL
-    count as one.
+    The grid pass runs chunk by chunk (_chunk_rows rows each, _scan): one
+    batched transform per chunk, its sign-change brackets, exact zeros and
+    dip candidates found on the 2-D grid with their row index, and the
+    chunk's grid freed before the next one.  Everything after it runs once
+    for all K rows: the Hermite screen of the dip candidates and the Newton
+    on F' of those it keeps, one stable sort of the brackets by row, one
+    Newton pass over every bracket, and the per-row dedupe and split.  Two
+    refined roots of a row closer than 10*TOL count as one.  A row's roots
+    do not depend on the other rows, since every step works row by row and
+    the series evaluator is batch-invariant.
     """
     if not np.all(np.any(c != 0.0, axis=1)):
         raise ValueError("degenerate input: polynomial is identically zero")
     K, n1 = c.shape
     m = OVERSAMPLE * (2 * n1 - 1)
     xe = np.arange(m + 1) * (2.0 * np.pi / m)
-    x = xe[:m]
-    grid = _grid_values(c, m)
-    vals, dvals = grid[:, 0], grid[:, 1]
     s = _series(c)
-
-    # F changes sign between x_j and x_j+1 (the last cell wraps to x_0)
-    change = np.empty(vals.shape, dtype=bool)
-    np.less(vals[:, :-1] * vals[:, 1:], 0.0, out=change[:, :-1])
-    change[:, -1] = vals[:, -1] * vals[:, 0] < 0.0
-    row, j = np.nonzero(change)
-    j1 = (j + 1) % m
-    found = (row, x[j], xe[j + 1], vals[row, j], vals[row, j1], dvals[row, j], dvals[row, j1])
-    dips = _dip_brackets(c, s, x, vals, dvals)
-    own, *brackets = map(np.concatenate, zip(found, dips))
+    k = _chunk_rows(n1)
+    parts = [_scan(c, k0, k0 + k, xe) for k0 in range(0, K, k)]
+    *found, zr, zj, row, j, f, d = (np.concatenate(v, axis=-1) for v in zip(*parts))
+    del parts
+    dips = _dip_brackets(c, s, xe[:m], row, j, f, d)
+    own, *brackets = (np.concatenate(v) for v in zip(found, dips))
+    del found, dips, row, j, f, d
     order = np.argsort(own, kind="stable")
     own, brackets = own[order], [v[order] for v in brackets]
-    zr, zj = np.nonzero(vals == 0.0)
-    roots = np.mod(np.concatenate([x[zj], _newton(s, own, *brackets)]), 2.0 * np.pi)
+    del order
+    roots = np.mod(np.concatenate([xe[zj], _newton(s, own, *brackets)]), 2.0 * np.pi)
     own = np.concatenate([zr, own])
-    order = np.lexsort((roots, own))
+    # by row, then by value: ties are equal values, so the values' sort
+    # need not be stable; the rows' sort is, and NumPy radix-sorts row
+    # indices held in the smallest unsigned type
+    order = np.argsort(roots)
+    order = order[np.argsort(own[order].astype(np.min_scalar_type(K)), kind="stable")]
     roots, own = roots[order], own[order]
     # per row: drop a root within 10*TOL of the one before it, and the
     # wrap-around duplicate (a root found both near 0 and near 2*pi)

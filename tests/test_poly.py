@@ -14,8 +14,10 @@ from trigcrystal.poly import (
     TrigPolynomial,
     VarianceProfile,
     _coefficient_rows,
+    _SERIES_WORDS,
+    _TILE,
     _coefficients,
-    _factored,
+    _radix,
     _series_values,
     _value_and_slope,
     derivative_rescaled,
@@ -251,10 +253,10 @@ class TestFactoredEvaluator:
 
     @pytest.mark.parametrize("N", [1, 2, 64, 256, 4096])
     def test_exponentials_per_point(self, N, monkeypatch):
-        # exp(i 2^j x) for 2^j < B and exp(i 2^j B x) for 2^j < Q only
+        # exp(i 2^j x) for 2^j < B and exp(i 2^j B x) for 2^j < Q only, at
+        # each point padded to a whole number of tiles
         f = sample(EnsembleSpec.equal_variance(N, 0, 1, 3), 0)
-        C = _factored(_coefficients(f)[None])
-        B, Q = C.shape[1], C.shape[2] // 2
+        B, Q = _radix(N + 1)
         taken, exp = [], np.exp
 
         def counting_exp(z, *args, **kwargs):
@@ -263,9 +265,10 @@ class TestFactoredEvaluator:
 
         monkeypatch.setattr(np, "exp", counting_exp)
         x = np.linspace(0.1, 6.0, 50)
-        value, _ = _series_values(C, np.zeros(len(x), int), x)
+        value, _ = _series_values(_coefficients(f)[None], np.zeros(len(x), int), x)
         monkeypatch.undo()
-        assert sum(taken) <= (math.ceil(math.log2(B)) + math.ceil(math.log2(Q))) * len(x)
+        padded = -(-len(x) // _TILE) * _TILE
+        assert sum(taken) <= (math.ceil(math.log2(B)) + math.ceil(math.log2(Q))) * padded
         self.assert_within_floor(f, x, value, dense_value_and_slope(f, x)[0], 1.0)
 
     @settings(max_examples=150, deadline=None)
@@ -282,10 +285,10 @@ class TestFactoredEvaluator:
         # uneven groups (one row without points) padded into one matmul
         N = 40
         fs = [sample(EnsembleSpec.equal_variance(N, 0, 4, 5), i) for i in range(4)]
-        C = _factored(np.stack([_coefficients(f) for f in fs]))
+        c = np.stack([_coefficients(f) for f in fs])
         own = np.repeat([0, 2, 3], [7, 1, 12])
         x = np.random.default_rng(8).uniform(-7.0, 7.0, len(own))
-        value, slope = _series_values(C, own, x)
+        value, slope = _series_values(c, own, x)
         for k in (0, 2, 3):
             on = own == k
             want_value, want_slope = dense_value_and_slope(fs[k], x[on])
@@ -293,6 +296,10 @@ class TestFactoredEvaluator:
             self.assert_within_floor(fs[k], x[on], slope[on], want_slope, 1.0, order=1)
 
     def test_peak_memory_is_bounded_at_the_largest_degree(self):
+        # one row of many points: the results, the row's indices, padded
+        # points and sums take 7 words a point, and the temporaries of each
+        # slice of it stay inside the word budget (with room for NumPy's own
+        # buffers and the row's factored matrix)
         f = sample(EnsembleSpec.equal_variance(4096, 0, 1, 3), 0)
         x = np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, 20_000)
         tracemalloc.start()
@@ -301,10 +308,25 @@ class TestFactoredEvaluator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20e6
-        # the points span several row blocks; the last, partial one too
+        assert peak <= 7 * 8 * len(x) + 2 * 8 * _SERIES_WORDS
+        # the points span several slices; the last, partial one too
         tail = x[-50:]
         self.assert_within_floor(f, tail, value[-50:], dense_value_and_slope(f, tail)[0], 1.0)
+
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_a_point_does_not_depend_on_the_others_in_the_call(self, N):
+        # 300 points on 15 rows, evaluated whole and again in groups of 1, 7,
+        # 30 and 100 points: the same values bit for bit, so a root found in
+        # a batch of polynomials is the root of its polynomial found alone
+        c = _coefficient_rows(EnsembleSpec.equal_variance(N, 0, 15, 3), 0, 15)
+        rng = np.random.default_rng(N)
+        own = np.sort(rng.integers(0, 15, 300))
+        x = rng.uniform(0.0, 2.0 * math.pi, 300)
+        whole = np.stack(_series_values(c, own, x))
+        for size in (1, 7, 30, 100):
+            parts = [np.stack(_series_values(c, own[i:i + size], x[i:i + size]))
+                     for i in range(0, 300, size)]
+            assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
 
 class TestEvaluateRescaled:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trigcrystal import ensemble
 from trigcrystal import roots as roots_module
-from trigcrystal.ensemble import _block_size, real_zero_ensemble
+from trigcrystal.ensemble import _block_size, real_zero_ensemble, rescale_zeros
 from trigcrystal.poly import (
     EnsembleSpec,
     TrigPolynomial,
@@ -183,6 +184,11 @@ def block_of(fs):
     return _real_roots_block(np.stack([_coefficients(f) for f in fs]))
 
 
+# realizations per test block: one grid chunk, so the tests' cost does not
+# grow with the ensemble's batch
+BLOCK = {64: 15, 256: 3}
+
+
 def seeded_block(N, p, K):
     """The first K realizations of the seed-4242 ensemble, differentiated p times."""
     spec = EnsembleSpec.equal_variance(N, 0, K, 4242)
@@ -216,11 +222,9 @@ class TestBlock:
             TrigPolynomial(N, tangent + 1.0 * (np.arange(N + 1) == 0), np.zeros(N + 1)),
         ]
         block = block_of(fs)
-        assert [len(r) for r in block] == [real_roots_sampled(f).real_count for f in fs]
         assert len(block[1]) == len(block[3]) == 2 * N and len(block[5]) == 0
         for f, roots in zip(fs, block):
-            if len(roots):
-                assert np.max(np.abs(roots - real_roots_sampled(f).real_roots)) < 1e-13
+            assert np.array_equal(roots, real_roots_sampled(f).real_roots)
 
     def test_a_zero_member_is_degenerate(self):
         fs = [cosine(3), TrigPolynomial(3, [0.0] * 4, [0.0] * 4)]
@@ -229,7 +233,7 @@ class TestBlock:
 
     @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (64, 500)])
     def test_whole_block_matches_the_companion_oracle(self, N, p):
-        fs = seeded_block(N, p, max(_block_size(N), 2))
+        fs = seeded_block(N, p, BLOCK[N])
         assert_matches_companion(fs, block_of(fs))
 
     @pytest.mark.parametrize("N,p,most", [(64, 0, 1.5), (256, 20, 1.15)])
@@ -238,12 +242,12 @@ class TestBlock:
         # pass included; the secant start needed 3.4 (N=64) and 2.9 (N=256),
         # the Hermite start with an evaluated Newton point 2.1 and 2.0; with
         # the certified Newton point most roots take the start alone
-        fs = seeded_block(N, p, _block_size(N))
+        fs = seeded_block(N, p, BLOCK[N])
         points, evaluate = [], roots_module._series_values
 
-        def counting(C, own, x):
+        def counting(c, own, x):
             points.append(len(x))
-            return evaluate(C, own, x)
+            return evaluate(c, own, x)
 
         monkeypatch.setattr(roots_module, "_series_values", counting)
         block = block_of(fs)
@@ -256,7 +260,7 @@ class TestBlock:
         # |F(root)| <= 2 (c0 + c1 |root|) in 40-digit arithmetic
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        fs = seeded_block(N, p, max(_block_size(N), 2))
+        fs = seeded_block(N, p, BLOCK[N])
         for f, roots in zip(fs, block_of(fs)):
             c0, c1, _ = roots_module._noise_floor(_coefficients(f))
             coeffs = [mp.mpc(float(a), -float(b)) for a, b in zip(f.cos_coeffs, f.sin_coeffs)]
@@ -267,14 +271,22 @@ class TestBlock:
                     w *= z
                 assert abs(float(value)) <= 2.0 * (c0 + c1 * abs(x))
 
-    def test_ensemble_is_bit_identical_across_threads(self):
-        # N=10 has 97 realizations per block: two full blocks and a partial one
-        spec = EnsembleSpec.equal_variance(10, 0, 201, 77)
-        assert _block_size(10) == 97
-        serial = real_zero_ensemble(spec, threads=1)
-        parallel = real_zero_ensemble(spec, threads=3)
-        assert len(serial) == len(parallel) == 201
-        assert all(np.array_equal(a, b) for a, b in zip(serial, parallel))
+    @pytest.mark.parametrize("chunks", [1, ensemble._BATCH_CHUNKS, 4 * ensemble._BATCH_CHUNKS])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_ensemble_roots_are_those_of_each_polynomial_alone(self, chunks, threads,
+                                                                monkeypatch):
+        # whatever the batch and the thread count, realization i's roots are
+        # bit for bit those of its own polynomial found alone; the count
+        # spans two full default batches and a partial one
+        N, p = 64, 0
+        M = 2 * _block_size(N) + 17
+        spec = EnsembleSpec.equal_variance(N, p, M, 77)
+        monkeypatch.setattr(ensemble, "_BATCH_CHUNKS", chunks)
+        found = real_zero_ensemble(spec, threads=threads)
+        assert len(found) == M
+        for i, roots in enumerate(found):
+            f = derivative_rescaled(sample(spec, i), p)
+            assert np.array_equal(roots, rescale_zeros(real_roots_sampled(f).real_roots, N))
 
 
 def polynomial_of(row):
@@ -294,15 +306,16 @@ class TestDipScreen:
                 a[0] = 1.0 + eps
                 a[8], b[8] = math.cos(8 * shift), math.sin(8 * shift)
                 tangent.append(TrigPolynomial(8, a, b))
-        return [seeded_block(64, 0, _block_size(64)), seeded_block(256, 20, 3), tangent]
+        return [seeded_block(64, 0, BLOCK[64]), seeded_block(256, 20, BLOCK[256]), tangent]
 
     def screened(self, fs):
         c = np.stack([_coefficients(f) for f in fs])
         m = 16 * (2 * c.shape[1] - 1)
         grid = _grid_values(c, m)
         vals, dvals = grid[:, 0], grid[:, 1]
-        row, j = _dip_candidates(vals, dvals)
-        keep = _screen(c, _series(c), 2 * math.pi / m, row, j, vals, dvals)
+        change = vals * np.roll(vals, -1, axis=1) < 0
+        *_, row, j, f, d = _dip_candidates(vals, dvals, change)
+        keep = _screen(c, _series(c), row, f, d)
         return c, m, vals, row, j, keep
 
     def test_dropped_candidates_have_no_sign_change(self):
