@@ -14,6 +14,7 @@ mode.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +41,12 @@ _SERIES_WORDS = 1 << 16
 # the series evaluator pads each row's points to whole tiles of this many
 # points, so that no point falls in the remainder of a BLAS or SIMD kernel
 _TILE = 16
+# the hash constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx),
+# whose seeding of one substream _pcg64_states replays for many at once
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _frozen_array(values, name):
@@ -182,16 +189,86 @@ class EnsembleSpec:
         )
 
 
+def _seed_hash(v, init, mult, n, rows):
+    """SeedSequence's hash of the uint32 words v, once for each of `rows`
+    consecutive constants c_k, k = n, n+1, ..., of the sequence c_k = init *
+    mult^k mod 2^32: x = (v ^ c_k) * c_k+1, then x ^ (x >> 16), one row per
+    constant."""
+    c = [init * pow(mult, n + k, 1 << 32) & _MASK32 for k in range(rows + 1)]
+    c = np.array(c, dtype=np.uint32)[:, None]
+    x = (v ^ c[:-1]) * c[1:]
+    return x ^ x >> 16
+
+
+def _seed_mix(pool, v):
+    """SeedSequence's mix of the hashes v into the pool words."""
+    x = _MIX_L * pool - _MIX_R * v
+    return x ^ x >> 16
+
+
+def _pcg64_states(seed, lo, hi):
+    """The words SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4,
+    uint64) seeds PCG64 with, for i = lo..hi-1, as a (hi - lo, 4) array.
+
+    SeedSequence hashes the 32-bit words of the seed into a pool of four
+    words (zero-padded to four), then mixes four hashes of each word of the
+    spawn key into the pool, one into each word, and hashes the pool into
+    the state.  The first stage is the pool of the unspawned
+    SeedSequence(seed); the rest is replayed here on uint32 arrays for every
+    i at once.  Its hashes take consecutive constants of one sequence, so
+    the spawn key's take them after the 16 of the four-word pool and the 4
+    of each further seed word.  An index below 2^32 is one key word, one
+    below 2^64 two; a larger one, past any ensemble that fits in memory,
+    takes its own SeedSequence.
+    """
+    out = np.empty((hi - lo, 4), dtype=np.uint64)
+    i = np.arange(lo, max(lo, min(hi, 1 << 64)), dtype=np.uint64)
+    n = 16 + 4 * max(0, -(-int(seed).bit_length() // 32) - 4)
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    pool = _seed_mix(pool, _seed_hash(i.astype(np.uint32), _INIT_A, _MULT_A, n, 4))
+    two = i >= 1 << 32
+    if two.any():
+        high = (i[two] >> np.uint64(32)).astype(np.uint32)
+        pool[:, two] = _seed_mix(pool[:, two], _seed_hash(high, _INIT_A, _MULT_A, n + 4, 4))
+    state = _seed_hash(np.concatenate([pool, pool]), _INIT_B, _MULT_B, 0, 8)
+    # each uint64 is two uint32 words, the first the low half
+    out[:len(i)] = state.T.astype("<u4", order="C").view("<u8")
+    for k in range(len(i), hi - lo):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(lo + k,))
+        out[k] = seq.generate_state(4, np.uint64)
+    return out
+
+
+@functools.cache
+def _seed_words():
+    """The seed sequence that hands PCG64 its state words as given, defined
+    on the first draw: numpy.random is not imported with the package."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for its four uint64 state words
+            return self.state
+
+    return Words
+
+
 def _draws(spec: EnsembleSpec, lo: int, hi: int):
     """Cos and sin coefficient rows (hi - lo, N+1) of realizations lo..hi-1.
 
     Row k holds the normals of substream (master_seed, lo + k), drawn
-    straight into it, times sigma_n, with b_0 = 0.
+    straight into it, times sigma_n, with b_0 = 0.  Each substream's PCG64
+    is seeded from the words of _pcg64_states, computed for the whole range
+    at once, through a seed sequence that hands them over: the same
+    generator as default_rng(SeedSequence(master_seed, spawn_key=(lo + k,))).
     """
+    words = _seed_words()
     z = np.empty((hi - lo, 2, spec.degree + 1))
-    for k in range(hi - lo):
-        seq = np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(lo + k,))
-        np.random.default_rng(seq).standard_normal(out=z[k])
+    for k, state in enumerate(_pcg64_states(spec.master_seed, lo, hi)):
+        np.random.Generator(np.random.PCG64(words(state))).standard_normal(out=z[k])
     z *= spec.profile.sigmas
     z[:, 1, 0] = 0.0
     return z[:, 0], z[:, 1]

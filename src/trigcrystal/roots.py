@@ -5,14 +5,17 @@ Two independent routes are provided and cross-validated in the test suite:
 * ``real_roots_sampled`` evaluates F and F' on a uniform grid of
   m = 16*(2N+1) points by one inverse real FFT of length m (O(m) memory),
   brackets the sign changes of F and refines each bracket by a safeguarded
-  Newton iteration.  It starts at the zero of the cubic Hermite
-  interpolant of F and F' at the two bracket ends, which the grid already
-  holds, and accepts the Newton point from there without evaluating it
-  when a proven bound puts |F| there within twice the noise floor: the
-  second-order Taylor remainder, at most sum n^2 |c_n| D^2 / 2 for a step
-  D, plus the evaluator's errors at the start and the rounding of the step
-  (``_newton``).  So most roots take one evaluation, at the start (1.03
-  per root at N=256, p=20; 1.38 at N=64, p=0, with its many close pairs).
+  Newton iteration.  It starts at the zero of the septic Hermite
+  interpolant of F and F' at the bracket ends and at the grid points either
+  side of them, which the grid already holds, and accepts the Newton point
+  from there without evaluating it when a proven bound puts |F| there
+  within twice the noise floor: the second-order Taylor remainder, at most
+  sum n^2 |c_n| D^2 / 2 for a step D, plus the evaluator's errors at the
+  start and the rounding of the step (``_newton``).  The septic start lies
+  within about 1e-8 of a grid cell of the root, close enough for that
+  bound, so nearly every root takes one evaluation, at the start (1.000
+  per root at N=256, p=20 and 1.005 at N=64, p=0, with its many close
+  pairs, where the cubic Hermite start of the two ends took 1.03 and 1.38).
   Off the grid, F and F' come from the factored evaluator of
   ``poly``, which writes exp(inx) as exp(iqBx) exp(irx) with
   B = ceil(sqrt(N+1)) and builds both factors by doubling products from
@@ -77,10 +80,6 @@ TOL = 1e-12
 # companion eigenvalues with ||z| - 1| below this are real roots
 CLASSIFY_TOL = 1e-8
 MAX_REFINE_ITERATIONS = 200
-# Newton steps on the cubic of the Hermite start: from the secant point two
-# already land well inside the cubic's own error, about (N*h)^4/384 ~ 4e-6
-# of a grid cell at 16x oversampling; a third saves no evaluation
-HERMITE_STEPS = 2
 _EPS = np.finfo(float).eps
 # dips shallower than this fraction of the grid max cannot hide a root pair
 # on the 16x grid (depth <= (N*dx)^2/8 of the local scale); like the F'
@@ -173,43 +172,73 @@ def _series(c):
 def _inside(x, lo, hi):
     """(x where it lies strictly inside (lo, hi), the midpoint elsewhere;
     the mask of the points kept)."""
-    ok = np.isfinite(x) & (x > lo) & (x < hi)
+    ok = (x > lo) & (x < hi)
     return np.where(ok, x, 0.5 * (lo + hi)), ok
 
 
-def _hermite_start(lo, hi, flo, fhi, dlo, dhi):
-    """Zero of the cubic Hermite interpolant of f and f' at both ends of each
-    bracket, by HERMITE_STEPS Newton steps on t in (0, 1) from the secant t.
+# the coefficients of t^2 .. t^7 of the septic Hermite interpolant of f and
+# h f' on the stencil t = -1, 0, 1, 2, from f there (the first four columns)
+# and h f' there (the last four); those of 1 and t are f and h f' at t = 0
+_SEPTIC = np.array([
+    [56, -297, 216, 25, 12, -108, -108, -6],
+    [-124, 27, 108, -11, -24, -189, 0, 3],
+    [50, 270, -270, -50, 3, 216, 189, 12],
+    [59, -54, -27, 22, 21, 54, -27, -6],
+    [-52, -81, 108, 25, -15, -108, -81, -6],
+    [11, 27, -27, -11, 3, 27, 27, 3],
+], dtype=float) / 108
 
-    With m = h f' at the ends (h = hi - lo) and d = fhi - flo the cubic is
-    flo + mlo t + (3d - 2mlo - mhi) t^2 + (mlo + mhi - 2d) t^3.  On a grid
-    cell its error is O((N h)^4) of the local scale against O((N h)^2) for
-    the secant point, so it starts Newton one round closer to the root.
+
+def _hermite_start(lo, hi, s):
+    """Zero in each bracket [lo, hi] of the Hermite interpolant of the
+    stencil s: f at lo and hi, then h f' there, with h = hi - lo, s (4, n);
+    or f at lo - h, lo, hi and hi + h, then h f' there, s (8, n).
+
+    In t = (x - lo) / h, with m = h f' and D = f(hi) - f(lo), the cubic
+    Hermite interpolant at the ends is H = f(lo) + m(lo) t + (3D - 2m(lo) -
+    m(hi)) t^2 + (m(lo) + m(hi) - 2D) t^3.  Two Newton steps on it from
+    the secant t land inside its own error, at most (N h)^4/384 of the
+    coefficient sum: a few 1e-6 of a grid cell at 16x oversampling.  On the
+    eight-value stencil one step on the septic Hermite interpolant P
+    follows, t - P(t)/H'(t), and lands inside P's error: at most
+    0.32 (N h)^8/8! of the coefficient sum, about 2e-11.  The slopes of P
+    and H differ by O((N h)^4) of the slope, so that step, from within a few
+    1e-6 of a cell of P's zero, lands within about 1e-8 of a cell of it.
     """
-    h, d = hi - lo, fhi - flo
-    m0, m1 = h * dlo, h * dhi
-    c2, c3 = 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d
-    t = -flo / d
-    for _ in range(HERMITE_STEPS):
-        t = t - (flo + t * (m0 + t * (c2 + t * c3))) / (m0 + t * (2.0 * c2 + 3.0 * t * c3))
-    return lo + t * h
+    septic = len(s) == 8
+    (f0, f1), (m0, m1) = (s[1:3], s[5:7]) if septic else (s[:2], s[2:])
+    D = f1 - f0
+    c2, c3 = 3.0 * D - 2.0 * m0 - m1, m0 + m1 - 2.0 * D
+    b2, b3 = 2.0 * c2, 3.0 * c3
+    t = -f0 / D
+    for _ in range(2):
+        slope = m0 + t * (b2 + t * b3)
+        t = t - (f0 + t * (m0 + t * (c2 + t * c3))) / slope
+    if septic:
+        # P(t) by Horner's rule, from its coefficients lowest first; einsum,
+        # not matmul: a real matrix product would be a run's only call of
+        # BLAS dgemm, whose code adds 0.45 MB to its peak resident set
+        *a, P = (f0, m0, *np.einsum("kj,jn->kn", _SEPTIC, s))
+        for ak in a[::-1]:
+            P = P * t + ak
+        t = t - P / slope
+    return lo + t * (hi - lo)
 
 
-def _start(lo, hi, flo, fhi, dlo=None, dhi=None):
-    """Newton's start in each bracket [lo, hi] with f = flo, fhi of opposite
-    sign at its ends, and the sign of flo.
-
-    Given the slopes dlo and dhi at the ends the start is the zero of the
-    cubic Hermite interpolant (_hermite_start), otherwise the secant point;
-    where it would leave the bracket, the midpoint.
+def _start(lo, hi, s):
+    """Newton's start in each bracket [lo, hi] and the sign of f at lo,
+    from the stencil s of f of opposite sign at lo and hi: f there, s (2, n),
+    gives the secant point; with h f' (_hermite_start), the zero of the
+    cubic, s (4, n), or of the septic, s (8, n), Hermite interpolant.  Where
+    the start would leave the bracket, the midpoint.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if dlo is None:
-            x = (lo * fhi - hi * flo) / (fhi - flo)
+        if len(s) == 2:
+            x = (lo * s[1] - hi * s[0]) / (s[1] - s[0])
         else:
-            x = _hermite_start(lo, hi, flo, fhi, dlo, dhi)
+            x = _hermite_start(lo, hi, s)
         x, _ = _inside(x, lo, hi)
-    return x, np.sign(flo)
+    return x, np.sign(s[1] if len(s) == 8 else s[0])
 
 
 def _newton(series, own, lo, hi, x, lo_sign):
@@ -245,8 +274,11 @@ def _newton(series, own, lo, hi, x, lo_sign):
     sums c0, c1, c2 is far inside the room the evaluator leaves: its errors
     stay below a quarter of e and e' in those tests.  The dip pass's Newton
     on F' runs the same rule on the slope rows, with their own (c0, c1, c2).
-    At N = 256, p = 20 the first Newton step is certified for nearly every
-    root, so a root costs one evaluation, at the Hermite start.
+    From the septic start of a sign-change bracket (_start) the first Newton
+    step is certified for nearly every root, so a root costs one
+    evaluation, at the start.  The cubic start of the two bracket ends,
+    about 2e-8 rad from the root at N=64, left 38% of the roots there to a
+    second round.
     """
     roots = np.empty(len(x))
     c, c0, c1, c2 = series
@@ -389,16 +421,17 @@ def _dip_brackets(c, series, x, row, j, f, d):
         rows, own = np.unique(row, return_inverse=True)
         slope = _series(1j * np.arange(c.shape[1]) * c[rows])
         lo, hi = x[j] - step, x[j] + step
-        xc = _newton(slope, own, lo, hi, *_start(lo, hi, d[0], d[2]))
+        xc = _newton(slope, own, lo, hi, *_start(lo, hi, d[::2]))
         fc, dc = _series_values(series[0], row, xc)
     else:
         xc = fc = dc = np.empty(0)
     flips = fc * f[1] < 0
     row, j, xc, fc, dc = row[flips], j[flips], xc[flips], fc[flips], dc[flips]
     f, d = f[:, flips], d[:, flips]
+    f[1], d[1] = fc, dc
     lo, hi = np.concatenate([x[j] - step, xc]), np.concatenate([xc, x[j] + step])
-    starts = _start(lo, hi, np.concatenate([f[0], fc]), np.concatenate([fc, f[2]]),
-                    np.concatenate([d[0], dc]), np.concatenate([dc, d[2]]))
+    f, d = np.concatenate([f[:2], f[1:]], axis=1), np.concatenate([d[:2], d[1:]], axis=1)
+    starts = _start(lo, hi, np.concatenate([f, (hi - lo) * d]))
     return (np.concatenate([row, row]), lo, hi, *starts)
 
 
@@ -411,9 +444,11 @@ def _chunk_rows(n1):
 def _scan(c, k0, k1, xe):
     """The grid pass over rows k0..k1-1 of the coefficient rows c, on the
     grid xe[:-1] of m points: the rows' sign-change brackets (row, lo, hi,
-    start, sign) with their Hermite start (_start), then the exact zeros and
-    dip candidates of _dip_candidates, each with its row in c.  The chunk's
-    grid is freed on return."""
+    start, sign), then the exact zeros and dip candidates of
+    _dip_candidates, each with its row in c.  Each bracket [x_j, x_j+1]
+    starts at the septic Hermite zero (_start) of the grid's F and F' on
+    the stencil x_j-1 .. x_j+2, gathered here, so that the stencils of a
+    chunk live only as long as its grid, which is freed on return."""
     m = len(xe) - 1
     grid = _grid_values(c[k0:k1], m)
     vals, dvals = grid[:, 0], grid[:, 1]
@@ -422,9 +457,17 @@ def _scan(c, k0, k1, xe):
     np.less(vals[:, :-1] * vals[:, 1:], 0.0, out=change[:, :-1])
     change[:, -1] = vals[:, -1] * vals[:, 0] < 0.0
     row, j = np.divmod(np.flatnonzero(change), m)
-    j1 = (j + 1) % m
+    # F, then h F', on the stencil x_j-1 .. x_j+2 of each bracket
+    # [x_j, x_j+1], wrapped, taken from the chunk's (rows, 2, m) grid by flat
+    # index; h is the grid step
+    at = (j + np.arange(-1, 3)[:, None]) % m + 2 * m * row
+    s = np.empty((8, len(j)))
+    grid.reshape(-1).take(at, out=s[:4])
+    grid.reshape(-1).take(at + m, out=s[4:])
+    del at
+    s[4:] *= xe[1]
     lo, hi = xe[j], xe[j + 1]
-    start = _start(lo, hi, vals[row, j], vals[row, j1], dvals[row, j], dvals[row, j1])
+    start = _start(lo, hi, s)
     zr, zj, drow, dj, f, d = _dip_candidates(vals, dvals, change)
     return row + k0, lo, hi, *start, zr + k0, zj, drow + k0, dj, f, d
 

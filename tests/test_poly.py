@@ -17,6 +17,7 @@ from trigcrystal.poly import (
     _SERIES_WORDS,
     _TILE,
     _coefficients,
+    _draws,
     _radix,
     _series_values,
     _value_and_slope,
@@ -115,6 +116,29 @@ class TestSampling:
             f = sample(spec, i)
             assert f.cos_coeffs.tobytes() == a.tobytes()
             assert f.sin_coeffs.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 12345,
+                                      2**130 + 5])
+    def test_batch_seeding_is_one_seed_sequence_per_realization(self, seed):
+        # _draws seeds a whole range of substreams at once, yet realization i
+        # is the draw of its own SeedSequence(seed, spawn_key=(i,)) through
+        # default_rng: across a batch boundary (120 at N=64), for a seed of
+        # more than four 32-bit words, across the indices where the spawn key
+        # grows to two and three words, and through sample
+        N = 5
+        spec = EnsembleSpec.equal_variance(N, 0, 2**64 + 1, seed)
+        drawn = []
+        for lo, hi, rows in ((0, 122, (0, 119, 120, 121)), (2**32 - 1, 2**32 + 1, (0, 1)),
+                             (2**64 - 1, 2**64 + 1, (0, 1))):
+            a, b = _draws(spec, lo, hi)
+            drawn += [(lo + k, np.concatenate([a[k], b[k]])) for k in rows]
+        f = sample(spec, 2**32 + 1)
+        drawn.append((2**32 + 1, np.concatenate([f.cos_coeffs, f.sin_coeffs])))
+        for i, got in drawn:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            z = rng.standard_normal(2 * (N + 1))
+            z[N + 1] = 0.0
+            assert got.tobytes() == z.tobytes()
 
     @pytest.mark.parametrize("p", [0, 1, 3, 20])
     def test_block_rows_equal_sample_bit_for_bit(self, p):

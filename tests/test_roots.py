@@ -23,6 +23,7 @@ from trigcrystal.roots import (
     _dip_candidates,
     _grid_values,
     _real_roots_block,
+    _scan,
     _screen,
     _series,
     all_roots_companion,
@@ -186,7 +187,7 @@ def block_of(fs):
 
 # realizations per test block: one grid chunk, so the tests' cost does not
 # grow with the ensemble's batch
-BLOCK = {64: 15, 256: 3}
+BLOCK = {10: 97, 16: 62, 64: 15, 256: 3}
 
 
 def seeded_block(N, p, K):
@@ -236,12 +237,14 @@ class TestBlock:
         fs = seeded_block(N, p, BLOCK[N])
         assert_matches_companion(fs, block_of(fs))
 
-    @pytest.mark.parametrize("N,p,most", [(64, 0, 1.5), (256, 20, 1.15)])
-    def test_hermite_start_saves_evaluations(self, N, p, most, monkeypatch):
+    @pytest.mark.parametrize("N,p,most", [(64, 0, 1.02), (256, 20, 1.01), (16, 3, 1.02),
+                                          (10, 0, 1.02)])
+    def test_septic_start_saves_evaluations(self, N, p, most, monkeypatch):
         # points handed to the series evaluator per root found, the dip
-        # pass included; the secant start needed 3.4 (N=64) and 2.9 (N=256),
-        # the Hermite start with an evaluated Newton point 2.1 and 2.0; with
-        # the certified Newton point most roots take the start alone
+        # pass included; the cubic Hermite start needed 1.38 (N=64) and 1.03
+        # (N=256, p=20), 1.45 (N=16, p=3) and 1.59 (N=10): it lands too far
+        # from the root for the certified Newton point; the septic start
+        # lets almost every root take the start alone
         fs = seeded_block(N, p, BLOCK[N])
         points, evaluate = [], roots_module._series_values
 
@@ -253,6 +256,31 @@ class TestBlock:
         block = block_of(fs)
         assert sum(points) <= most * sum(len(r) for r in block)
         assert_matches_companion(fs, block)
+
+    def test_septic_rows_reproduce_every_polynomial_of_degree_seven(self):
+        # from q and q' on the stencil t = -1, 0, 1, 2 the rows give the
+        # coefficients of t^2 .. t^7 of q itself
+        rng = np.random.default_rng(5)
+        t = np.array([-1.0, 0.0, 1.0, 2.0])
+        for q in rng.standard_normal((20, 8)):
+            dq = np.arange(1, 8) * q[1:]
+            s = np.concatenate([np.polyval(q[::-1], t), np.polyval(dq[::-1], t)])
+            assert np.allclose(roots_module._SEPTIC @ s, q[2:], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 7, 64, 1000])
+    def test_septic_start_of_a_cosine_is_within_1e9_of_a_cell(self, N):
+        # cos(Nx - phi), the top mode alone, bends the most per grid cell;
+        # its zeros are (phi + pi/2 + k pi)/N (the cubic start was 4e-7 of a
+        # cell away)
+        phi = 0.3
+        a, b = np.zeros(N + 1), np.zeros(N + 1)
+        a[N], b[N] = math.cos(phi), math.sin(phi)
+        m = 16 * (2 * N + 1)
+        xe = np.arange(m + 1) * (2 * math.pi / m)
+        _, lo, hi, start, *_ = _scan(_coefficients(TrigPolynomial(N, a, b))[None], 0, 1, xe)
+        assert len(start) == 2 * N
+        k = np.round((N * start - phi - math.pi / 2) / math.pi)
+        assert np.all(np.abs(start - (phi + math.pi / 2 + k * math.pi) / N) <= 1e-9 * (hi - lo))
 
     @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (64, 500)])
     def test_every_root_is_within_twice_the_noise_floor(self, N, p):
