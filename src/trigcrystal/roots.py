@@ -15,19 +15,19 @@ Two independent routes are provided and cross-validated in the test suite:
   within about 1e-8 of a grid cell of the root, close enough for that
   bound, so nearly every root takes one evaluation, at the start (1.000
   per root at N=256, p=20 and 1.005 at N=64, p=0, with its many close
-  pairs, where the cubic Hermite start of the two ends took 1.03 and 1.38).
-  Off the grid, F and F' come from the factored evaluator of
+  pairs).  Off the grid, F and F' come from the factored evaluator of
   ``poly``, which writes exp(inx) as exp(iqBx) exp(irx) with
   B = ceil(sqrt(N+1)) and builds both factors by doubling products from
   the exponentials of power-of-two multiples of x, so each Newton point
   costs about log2 N complex exponentials and one small matrix product.  A
   degree-N polynomial has at most 2N real zeros per period, so a missed
-  bracket is very unlikely; a second pass inspects shallow dips that may
-  touch zero without a grid sign change.  It first screens them with the
-  cubic Hermite interpolant of the grid's F and F' and a proven bound on
-  its error, and only the few dips that come within that bound of zero get
-  their extremum located by the same Newton iteration on F' (from the
-  secant point: there is no F'' grid).
+  bracket is very unlikely; a second pass looks for close root pairs
+  hidden inside one grid cell, where F keeps its sign at both ends and F'
+  changes sign.  A proven lower bound on the cubic Hermite interpolant of
+  the grid's F and F' clears most such cells, the cubic itself and a
+  proven bound on its error clear nearly all the rest, and only the few
+  cells where F may come near zero get their extremum located by the same
+  Newton iteration on F' (``_dip_brackets``).
   Refinement stops at the rounding noise of the series: a root x has
   |F(x)| <= 2 e(x), e(x) = 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)),
   where the second term is the rounding of the arguments n*x; an evaluated
@@ -73,7 +73,7 @@ __all__ = [
     "all_roots_companion",
 ]
 
-# the grid has m = OVERSAMPLE*(2N+1) points; the dip pass is argued for 16
+# the grid has m = OVERSAMPLE*(2N+1) points
 OVERSAMPLE = 16
 # two refined roots of one polynomial closer than 10*TOL count as one
 TOL = 1e-12
@@ -81,10 +81,6 @@ TOL = 1e-12
 CLASSIFY_TOL = 1e-8
 MAX_REFINE_ITERATIONS = 200
 _EPS = np.finfo(float).eps
-# dips shallower than this fraction of the grid max cannot hide a root pair
-# on the 16x grid (depth <= (N*dx)^2/8 of the local scale); like the F'
-# sign-change test of _dip_candidates, this holds for that grid alone
-DIP_DEPTH_FRACTION = 0.05
 # the grid pass takes rows in chunks of at most this many grid points per
 # row of F and F', so its grid takes at most 512 KiB however many rows the
 # finder is given
@@ -227,17 +223,12 @@ def _hermite_start(lo, hi, s):
 
 def _start(lo, hi, s):
     """Newton's start in each bracket [lo, hi] and the sign of f at lo,
-    from the stencil s of f of opposite sign at lo and hi: f there, s (2, n),
-    gives the secant point; with h f' (_hermite_start), the zero of the
-    cubic, s (4, n), or of the septic, s (8, n), Hermite interpolant.  Where
-    the start would leave the bracket, the midpoint.
+    from the stencil s of f of opposite sign at lo and hi (_hermite_start):
+    the zero of the cubic, s (4, n), or of the septic, s (8, n), Hermite
+    interpolant.  Where the start would leave the bracket, the midpoint.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if len(s) == 2:
-            x = (lo * s[1] - hi * s[0]) / (s[1] - s[0])
-        else:
-            x = _hermite_start(lo, hi, s)
-        x, _ = _inside(x, lo, hi)
+        x, _ = _inside(_hermite_start(lo, hi, s), lo, hi)
     return x, np.sign(s[1] if len(s) == 8 else s[0])
 
 
@@ -276,9 +267,7 @@ def _newton(series, own, lo, hi, x, lo_sign):
     on F' runs the same rule on the slope rows, with their own (c0, c1, c2).
     From the septic start of a sign-change bracket (_start) the first Newton
     step is certified for nearly every root, so a root costs one
-    evaluation, at the start.  The cubic start of the two bracket ends,
-    about 2e-8 rad from the root at N=64, left 38% of the roots there to a
-    second round.
+    evaluation, at the start.
     """
     roots = np.empty(len(x))
     c, c0, c1, c2 = series
@@ -319,117 +308,131 @@ def _newton(series, own, lo, hi, x, lo_sign):
     )
 
 
-def _dip_candidates(vals, dvals, change):
-    """Exact zeros and dip candidates of one chunk's grids of F and F',
-    vals and dvals (K, m), where change[k, j] says F changes sign between
-    x_j and x_j+1 on row k.
+def _across(op, a):
+    """The ufunc op of the two ends of every grid cell [x_j, x_j+1] of the
+    rows of a (K, m), the last cell wrapping to x_0, as a (K, m) array."""
+    out = np.empty_like(a)
+    op(a[:, :-1], a[:, 1:], out=out[:, :-1])
+    op(a[:, -1], a[:, 0], out=out[:, -1])
+    return out
 
-    Returns (zr, zj) of the grid points where F is exactly zero, and
-    (row, j, f, d) of the grid points that may hide a near-tangent root
-    pair, with f and d (3, n) the grid's F and F' at j-1, j and j+1.  A
-    candidate is a shallow interior minimum of |F| (below DIP_DEPTH_FRACTION
-    of its row's grid max) with no sign change on either side, where F'
-    changes sign across it.  Shallow points are a small share of the grid,
-    so the tests against the neighbours run on them alone, after the points
-    beside a sign change are cleared.  An exact zero is a shallow point that
-    no sign change touches, so the zeros come from the same list.
 
-    Both filters are argued for the 16x grid alone.  On a 5x grid the
-    realization N=16, p=3, seed 7, index 3291 loses a root pair: F' has two
-    zeros between the grid points either side of its dip, so the F' test
-    drops it.
+def _margin(c, c0, c1):
+    """_screen's margin for each coefficient row of c (K, N+1), with c0 and
+    c1 of its noise floor: h^4/384 sum n^4 |c_n| + (m + 1) c0 + 8 c1 on
+    the grid of m points and step h."""
+    m = OVERSAMPLE * (2 * c.shape[1] - 1)
+    n = np.arange(c.shape[1])
+    return (2.0 * np.pi / m) ** 4 / 384 * (n**4 * np.abs(c)).sum(axis=1) + (m + 1) * c0 + 8.0 * c1
+
+
+def _dip_candidates(grid, same, margin, h):
+    """The cells of one chunk's grid of F and F', grid (K, 2, m) with step h,
+    that may hide a near-tangent root pair, as (row, j, f, d): the cell
+    [x_j, x_j+1] of row `row`, with f and d (2, n) the grid's F and F' at
+    its ends.  same[k, j] says F has one nonzero sign at both ends of cell j
+    on row k, and margin holds _screen's margin of each row.
+
+    A candidate is a cell with one sign of F at both ends where the sign
+    bit of F' differs between them, so that F' changes sign in the cell (an
+    F' of exactly +-0 at a grid point flags one of its two cells), less the
+    cells the prefilter clears.  The cubic Hermite interpolant H of the
+    grid's F and F' on a cell is f_j h00 + f_j+1 h01 + h (f'_j h10 +
+    f'_j+1 h11) with h00, h01 >= 0, h00 + h01 = 1 and |h10| + |h11| =
+    t(1 - t) <= 1/4 on t in [0, 1], so with s the sign of F at the ends
+
+        s H >= min(|f_j|, |f_j+1|) - h/4 max(|f'_j|, |f'_j+1|),
+
+    and where that exceeds the margin _screen would drop the cell too.  The
+    gathers take the grid by flat index, as _scan's stencils do.
+
+    The pass assumes that the extremum between a pair of roots hidden in a
+    cell leaves a sign change of F' between the cell's ends: a cell where
+    F' has two zeros (the extremum and a turn back) is not looked at.
     """
-    m = vals.shape[1]
-    size = np.abs(vals)
-    shallow = size < DIP_DEPTH_FRACTION * size.max(axis=1)[:, None]
-    beside = change.copy()
-    beside[:, 1:] |= change[:, :-1]
-    beside[:, 0] |= change[:, -1]
-    row, j = np.divmod(np.flatnonzero(shallow & ~beside), m)
-    v = vals[row, j]
-    zero = v == 0.0
-    zr, zj = row[zero], j[zero]
-    jl, jr = j - 1, (j + 1) % m
-    vl, vr = vals[row, jl], vals[row, jr]
-    keep = (np.abs(v) < np.abs(vl)) & (np.abs(v) <= np.abs(vr))
-    keep &= (vl * v > 0) & (v * vr > 0) & (dvals[row, jl] * dvals[row, jr] < 0)
-    row, j = row[keep], j[keep]
-    idx = np.stack([j - 1, j, (j + 1) % m])
-    return zr, zj, row, j, vals[row, idx], dvals[row, idx]
+    m = grid.shape[2]
+    turn = _across(np.not_equal, np.signbit(grid[:, 1]))
+    turn &= same
+    row, j = np.divmod(np.flatnonzero(turn), m)
+    at = np.stack([j, (j + 1) % m]) + 2 * m * row
+    flat = grid.reshape(-1)
+    f, d = flat.take(at), flat.take(at + m)
+    keep = np.abs(f).min(axis=0) - 0.25 * h * np.abs(d).max(axis=0) <= margin[row]
+    return row[keep], j[keep], f[:, keep], d[:, keep]
 
 
-def _screen(c, series, row, f, d):
-    """Whether the dip candidate on row `row` of c, with the grid's F and F'
-    at x_{j-1}, x_j and x_{j+1} in f and d (3, n), may hide a root pair in
-    its two grid cells [x_{j-1}, x_j] and [x_j, x_{j+1}].
+def _screen(f, d, h, margin):
+    """Whether each dip candidate cell of width h, with the grid's F and F'
+    at its ends in f and d (2, n), may hide a root pair, given its row's
+    margin; and the t in [0, 1] of the least s*H found on it (below).
 
-    On a cell of width h the cubic Hermite interpolant H of the grid's F and
-    F' differs from F by the remainder F''''(xi)/4! (x - x_0)^2 (x - x_1)^2,
+    On a cell the cubic Hermite interpolant H of the grid's F and F'
+    differs from F by the remainder F''''(xi)/4! (x - x_0)^2 (x - x_1)^2,
     at most h^4/384 max|F''''| <= h^4/384 sum n^4 |c_n|.  Rounding adds
     three terms, bounded generously: each grid value of F (F') is off by
     less than m*c0 (m*c1), since the transform's rounding is a small
     multiple of eps log2(m) times the coefficient sums in c0 (c1); H weighs
     those by |h00| + |h01| = 1 and h (|h10| + |h11|) <= h/4 = pi/(2m); and
     the series evaluator's own noise is at most c0 + 2*pi*c1.  The margin
-    is their sum, h^4/384 sum n^4 |c_n| + (m + 1) c0 + 8 c1.
+    (_margin) is their sum, h^4/384 sum n^4 |c_n| + (m + 1) c0 + 8 c1.
 
-    A candidate is kept where s*H, s the sign of the dip, comes within the
-    margin of zero on either cell.  Where it is dropped s*F stays above the
-    evaluator's noise on both cells, so F has no zero there and F at the
-    extremum keeps the sign s: no bracket is lost.  s*H is least at a cell
-    end or at a zero of H', so the cubic is evaluated at the centre grid
-    point and at both zeros of H' clipped into the cell (where H' has no
-    zero in the cell, those are just two more points of it).
+    A cell is kept where s*H, s the sign of F at its ends, comes within the
+    margin of zero.  Where it is dropped s*F stays above the evaluator's
+    noise on the cell, so F has no zero there and F at the extremum keeps
+    the sign s: no bracket is lost.  s*H is least at a cell end or at a
+    zero of H', so the cubic is evaluated at both zeros of H' clipped into
+    the cell (where H' has no zero in the cell, those are just two more
+    points of it) and compared with the ends.  The prefilter of
+    _dip_candidates is a lower bound on the same s*H.
     """
-    _, c0, c1, _ = series
-    m = OVERSAMPLE * (2 * c.shape[1] - 1)
-    step = 2.0 * np.pi / m
-    n = np.arange(c.shape[1])
-    margin = step**4 / 384 * (n**4 * np.abs(c)).sum(axis=1) + (m + 1) * c0 + 8.0 * c1
-    s = np.sign(f[1])
-    f, d = s * f, s * step * d
-    # cubic f0 + m0 t + c2 t^2 + c3 t^3 on t in [0, 1], one per cell
-    f0, m0, m1 = f[:2], d[:2], d[1:]
-    df = f[1:] - f0
+    s = np.sign(f[0])
+    f, d = s * f, s * h * d
+    # cubic f0 + m0 t + c2 t^2 + c3 t^3 on t in [0, 1]
+    f0, m0, m1 = f[0], d[0], d[1]
+    df = f[1] - f0
     c2, c3 = 3.0 * df - 2.0 * m0 - m1, m0 + m1 - 2.0 * df
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # zeros of m0 + 2 c2 t + 3 c3 t^2 without cancellation
         q = -(c2 + np.copysign(np.sqrt(np.maximum(c2 * c2 - 3.0 * c3 * m0, 0.0)), c2))
         t = np.clip(np.nan_to_num(np.stack([q / (3.0 * c3), m0 / q])), 0.0, 1.0)
-    low = (f0 + t * (m0 + t * (c2 + t * c3))).min(axis=(0, 1))
-    return np.minimum(low, f[1]) <= margin[row]
+    H = f0 + t * (m0 + t * (c2 + t * c3))
+    first = H[0] <= H[1]
+    low = np.minimum(np.where(first, H[0], H[1]), f.min(axis=0))
+    return low <= margin, np.where(first, t[0], t[1])
 
 
-def _dip_brackets(c, series, x, row, j, f, d):
-    """Brackets hidden in shallow same-sign dips (near-tangent root pairs).
+def _dip_brackets(series, margin, xe, row, j, f, d):
+    """Brackets of the root pairs hidden in dip candidate cells.
 
-    A pair of close real roots can sit between grid points without a sign
-    change; the dip minimum is then a zero of F' with F small.  Only the
-    candidates (row of c, grid index j and stencils f, d of
+    A pair of close real roots can sit inside one grid cell without a sign
+    change; the extremum between them is then a zero of F' with F small.
+    Only the candidates (row, grid index j and end values f, d of
     _dip_candidates) that pass the Hermite _screen get the extremum
-    located, by Newton on F' inside their grid cell pair (from the secant
-    point: there is no F'' grid for a Hermite start), and F evaluated there.
+    located, by Newton on F' over their cell, which the sign change of F'
+    brackets, from the least s*H the screen found; F is evaluated there.
     Returns (row, lo, hi, start, sign) brackets (_start) on both sides of
     the extremum wherever F flips sign there, each started from the cubic
-    Hermite zero of F and F' from the stencil at its outer end and from the
-    evaluation at the extremum at its inner one.  x is the grid.
+    Hermite zero of F and F' at the cell end and at the extremum.  series
+    holds the _series rows, margin their _margin and xe the grid's m + 1
+    points.
     """
-    step = x[1]
-    keep = _screen(c, series, row, f, d)
-    row, j, f, d = row[keep], j[keep], f[:, keep], d[:, keep]
+    h = xe[1]
+    keep, t = _screen(f, d, h, margin[row])
+    row, j, t, f, d = row[keep], j[keep], t[keep], f[:, keep], d[:, keep]
     if len(row):
+        c = series[0]
         rows, own = np.unique(row, return_inverse=True)
         slope = _series(1j * np.arange(c.shape[1]) * c[rows])
-        lo, hi = x[j] - step, x[j] + step
-        xc = _newton(slope, own, lo, hi, *_start(lo, hi, d[::2]))
-        fc, dc = _series_values(series[0], row, xc)
+        lo, hi = xe[j], xe[j + 1]
+        x, _ = _inside(lo + t * h, lo, hi)
+        xc = _newton(slope, own, lo, hi, x, 1.0 - 2.0 * np.signbit(d[0]))
+        fc, dc = _series_values(c, row, xc)
     else:
         xc = fc = dc = np.empty(0)
-    flips = fc * f[1] < 0
+    flips = fc * f[0] < 0
     row, j, xc, fc, dc = row[flips], j[flips], xc[flips], fc[flips], dc[flips]
-    f, d = f[:, flips], d[:, flips]
-    f[1], d[1] = fc, dc
-    lo, hi = np.concatenate([x[j] - step, xc]), np.concatenate([xc, x[j] + step])
+    f, d = np.stack([f[0, flips], fc, f[1, flips]]), np.stack([d[0, flips], dc, d[1, flips]])
+    lo, hi = np.concatenate([xe[j], xc]), np.concatenate([xc, xe[j + 1]])
     f, d = np.concatenate([f[:2], f[1:]], axis=1), np.concatenate([d[:2], d[1:]], axis=1)
     starts = _start(lo, hi, np.concatenate([f, (hi - lo) * d]))
     return (np.concatenate([row, row]), lo, hi, *starts)
@@ -441,22 +444,21 @@ def _chunk_rows(n1):
     return max(1, _CHUNK_GRID_POINTS // (OVERSAMPLE * (2 * n1 - 1)))
 
 
-def _scan(c, k0, k1, xe):
+def _scan(c, margin, k0, k1, xe):
     """The grid pass over rows k0..k1-1 of the coefficient rows c, on the
     grid xe[:-1] of m points: the rows' sign-change brackets (row, lo, hi,
-    start, sign), then the exact zeros and dip candidates of
-    _dip_candidates, each with its row in c.  Each bracket [x_j, x_j+1]
+    start, sign), then the (row, j) of the grid points where F is exactly
+    zero and the dip candidates of _dip_candidates, given each row's
+    _margin, each with its row in c.  Each bracket [x_j, x_j+1]
     starts at the septic Hermite zero (_start) of the grid's F and F' on
     the stencil x_j-1 .. x_j+2, gathered here, so that the stencils of a
     chunk live only as long as its grid, which is freed on return."""
     m = len(xe) - 1
     grid = _grid_values(c[k0:k1], m)
-    vals, dvals = grid[:, 0], grid[:, 1]
-    # F changes sign between x_j and x_j+1 (the last cell wraps to x_0)
-    change = np.empty(vals.shape, dtype=bool)
-    np.less(vals[:, :-1] * vals[:, 1:], 0.0, out=change[:, :-1])
-    change[:, -1] = vals[:, -1] * vals[:, 0] < 0.0
-    row, j = np.divmod(np.flatnonzero(change), m)
+    vals = grid[:, 0]
+    # F_j F_j+1 of every cell; F changes sign across the negative ones
+    ends = _across(np.multiply, vals)
+    row, j = np.divmod(np.flatnonzero(ends < 0.0), m)
     # F, then h F', on the stencil x_j-1 .. x_j+2 of each bracket
     # [x_j, x_j+1], wrapped, taken from the chunk's (rows, 2, m) grid by flat
     # index; h is the grid step
@@ -468,7 +470,8 @@ def _scan(c, k0, k1, xe):
     s[4:] *= xe[1]
     lo, hi = xe[j], xe[j + 1]
     start = _start(lo, hi, s)
-    zr, zj, drow, dj, f, d = _dip_candidates(vals, dvals, change)
+    zr, zj = np.divmod(np.flatnonzero(vals == 0.0), m)
+    drow, dj, f, d = _dip_candidates(grid, ends > 0.0, margin[k0:k1], xe[1])
     return row + k0, lo, hi, *start, zr + k0, zj, drow + k0, dj, f, d
 
 
@@ -493,11 +496,12 @@ def _real_roots_block(c):
     m = OVERSAMPLE * (2 * n1 - 1)
     xe = np.arange(m + 1) * (2.0 * np.pi / m)
     s = _series(c)
+    margin = _margin(c, *s[1:3])
     k = _chunk_rows(n1)
-    parts = [_scan(c, k0, k0 + k, xe) for k0 in range(0, K, k)]
+    parts = [_scan(c, margin, k0, k0 + k, xe) for k0 in range(0, K, k)]
     *found, zr, zj, row, j, f, d = (np.concatenate(v, axis=-1) for v in zip(*parts))
     del parts
-    dips = _dip_brackets(c, s, xe[:m], row, j, f, d)
+    dips = _dip_brackets(s, margin, xe, row, j, f, d)
     own, *brackets = (np.concatenate(v) for v in zip(found, dips))
     del found, dips, row, j, f, d
     order = np.argsort(own, kind="stable")

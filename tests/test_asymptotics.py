@@ -95,6 +95,16 @@ class TestPeakLocation:
             x = peak_location(n, p)
             assert abs(math.tan(2 * math.pi * x) - math.pi * x / p) < 1e-10
 
+    def test_fixed_point_to_rounding_where_n_is_large_against_p(self):
+        # near n + 1/4 the tan form's residual is ill-conditioned; the
+        # branch's fixed-point form x = n + atan(pi x / p) / (2 pi) is not
+        for n in (1, 2, 3, 5, 10, 20, 50, 100, 200, 500, 1000):
+            for p in (2, 3, 5, 10, 20, 50, 100, 200, 500):
+                x = peak_location(n, p)
+                assert n < x < n + 0.25
+                residual = x - n - math.atan(math.pi * x / p) / (2 * math.pi)
+                assert abs(residual) <= 4 * math.ulp(x)
+
     def test_first_peak_near_shifted_integer(self):
         x = peak_location(1, 10)
         assert abs(x - 1.05) < 5.0 / 10**2

@@ -22,6 +22,7 @@ from trigcrystal.poly import (
 from trigcrystal.roots import (
     _dip_candidates,
     _grid_values,
+    _margin,
     _real_roots_block,
     _scan,
     _screen,
@@ -77,8 +78,7 @@ class TestSampled:
             a[0] = 1.0 - eps
             a[8] = 1.0
             cases.append((TrigPolynomial(8, a, np.zeros(9)), 16, 1e-8))
-        # a sampled realization whose pair a 5x grid loses: F' has two zeros
-        # between the grid points either side of its dip
+        # a sampled realization with a close root pair inside one grid cell
         spec = EnsembleSpec.equal_variance(16, 3, 3292, 7)
         cases.append((derivative_rescaled(sample(spec, 3291), 3), 32, 1e-12))
         for f, count, gap in cases:
@@ -277,7 +277,8 @@ class TestBlock:
         a[N], b[N] = math.cos(phi), math.sin(phi)
         m = 16 * (2 * N + 1)
         xe = np.arange(m + 1) * (2 * math.pi / m)
-        _, lo, hi, start, *_ = _scan(_coefficients(TrigPolynomial(N, a, b))[None], 0, 1, xe)
+        c = _coefficients(TrigPolynomial(N, a, b))[None]
+        _, lo, hi, start, *_ = _scan(c, _margin(c, *_series(c)[1:3]), 0, 1, xe)
         assert len(start) == 2 * N
         k = np.round((N * start - phi - math.pi / 2) / math.pi)
         assert np.all(np.abs(start - (phi + math.pi / 2 + k * math.pi) / N) <= 1e-9 * (hi - lo))
@@ -322,7 +323,8 @@ def polynomial_of(row):
 
 
 class TestDipScreen:
-    """The Hermite screen drops only dip candidates that cannot hide a root."""
+    """The prefilter and the Hermite screen drop only dip cells that cannot
+    hide a root."""
 
     def blocks(self):
         # ordinary draws with many shallow dips, the crystallized regime, and
@@ -337,30 +339,43 @@ class TestDipScreen:
         return [seeded_block(64, 0, BLOCK[64]), seeded_block(256, 20, BLOCK[256]), tangent]
 
     def screened(self, fs):
+        """Every cell [x_j, x_j+1] of the grids of fs with one sign of F at
+        both ends and differing sign bits of F' there: (c, m, vals, row, j),
+        whether _dip_candidates' prefilter passes it, and whether _screen's
+        cubic keeps it."""
         c = np.stack([_coefficients(f) for f in fs])
         m = 16 * (2 * c.shape[1] - 1)
+        h = 2 * math.pi / m
         grid = _grid_values(c, m)
         vals, dvals = grid[:, 0], grid[:, 1]
-        change = vals * np.roll(vals, -1, axis=1) < 0
-        *_, row, j, f, d = _dip_candidates(vals, dvals, change)
-        keep = _screen(c, _series(c), row, f, d)
-        return c, m, vals, row, j, keep
+        same = vals * np.roll(vals, -1, axis=1) > 0
+        turn = np.signbit(dvals) != np.signbit(np.roll(dvals, -1, axis=1))
+        row, j = np.nonzero(same & turn)
+        ends = np.stack([j, (j + 1) % m])
+        margin = _margin(c, *_series(c)[1:3])
+        prow, pj, *_ = _dip_candidates(grid, same, margin, h)
+        passed = np.isin(row * m + j, prow * m + pj)
+        kept, _ = _screen(vals[row, ends], dvals[row, ends], h, margin[row])
+        return c, m, vals, row, j, passed, kept
 
     def test_dropped_candidates_have_no_sign_change(self):
         dropped = 0
+        t = np.linspace(0.0, 1.0, 801)
         for fs in self.blocks():
-            c, m, vals, row, j, keep = self.screened(fs)
-            for r, k in zip(row[~keep], j[~keep]):
-                xs = np.linspace(k - 1, k + 1, 801) * (2 * math.pi / m)
-                assert np.all(evaluate(polynomial_of(c[r]), xs) * vals[r, k] > 0)
-                dropped += 1
-        assert dropped > 50
+            c, m, vals, row, j, passed, kept = self.screened(fs)
+            gone = ~(passed & kept)
+            for r in np.unique(row[gone]):
+                cells = j[gone & (row == r)]
+                xs = (cells[:, None] + t) * (2 * math.pi / m)
+                assert np.all(evaluate(polynomial_of(c[r]), xs) * vals[r, cells, None] > 0)
+                dropped += len(cells)
+        assert dropped > 1000
 
     def test_hermite_cubic_is_within_the_margin(self):
         # the truncation term of the screen's margin, h^4/384 sum n^4 |c_n|,
         # bounds |F - H| on every candidate cell
         for fs in self.blocks():
-            c, m, vals, row, j, keep = self.screened(fs)
+            c, m, vals, row, j, *_ = self.screened(fs)
             h = 2 * math.pi / m
             n = np.arange(c.shape[1])
             bound = h**4 / 384 * (n**4 * np.abs(c)).sum(axis=1)
@@ -369,19 +384,38 @@ class TestDipScreen:
             h10, h11 = t * (1 - t) ** 2, t * t * (t - 1)
             for r, k in zip(row[:40], j[:40]):
                 f = polynomial_of(c[r])
-                x0 = (k + np.array([-1, 0])) * h
-                f0, d0 = evaluate(f, x0), evaluate(differentiate(f), x0)
-                f1, d1 = evaluate(f, x0 + h), evaluate(differentiate(f), x0 + h)
-                for i in range(2):
-                    cubic = f0[i] * h00 + f1[i] * h01 + h * (d0[i] * h10 + d1[i] * h11)
-                    assert np.max(np.abs(evaluate(f, x0[i] + t * h) - cubic)) <= bound[r]
+                x = k * h + np.array([0.0, h])
+                (f0, f1), (d0, d1) = evaluate(f, x), evaluate(differentiate(f), x)
+                cubic = f0 * h00 + f1 * h01 + h * (d0 * h10 + d1 * h11)
+                assert np.max(np.abs(evaluate(f, x[0] + t * h) - cubic)) <= bound[r]
+
+    def test_the_prefilter_never_clears_a_cell_the_cubic_keeps(self):
+        held = 0
+        for fs in self.blocks():
+            *_, passed, kept = self.screened(fs)
+            assert np.all(passed[kept])
+            held += kept.sum()
+        assert held > 0
 
     def test_only_a_few_candidates_reach_newton(self):
-        # at N=64, p=0 fewer than one candidate in a hundred comes within
-        # the margin of zero (4 of 915 here); in the crystallized regime none
-        keep = self.screened(seeded_block(64, 0, 240))[-1]
-        assert len(keep) > 500 and keep.sum() <= 0.01 * len(keep)
-        assert not self.screened(seeded_block(256, 20, 6))[-1].any()
+        # at N=64, p=0 fewer than two cells in a thousand pass the prefilter
+        # (37 of 23 973 here) and the cubic keeps fewer still (4); in the
+        # crystallized regime neither keeps any
+        *_, passed, kept = self.screened(seeded_block(64, 0, 240))
+        assert len(kept) > 20000 and passed.sum() <= 0.002 * len(kept)
+        assert (passed & kept).sum() <= 0.0005 * len(kept)
+        *_, passed, kept = self.screened(seeded_block(256, 20, 6))
+        assert len(kept) > 2000 and not passed.any() and not kept.any()
+
+    @pytest.mark.parametrize("oversample", [5, 3])
+    def test_coarse_grids_keep_a_pair_inside_one_cell(self, oversample, monkeypatch):
+        # the close root pair of this realization (see
+        # test_near_tangent_pairs_are_recovered) leaves an F' sign change
+        # between the ends of its cell on these coarser grids too
+        monkeypatch.setattr(roots_module, "OVERSAMPLE", oversample)
+        spec = EnsembleSpec.equal_variance(16, 3, 3292, 7)
+        f = derivative_rescaled(sample(spec, 3291), 3)
+        assert real_roots_sampled(f).real_count == all_roots_companion(f).real_count == 32
 
 
 @st.composite
