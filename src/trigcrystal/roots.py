@@ -27,7 +27,11 @@ Two independent routes are provided and cross-validated in the test suite:
   the grid's F and F' clears most such cells, the cubic itself and a
   proven bound on its error clear nearly all the rest, and only the few
   cells where F may come near zero get their extremum located by the same
-  Newton iteration on F' (``_dip_brackets``).
+  Newton iteration on F' (``_dip_brackets``).  Where F there has the other
+  sign, the extremum splits the cell into two brackets, each started at
+  its midpoint.  Every bracket gives one root strictly inside it, and the
+  brackets' interiors are disjoint, so no root is found twice and the
+  roots need no merging.
   Refinement stops at the rounding noise of the series: a root x has
   |F(x)| <= 2 e(x), e(x) = 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)),
   where the second term is the rounding of the arguments n*x; an evaluated
@@ -75,8 +79,6 @@ __all__ = [
 
 # the grid has m = OVERSAMPLE*(2N+1) points
 OVERSAMPLE = 16
-# two refined roots of one polynomial closer than 10*TOL count as one
-TOL = 1e-12
 # companion eigenvalues with ||z| - 1| below this are real roots
 CLASSIFY_TOL = 1e-8
 MAX_REFINE_ITERATIONS = 200
@@ -186,23 +188,22 @@ _SEPTIC = np.array([
 
 
 def _hermite_start(lo, hi, s):
-    """Zero in each bracket [lo, hi] of the Hermite interpolant of the
-    stencil s: f at lo and hi, then h f' there, with h = hi - lo, s (4, n);
-    or f at lo - h, lo, hi and hi + h, then h f' there, s (8, n).
+    """Zero in each bracket [lo, hi] of the septic Hermite interpolant of
+    the stencil s (8, n): f at lo - h, lo, hi and hi + h, then h f' there,
+    with h = hi - lo.
 
     In t = (x - lo) / h, with m = h f' and D = f(hi) - f(lo), the cubic
     Hermite interpolant at the ends is H = f(lo) + m(lo) t + (3D - 2m(lo) -
     m(hi)) t^2 + (m(lo) + m(hi) - 2D) t^3.  Two Newton steps on it from
     the secant t land inside its own error, at most (N h)^4/384 of the
-    coefficient sum: a few 1e-6 of a grid cell at 16x oversampling.  On the
-    eight-value stencil one step on the septic Hermite interpolant P
-    follows, t - P(t)/H'(t), and lands inside P's error: at most
-    0.32 (N h)^8/8! of the coefficient sum, about 2e-11.  The slopes of P
-    and H differ by O((N h)^4) of the slope, so that step, from within a few
-    1e-6 of a cell of P's zero, lands within about 1e-8 of a cell of it.
+    coefficient sum: a few 1e-6 of a grid cell at 16x oversampling.  One
+    step on the septic Hermite interpolant P follows, t - P(t)/H'(t), and
+    lands inside P's error: at most 0.32 (N h)^8/8! of the coefficient
+    sum, about 2e-11.  The slopes of P and H differ by O((N h)^4) of the
+    slope, so that step, from within a few 1e-6 of a cell of P's zero,
+    lands within about 1e-8 of a cell of it.
     """
-    septic = len(s) == 8
-    (f0, f1), (m0, m1) = (s[1:3], s[5:7]) if septic else (s[:2], s[2:])
+    (f0, f1), (m0, m1) = s[1:3], s[5:7]
     D = f1 - f0
     c2, c3 = 3.0 * D - 2.0 * m0 - m1, m0 + m1 - 2.0 * D
     b2, b3 = 2.0 * c2, 3.0 * c3
@@ -210,32 +211,20 @@ def _hermite_start(lo, hi, s):
     for _ in range(2):
         slope = m0 + t * (b2 + t * b3)
         t = t - (f0 + t * (m0 + t * (c2 + t * c3))) / slope
-    if septic:
-        # P(t) by Horner's rule, from its coefficients lowest first; einsum,
-        # not matmul: a real matrix product would be a run's only call of
-        # BLAS dgemm, whose code adds 0.45 MB to its peak resident set
-        *a, P = (f0, m0, *np.einsum("kj,jn->kn", _SEPTIC, s))
-        for ak in a[::-1]:
-            P = P * t + ak
-        t = t - P / slope
+    # P(t) by Horner's rule, from its coefficients lowest first; einsum,
+    # not matmul: a real matrix product would be a run's only call of BLAS
+    # dgemm, whose code adds 0.45 MB to its peak resident set
+    *a, P = (f0, m0, *np.einsum("kj,jn->kn", _SEPTIC, s))
+    for ak in a[::-1]:
+        P = P * t + ak
+    t = t - P / slope
     return lo + t * (hi - lo)
-
-
-def _start(lo, hi, s):
-    """Newton's start in each bracket [lo, hi] and the sign of f at lo,
-    from the stencil s of f of opposite sign at lo and hi (_hermite_start):
-    the zero of the cubic, s (4, n), or of the septic, s (8, n), Hermite
-    interpolant.  Where the start would leave the bracket, the midpoint.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x, _ = _inside(_hermite_start(lo, hi, s), lo, hi)
-    return x, np.sign(s[1] if len(s) == 8 else s[0])
 
 
 def _newton(series, own, lo, hi, x, lo_sign):
     """One zero in each bracket [lo, hi] of row own[i] of the _series rows,
-    from the start x inside it, lo_sign the sign of f at lo (_start); own
-    must be non-decreasing.  lo and hi are narrowed in place.
+    from the start x inside it, lo_sign the sign of f at lo; own must be
+    non-decreasing.  lo and hi are narrowed in place.
 
     Safeguarded Newton, vectorized over the brackets of every row.  Every
     evaluation shrinks the bracket, and a step that would leave the bracket
@@ -265,7 +254,7 @@ def _newton(series, own, lo, hi, x, lo_sign):
     sums c0, c1, c2 is far inside the room the evaluator leaves: its errors
     stay below a quarter of e and e' in those tests.  The dip pass's Newton
     on F' runs the same rule on the slope rows, with their own (c0, c1, c2).
-    From the septic start of a sign-change bracket (_start) the first Newton
+    From the septic start of a sign-change bracket (_scan) the first Newton
     step is certified for nearly every root, so a root costs one
     evaluation, at the start.
     """
@@ -410,11 +399,11 @@ def _dip_brackets(series, margin, xe, row, j, f, d):
     _dip_candidates) that pass the Hermite _screen get the extremum
     located, by Newton on F' over their cell, which the sign change of F'
     brackets, from the least s*H the screen found; F is evaluated there.
-    Returns (row, lo, hi, start, sign) brackets (_start) on both sides of
-    the extremum wherever F flips sign there, each started from the cubic
-    Hermite zero of F and F' at the cell end and at the extremum.  series
-    holds the _series rows, margin their _margin and xe the grid's m + 1
-    points.
+    Returns (row, lo, hi, start, sign) brackets, sign that of F at lo, on
+    both sides of the extremum xc wherever F flips sign there, each started
+    at its midpoint.  Their interiors are disjoint from each other and from
+    every sign-change cell, so each holds its own root.  series holds the
+    _series rows, margin their _margin and xe the grid's m + 1 points.
     """
     h = xe[1]
     keep, t = _screen(f, d, h, margin[row])
@@ -426,16 +415,13 @@ def _dip_brackets(series, margin, xe, row, j, f, d):
         lo, hi = xe[j], xe[j + 1]
         x, _ = _inside(lo + t * h, lo, hi)
         xc = _newton(slope, own, lo, hi, x, 1.0 - 2.0 * np.signbit(d[0]))
-        fc, dc = _series_values(c, row, xc)
+        fc, _ = _series_values(c, row, xc)
     else:
-        xc = fc = dc = np.empty(0)
+        xc = fc = np.empty(0)
     flips = fc * f[0] < 0
-    row, j, xc, fc, dc = row[flips], j[flips], xc[flips], fc[flips], dc[flips]
-    f, d = np.stack([f[0, flips], fc, f[1, flips]]), np.stack([d[0, flips], dc, d[1, flips]])
+    row, j, xc, sign = row[flips], j[flips], xc[flips], np.sign(f[0, flips])
     lo, hi = np.concatenate([xe[j], xc]), np.concatenate([xc, xe[j + 1]])
-    f, d = np.concatenate([f[:2], f[1:]], axis=1), np.concatenate([d[:2], d[1:]], axis=1)
-    starts = _start(lo, hi, np.concatenate([f, (hi - lo) * d]))
-    return (np.concatenate([row, row]), lo, hi, *starts)
+    return np.concatenate([row, row]), lo, hi, 0.5 * (lo + hi), np.concatenate([sign, -sign])
 
 
 def _chunk_rows(n1):
@@ -450,9 +436,10 @@ def _scan(c, margin, k0, k1, xe):
     start, sign), then the (row, j) of the grid points where F is exactly
     zero and the dip candidates of _dip_candidates, given each row's
     _margin, each with its row in c.  Each bracket [x_j, x_j+1]
-    starts at the septic Hermite zero (_start) of the grid's F and F' on
-    the stencil x_j-1 .. x_j+2, gathered here, so that the stencils of a
-    chunk live only as long as its grid, which is freed on return."""
+    starts at the septic Hermite zero (_hermite_start) of the grid's F and
+    F' on the stencil x_j-1 .. x_j+2, gathered here, so that the stencils of
+    a chunk live only as long as its grid, which is freed on return; where
+    that zero would leave the bracket, at its midpoint."""
     m = len(xe) - 1
     grid = _grid_values(c[k0:k1], m)
     vals = grid[:, 0]
@@ -469,10 +456,11 @@ def _scan(c, margin, k0, k1, xe):
     del at
     s[4:] *= xe[1]
     lo, hi = xe[j], xe[j + 1]
-    start = _start(lo, hi, s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        start, _ = _inside(_hermite_start(lo, hi, s), lo, hi)
     zr, zj = np.divmod(np.flatnonzero(vals == 0.0), m)
     drow, dj, f, d = _dip_candidates(grid, ends > 0.0, margin[k0:k1], xe[1])
-    return row + k0, lo, hi, *start, zr + k0, zj, drow + k0, dj, f, d
+    return row + k0, lo, hi, start, np.sign(s[1]), zr + k0, zj, drow + k0, dj, f, d
 
 
 def _real_roots_block(c):
@@ -485,10 +473,13 @@ def _real_roots_block(c):
     chunk's grid freed before the next one.  Everything after it runs once
     for all K rows: the Hermite screen of the dip candidates and the Newton
     on F' of those it keeps, one stable sort of the brackets by row, one
-    Newton pass over every bracket, and the per-row dedupe and split.  Two
-    refined roots of a row closer than 10*TOL count as one.  A row's roots
-    do not depend on the other rows, since every step works row by row and
-    the series evaluator is batch-invariant.
+    Newton pass over every bracket, and the per-row sort and split.  Each
+    bracket gives one root strictly inside it, the brackets' interiors are
+    disjoint (the sign-change cells, and the two halves of a dip cell split
+    at its extremum) and an exact grid zero opens none, so no root is found
+    twice and none needs merging.  A row's roots do not depend on the other
+    rows, since every step works row by row and the series evaluator is
+    batch-invariant.
     """
     if not np.all(np.any(c != 0.0, axis=1)):
         raise ValueError("degenerate input: polynomial is identically zero")
@@ -514,25 +505,15 @@ def _real_roots_block(c):
     # indices held in the smallest unsigned type
     order = np.argsort(roots)
     order = order[np.argsort(own[order].astype(np.min_scalar_type(K)), kind="stable")]
-    roots, own = roots[order], own[order]
-    # per row: drop a root within 10*TOL of the one before it, and the
-    # wrap-around duplicate (a root found both near 0 and near 2*pi)
-    first = np.diff(own, prepend=-1) != 0
-    keep = first | (np.diff(roots, prepend=-np.inf) > 10 * TOL)
-    head = np.flatnonzero(first)
-    tail = np.append(head, len(roots))[1:] - 1
-    wrap = roots[tail] - roots[head] > 2.0 * np.pi - 10 * TOL
-    keep[tail[wrap]] = False
-    counts = np.bincount(own[keep], minlength=K)
-    return np.split(roots[keep], np.cumsum(counts)[:-1])
+    counts = np.bincount(own, minlength=K)
+    return np.split(roots[order], np.cumsum(counts)[:-1])
 
 
 def real_roots_sampled(f: TrigPolynomial) -> RootSet:
     """All real zeros in [0, 2*pi) by dense sampling plus bracket refinement.
 
-    Each root is refined to the rounding noise of the series; two refined
-    roots closer than 10*TOL count as one.  This is the block finder run on
-    a block of one.
+    Each root is refined to the rounding noise of the series, one root per
+    bracket.  This is the block finder run on a block of one.
     """
     (roots,) = _real_roots_block(_coefficients(f)[None])
     return RootSet(real_roots=roots, complex_roots=None, method="sampled")

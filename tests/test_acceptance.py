@@ -64,7 +64,6 @@ def test_criterion_02_finite_n_kac_rice():
     note(f"fraction(30,10)={got:.6f}, excess over limit={excess:.5f}")
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("p", [0, 4])
 def test_criterion_03_monte_carlo_vs_kac_rice(p):
     spec = tc.EnsembleSpec.equal_variance(100, p, 2_000, 42)
@@ -77,7 +76,6 @@ def test_criterion_03_monte_carlo_vs_kac_rice(p):
          f"(|z|={abs(mean - target) / err:.2f})")
 
 
-@pytest.mark.slow
 def test_criterion_04_empirical_vs_analytic_pair_correlation(ensemble_n64_p0):
     est = tc.empirical_pair_correlation(ensemble_n64_p0, 64,
                                         bin_width=0.05, max_range=6.0)
@@ -160,7 +158,6 @@ def _gap_ks(rootsets, degree, p, center):
     )
 
 
-@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason="the pinned centering 1 + 1/(2p) misses the exact mean gap by "
@@ -172,7 +169,6 @@ def test_criterion_07_nearest_neighbor_law(ensemble_n256_p20):
     assert ks < 0.05
 
 
-@pytest.mark.slow
 def test_criterion_07_companion_shape_after_exact_centering(ensemble_n256_p20):
     from scipy.integrate import quad
 
@@ -190,7 +186,6 @@ def test_criterion_07_companion_shape_after_exact_centering(ensemble_n256_p20):
          f"{raw_mean:.4f} vs predicted {predicted:.4f}")
 
 
-@pytest.mark.slow
 def test_criterion_08_root_finder_oracle_equivalence():
     rng = np.random.default_rng(SEED)
     worst = 0.0
@@ -248,7 +243,6 @@ def test_criterion_10_series_validation():
          f"(p=1000); peak_location(1,10) = {peak:.6f}")
 
 
-@pytest.mark.slow
 def test_criterion_11_thread_count_determinism(tmp_path):
     base = ["paircorr", "--N", "32", "--p", "1", "--mode", "empirical",
             "--realizations", "300", "--seed", str(SEED), "--bins", "0.05"]

@@ -450,7 +450,12 @@ class TestAdversarial:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(adversarial_polynomials())
     def test_sampled_count_equals_the_companion_count(self, f):
-        assert real_roots_sampled(f).real_count == all_roots_companion(f).real_count
+        rs = real_roots_sampled(f).real_roots
+        assert len(rs) == all_roots_companion(f).real_count
+        # one root per bracket and disjoint brackets: no root twice, none
+        # wrapped onto 2*pi, with no merge pass to drop duplicates
+        assert np.all(np.diff(rs) > 0)
+        assert np.all((rs >= 0) & (rs < 2 * math.pi))
 
 
 class TestRootSet:
