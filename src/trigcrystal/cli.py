@@ -10,10 +10,10 @@ subcommand flags, ``RunConfig`` and the manifest are all read from that
 table, and a value from a ``--config`` JSON file passes the same type,
 choice and bound checks as the flag it stands for.  Each command writes a
 manifest JSON echoing the resolved value of every option the command takes
-(plus, for an ensemble, a report of its real-zero count invariant and, for
-paircorr, its ordered pair count), and rerunning a command with the same
-configuration and seed reproduces byte-identical CSV output for any
---threads value.
+(plus, for an ensemble and for ``roots`` with the sampled finder, a report
+of its real-zero count invariant and, for paircorr, its ordered pair
+count), and rerunning a command with the same configuration and seed
+reproduces byte-identical CSV output for any --threads value.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
 """
@@ -289,17 +289,21 @@ def _spec(cfg: RunConfig) -> poly.EnsembleSpec:
     )
 
 
-def _ensemble(cfg: RunConfig):
-    """The run's rootsets and the manifest report of their count invariant:
-    every realization has an even number of real zeros, at most 2N."""
-    rootsets = ensemble.real_zero_ensemble(_spec(cfg), threads=cfg.threads)
+def _count_report(rootsets, N: int) -> dict:
+    """The manifest report of the count invariant of degree-N real zero
+    sets: every realization has an even number of real zeros, at most 2N."""
     counts = np.array([len(r) for r in rootsets])
-    report = {
+    return {
         "realizations": len(rootsets),
         "roots": int(counts.sum()),
-        "count_violations": int(np.sum((counts % 2 == 1) | (counts > 2 * cfg.N))),
+        "count_violations": int(np.sum((counts % 2 == 1) | (counts > 2 * N))),
     }
-    return rootsets, report
+
+
+def _ensemble(cfg: RunConfig):
+    """The run's rootsets and the manifest report of their count invariant."""
+    rootsets = ensemble.real_zero_ensemble(_spec(cfg), threads=cfg.threads)
+    return rootsets, _count_report(rootsets, cfg.N)
 
 
 class _InputError(Exception):
@@ -340,15 +344,17 @@ def _cmd_sample(cfg: RunConfig, out: _Outputs):
 _PARTNER_GAP = 1e-8
 
 
-def _unmatched(x, y):
-    """The roots of x (sorted, in [0, 2*pi)) with no root of y within
-    _PARTNER_GAP, measured around the circle."""
-    if len(y) == 0:
-        return x
+def _gaps(x, y):
+    """The distance around the circle from each root of x to the nearest
+    root of y, both sorted in [0, 2*pi); y must not be empty."""
     i = np.searchsorted(y, x)
     gap = np.abs(x - np.stack([y[i - 1], y[i % len(y)]]))
-    gap = np.minimum(gap, 2.0 * np.pi - gap).min(axis=0)
-    return x[gap > _PARTNER_GAP]
+    return np.minimum(gap, 2.0 * np.pi - gap).min(axis=0)
+
+
+def _unmatched(x, y):
+    """The roots of x with no root of y within _PARTNER_GAP (_gaps)."""
+    return x[_gaps(x, y) > _PARTNER_GAP] if len(y) else x
 
 
 def _cmd_roots(cfg: RunConfig, out: _Outputs):
@@ -375,7 +381,8 @@ def _cmd_roots(cfg: RunConfig, out: _Outputs):
         if a.real_count == b.real_count == 0:
             print(head + "no real roots to compare")
         elif a.real_count == b.real_count:
-            diff = float(np.max(np.abs(a.real_roots - b.real_roots)))
+            u, v = a.real_roots, b.real_roots
+            diff = float(max(_gaps(u, v).max(), _gaps(v, u).max()))
             print(head + f"max position difference {diff:.3e}")
         else:
             lone = [", ".join(repr(float(x)) for x in _unmatched(u, v)) or "none"
@@ -385,6 +392,7 @@ def _cmd_roots(cfg: RunConfig, out: _Outputs):
     else:
         print(f"{primary.method}: {primary.real_count} real roots "
               f"of 2N = {2 * f.degree}")
+    return _count_report([sets["sampled"].real_roots], f.degree) if "sampled" in sets else None
 
 
 def _cmd_fraction(cfg: RunConfig, out: _Outputs):

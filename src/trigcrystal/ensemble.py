@@ -94,11 +94,11 @@ def _blocks_rescaled_roots(args):
     """
     spec, lo, hi = args
     # freeing one mapped array larger than any temporary of a batch (the
-    # evaluator's budget, a chunk's F and F' grid, the transform's own
-    # buffers: several MiB at N = 4096) lifts glibc's dynamic mmap
-    # threshold, and with it the heap trim threshold, above them; otherwise
-    # they are mapped or trimmed and faulted in again on every call (other
-    # allocators ignore this)
+    # evaluator's budget, a chunk's F grid and its interpolant stencils,
+    # the transform's own buffers: several MiB at N = 4096) lifts glibc's
+    # dynamic mmap threshold, and with it the heap trim threshold, above
+    # them; otherwise they are mapped or trimmed and faulted in again on
+    # every call (other allocators ignore this)
     np.empty(poly._TABLE_WORDS)
     K = _block_size(spec.degree)
     out = []

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,36 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out == "sampled 0 real roots, companion 0; no real roots to compare\n"
+
+    def test_roots_both_compares_around_the_circle(self, tmp_path, capsys):
+        # sin(x + 1e-17): the sampled finder's root just below 2 pi is the
+        # companion's root at 0, a few ulps away around the circle
+        fx = tmp_path / "poly.json"
+        fx.write_text(json.dumps({"degree": 1, "a": [0, 1e-17], "b": [0, 1]}))
+        assert main(["roots", "--input", str(fx), "--method", "both",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        head, diff = out.split("max position difference ")
+        assert head == "sampled 2 real roots, companion 2; "
+        assert float(diff) < 1e-12
+
+    @pytest.mark.parametrize("method", ["sampled", "both", "companion"])
+    def test_roots_manifest_reports_the_sampled_count(self, tmp_path, capsys, method):
+        # 1 + cos 2x has two double roots; the sampled finder counts 3 of
+        # the 4, an odd count the report must flag
+        fx = tmp_path / "poly.json"
+        fx.write_text(json.dumps({"degree": 2, "a": [1, 0, 1], "b": [0, 0, 0]}))
+        assert main(["roots", "--input", str(fx), "--method", method,
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        with open(tmp_path / "roots_manifest.json") as fh:
+            doc = json.load(fh)
+        if method == "companion":
+            assert "report" not in doc
+            return
+        count = int(re.match(r"sampled:? (\d+) real roots", out).group(1))
+        assert doc["report"] == {"realizations": 1, "roots": count,
+                                 "count_violations": count % 2}
 
     def test_manifest_echoes_config(self, tmp_path, capsys):
         assert main(["vp-table", "--p-max", "2", "--N", "17",

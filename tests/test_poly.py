@@ -225,10 +225,12 @@ def sparse_polynomials(draw):
 class TestFactoredEvaluator:
     @staticmethod
     def assert_within_floor(f, x, got, want, fraction, order=0):
-        # the floor of F (order 0) is c0 + c1|x|, that of F' (order 1) is
-        # c1 + c2|x|, as the root finder's certified Newton step assumes
-        c = _noise_floor(_coefficients(f))
-        assert np.all(np.abs(got - want) <= fraction * (c[order] + c[order + 1] * np.abs(x)))
+        # the floor c0 + c1|x| of F (order 0), or of F' (order 1), whose
+        # coefficients are i n c_n, as the root finder's stopping rule
+        # assumes for both
+        c = _coefficients(f) * (1j * np.arange(f.degree + 1)) ** order
+        c0, c1 = _noise_floor(c)
+        assert np.all(np.abs(got - want) <= fraction * (c0 + c1 * np.abs(x)))
 
     @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (4096, 0), (64, 500)])
     def test_matches_extended_precision_within_the_noise_floor(self, N, p):

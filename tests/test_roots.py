@@ -20,13 +20,14 @@ from trigcrystal.poly import (
     sample,
 )
 from trigcrystal.roots import (
+    _NODES,
+    _SLOPE,
+    _WEIGHTS,
+    _bounds,
     _dip_candidates,
     _grid_values,
-    _margin,
+    _noise_floor,
     _real_roots_block,
-    _scan,
-    _screen,
-    _series,
     all_roots_companion,
     real_roots_sampled,
 )
@@ -197,6 +198,19 @@ def seeded_block(N, p, K):
     return [derivative_rescaled(f, p) for f in fs] if p else fs
 
 
+def evaluator_points(monkeypatch):
+    """The list to which the series evaluator, patched, appends the number
+    of points of each call."""
+    points, evaluate = [], roots_module._series_values
+
+    def counting(c, own, x):
+        points.append(len(x))
+        return evaluate(c, own, x)
+
+    monkeypatch.setattr(roots_module, "_series_values", counting)
+    return points
+
+
 def assert_matches_companion(fs, block):
     for f, roots in zip(fs, block):
         oracle = all_roots_companion(f)
@@ -237,51 +251,69 @@ class TestBlock:
         fs = seeded_block(N, p, BLOCK[N])
         assert_matches_companion(fs, block_of(fs))
 
-    @pytest.mark.parametrize("N,p,most", [(64, 0, 1.02), (256, 20, 1.01), (16, 3, 1.02),
-                                          (10, 0, 1.02)])
-    def test_septic_start_saves_evaluations(self, N, p, most, monkeypatch):
+    @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (16, 3), (10, 0)])
+    def test_the_grid_certifies_nearly_every_root(self, N, p, monkeypatch):
         # points handed to the series evaluator per root found, the dip
-        # pass included; the cubic Hermite start needed 1.38 (N=64) and 1.03
-        # (N=256, p=20), 1.45 (N=16, p=3) and 1.59 (N=10): it lands too far
-        # from the root for the certified Newton point; the septic start
-        # lets almost every root take the start alone
+        # pass included: the interpolant of the grid's F certifies all
+        # roots but a few close pairs (0.011 points per root at N=64)
         fs = seeded_block(N, p, BLOCK[N])
-        points, evaluate = [], roots_module._series_values
-
-        def counting(c, own, x):
-            points.append(len(x))
-            return evaluate(c, own, x)
-
-        monkeypatch.setattr(roots_module, "_series_values", counting)
+        points = evaluator_points(monkeypatch)
         block = block_of(fs)
-        assert sum(points) <= most * sum(len(r) for r in block)
+        assert sum(points) <= 0.02 * sum(len(r) for r in block)
         assert_matches_companion(fs, block)
 
-    def test_septic_rows_reproduce_every_polynomial_of_degree_seven(self):
-        # from q and q' on the stencil t = -1, 0, 1, 2 the rows give the
-        # coefficients of t^2 .. t^7 of q itself
+    def test_interpolant_reproduces_every_polynomial_of_degree_15(self):
+        # from q at the nodes k = -7 .. 8 the first barycentric form with
+        # the integer weights gives q on the centre cell, and the slope row
+        # gives q'(0); the node polynomial peaks on the cell at t = 1/2
+        grid = np.linspace(0.0, 1.0, 2001)[:, None]
+        peak = np.abs(np.prod(grid - _NODES, axis=1)).max() / math.factorial(16)
+        assert peak <= roots_module._OMEGA * (1 + 1e-12)
         rng = np.random.default_rng(5)
-        t = np.array([-1.0, 0.0, 1.0, 2.0])
-        for q in rng.standard_normal((20, 8)):
-            dq = np.arange(1, 8) * q[1:]
-            s = np.concatenate([np.polyval(q[::-1], t), np.polyval(dq[::-1], t)])
-            assert np.allclose(roots_module._SEPTIC @ s, q[2:], rtol=0, atol=1e-12)
+        t = np.linspace(0.0, 1.0, 9)[1:-1, None]
+        omega = np.prod(t - _NODES, axis=1) / math.factorial(15)
+        for q in rng.standard_normal((20, 16)):
+            f = np.polyval(q[::-1], _NODES / 8)
+            P = omega * (_WEIGHTS * f / (t - _NODES)).sum(axis=1)
+            assert np.allclose(P, np.polyval(q[::-1], t[:, 0] / 8), rtol=0, atol=1e-12)
+            assert abs(_SLOPE @ f - q[1] / 8) <= 1e-12
 
     @pytest.mark.parametrize("N", [1, 7, 64, 1000])
-    def test_septic_start_of_a_cosine_is_within_1e9_of_a_cell(self, N):
+    def test_a_cosine_is_certified_from_the_grid(self, N, monkeypatch):
         # cos(Nx - phi), the top mode alone, bends the most per grid cell;
-        # its zeros are (phi + pi/2 + k pi)/N (the cubic start was 4e-7 of a
-        # cell away)
+        # its zeros are (phi + pi/2 + k pi)/N, and the grid alone gives all
+        # 2N of them, with no series evaluation
         phi = 0.3
         a, b = np.zeros(N + 1), np.zeros(N + 1)
         a[N], b[N] = math.cos(phi), math.sin(phi)
+        points = evaluator_points(monkeypatch)
+        roots = real_roots_sampled(TrigPolynomial(N, a, b)).real_roots
+        assert sum(points) == 0
+        assert len(roots) == 2 * N
+        exact = (phi + math.pi / 2 + np.arange(2 * N) * math.pi) / N
+        h = 2 * math.pi / (16 * (2 * N + 1))
+        assert np.all(np.abs(roots - exact) <= 1e-9 * h)
+
+    @pytest.mark.parametrize("N", [1, 10, 64, 256, 1024, 4096])
+    @pytest.mark.parametrize("p", [0, 20, 500])
+    def test_grid_is_within_delta_c0_of_40_digit_sums(self, N, p):
+        # the premise of every proof on the grid: each value of the
+        # transform is within delta c0 of F at the exact point 2 pi k / m
+        # (at most 0.48 c0 was seen here)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        f = random_derivative(N, p, 100)
+        c = _coefficients(f)
         m = 16 * (2 * N + 1)
-        xe = np.arange(m + 1) * (2 * math.pi / m)
-        c = _coefficients(TrigPolynomial(N, a, b))[None]
-        _, lo, hi, start, *_ = _scan(c, _margin(c, *_series(c)[1:3]), 0, 1, xe)
-        assert len(start) == 2 * N
-        k = np.round((N * start - phi - math.pi / 2) / math.pi)
-        assert np.all(np.abs(start - (phi + math.pi / 2 + k * math.pi) / N) <= 1e-9 * (hi - lo))
+        grid = _grid_values(c[None], m)[0]
+        c0, _ = _noise_floor(c)
+        coeffs = [mp.mpc(float(z.real), float(z.imag)) for z in c]
+        for k in np.random.default_rng(N + p).choice(m, 8, replace=False):
+            z, w, value = mp.expj(2 * mp.pi * int(k) / m), mp.mpc(1), mp.mpf(0)
+            for cn in coeffs:
+                value += (cn * w).real
+                w *= z
+            assert abs(float(grid[k] - value)) <= roots_module._DELTA * c0
 
     @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (64, 500)])
     def test_every_root_is_within_twice_the_noise_floor(self, N, p):
@@ -291,7 +323,7 @@ class TestBlock:
         mp.mp.dps = 40
         fs = seeded_block(N, p, BLOCK[N])
         for f, roots in zip(fs, block_of(fs)):
-            c0, c1, _ = roots_module._noise_floor(_coefficients(f))
+            c0, c1 = roots_module._noise_floor(_coefficients(f))
             coeffs = [mp.mpc(float(a), -float(b)) for a, b in zip(f.cos_coeffs, f.sin_coeffs)]
             for x in roots:
                 z, w, value = mp.expj(mp.mpf(float(x))), mp.mpc(1), mp.mpf(0)
@@ -323,8 +355,8 @@ def polynomial_of(row):
 
 
 class TestDipScreen:
-    """The prefilter and the Hermite screen drop only dip cells that cannot
-    hide a root."""
+    """The F-only cut and the prefilter drop only cells that cannot hide a
+    root, on bounds that hold."""
 
     def blocks(self):
         # ordinary draws with many shallow dips, the crystallized regime, and
@@ -340,45 +372,66 @@ class TestDipScreen:
 
     def screened(self, fs):
         """Every cell [x_j, x_j+1] of the grids of fs with one sign of F at
-        both ends and differing sign bits of F' there: (c, m, vals, row, j),
-        whether _dip_candidates' prefilter passes it, and whether _screen's
-        cubic keeps it."""
+        both ends and differing sign bits of the series' F' there: (c, m,
+        vals, row, j), the share of all cells with one sign of F at both
+        ends that the F-only cut leaves, and whether _dip_candidates keeps
+        each cell."""
         c = np.stack([_coefficients(f) for f in fs])
         m = 16 * (2 * c.shape[1] - 1)
         h = 2 * math.pi / m
-        grid = _grid_values(c, m)
-        vals, dvals = grid[:, 0], grid[:, 1]
+        vals = _grid_values(c, m)
+        slopes = np.stack([evaluate(differentiate(f), np.arange(m) * h) for f in fs])
         same = vals * np.roll(vals, -1, axis=1) > 0
-        turn = np.signbit(dvals) != np.signbit(np.roll(dvals, -1, axis=1))
+        turn = np.signbit(slopes) != np.signbit(np.roll(slopes, -1, axis=1))
         row, j = np.nonzero(same & turn)
-        ends = np.stack([j, (j + 1) % m])
-        margin = _margin(c, *_series(c)[1:3])
-        prow, pj, *_ = _dip_candidates(grid, same, margin, h)
-        passed = np.isin(row * m + j, prow * m + pj)
-        kept, _ = _screen(vals[row, ends], dvals[row, ends], h, margin[row])
-        return c, m, vals, row, j, passed, kept
+        _, cut, margin = _bounds(c, *_noise_floor(c), h)
+        low = np.minimum(np.abs(vals), np.abs(np.roll(vals, -1, axis=1))) <= cut[:, None]
+        krow, kj, *_ = _dip_candidates(vals, same, cut, margin)
+        kept = np.isin(row * m + j, krow * m + kj)
+        return c, m, vals, row, j, (low & same).sum() / same.sum(), kept
 
     def test_dropped_candidates_have_no_sign_change(self):
         dropped = 0
         t = np.linspace(0.0, 1.0, 801)
         for fs in self.blocks():
-            c, m, vals, row, j, passed, kept = self.screened(fs)
-            gone = ~(passed & kept)
-            for r in np.unique(row[gone]):
-                cells = j[gone & (row == r)]
+            c, m, vals, row, j, _, kept = self.screened(fs)
+            for r in np.unique(row[~kept]):
+                cells = j[~kept & (row == r)]
                 xs = (cells[:, None] + t) * (2 * math.pi / m)
                 assert np.all(evaluate(polynomial_of(c[r]), xs) * vals[r, cells, None] > 0)
                 dropped += len(cells)
         assert dropped > 1000
 
+    def test_chord_is_within_the_cut(self):
+        # the truncation term of the F-only cut, h^2/8 sum n^2 |c_n|, bounds
+        # F less its chord between the ends of every candidate cell
+        for fs in self.blocks():
+            c, m, vals, row, j, *_ = self.screened(fs)
+            h = 2 * math.pi / m
+            n = np.arange(c.shape[1])
+            bound = h**2 / 8 * (n**2 * np.abs(c)).sum(axis=1)
+            t = np.linspace(0.0, 1.0, 65)
+            for r, k in zip(row[:40], j[:40]):
+                exact = evaluate(polynomial_of(c[r]), (k + t) * h)
+                assert np.max(np.abs(exact - (exact[0] + t * (exact[-1] - exact[0])))) <= bound[r]
+
     def test_hermite_cubic_is_within_the_margin(self):
-        # the truncation term of the screen's margin, h^4/384 sum n^4 |c_n|,
-        # bounds |F - H| on every candidate cell
+        # the truncation term of the prefilter's margin, h^4/384 sum n^4
+        # |c_n|, bounds |F - H| on every candidate cell; and h P' at its
+        # ends, from the grid's F at the 16 nodes around each, is within
+        # E = 2.843 delta c0 + 7! 8!/16! sum (n h)^16 |c_n| + gamma_18 2.843
+        # (c0 / (4 eps) + delta c0) of h F', the slope error the margin takes
+        eps, delta = np.finfo(float).eps, roots_module._DELTA
+        lebesgue = np.abs(_SLOPE).sum()
         for fs in self.blocks():
             c, m, vals, row, j, *_ = self.screened(fs)
             h = 2 * math.pi / m
             n = np.arange(c.shape[1])
             bound = h**4 / 384 * (n**4 * np.abs(c)).sum(axis=1)
+            c0, _ = _noise_floor(c)
+            E = (lebesgue * delta * c0
+                 + roots_module._OMEGA_SLOPE * ((n * h) ** 16 * np.abs(c)).sum(axis=1)
+                 + 9 * eps / (1 - 9 * eps) * lebesgue * (c0 / (4 * eps) + delta * c0))
             t = np.linspace(0.0, 1.0, 65)
             h00, h01 = (1 + 2 * t) * (1 - t) ** 2, t * t * (3 - 2 * t)
             h10, h11 = t * (1 - t) ** 2, t * t * (t - 1)
@@ -388,24 +441,18 @@ class TestDipScreen:
                 (f0, f1), (d0, d1) = evaluate(f, x), evaluate(differentiate(f), x)
                 cubic = f0 * h00 + f1 * h01 + h * (d0 * h10 + d1 * h11)
                 assert np.max(np.abs(evaluate(f, x[0] + t * h) - cubic)) <= bound[r]
-
-    def test_the_prefilter_never_clears_a_cell_the_cubic_keeps(self):
-        held = 0
-        for fs in self.blocks():
-            *_, passed, kept = self.screened(fs)
-            assert np.all(passed[kept])
-            held += kept.sum()
-        assert held > 0
+                d = [_SLOPE @ vals[r, (i + np.arange(-7, 9)) % m] for i in (k, k + 1)]
+                assert np.all(np.abs(np.array(d) - h * np.array([d0, d1])) <= E[r])
 
     def test_only_a_few_candidates_reach_newton(self):
-        # at N=64, p=0 fewer than two cells in a thousand pass the prefilter
-        # (37 of 23 973 here) and the cubic keeps fewer still (4); in the
-        # crystallized regime neither keeps any
-        *_, passed, kept = self.screened(seeded_block(64, 0, 240))
-        assert len(kept) > 20000 and passed.sum() <= 0.002 * len(kept)
-        assert (passed & kept).sum() <= 0.0005 * len(kept)
-        *_, passed, kept = self.screened(seeded_block(256, 20, 6))
-        assert len(kept) > 2000 and not passed.any() and not kept.any()
+        # at N=64, p=0 the F-only cut leaves 1.4% of the cells with one sign
+        # of F at both ends, and fewer than two in a thousand of those with
+        # an F' sign change pass the prefilter (37 of 23 973 here); in the
+        # crystallized regime the cut leaves 2.3% and none pass
+        *_, left, kept = self.screened(seeded_block(64, 0, 240))
+        assert left <= 0.02 and len(kept) > 20000 and kept.sum() <= 0.002 * len(kept)
+        *_, left, kept = self.screened(seeded_block(256, 20, 6))
+        assert left <= 0.03 and len(kept) > 2000 and not kept.any()
 
     @pytest.mark.parametrize("oversample", [5, 3])
     def test_coarse_grids_keep_a_pair_inside_one_cell(self, oversample, monkeypatch):
