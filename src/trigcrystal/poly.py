@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +37,6 @@ _TABLE_WORDS = 1 << 21
 # the series evaluator's temporaries hold at most this many float64 words
 # (512 KiB) at once
 _SERIES_WORDS = 1 << 16
-# the series evaluator pads each row's points to whole tiles of this many
-# points, so that no point falls in the remainder of a BLAS or SIMD kernel
-_TILE = 16
 # the hash constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx),
 # whose seeding of one substream _pcg64_states replays for many at once
 _MASK32 = 0xFFFFFFFF
@@ -304,118 +300,35 @@ def _coefficients(f):
     return f.cos_coeffs - 1j * f.sin_coeffs
 
 
-def _radix(n1):
-    """(B, Q) of the factored evaluator for N+1 = n1 coefficients:
-    B = ceil(sqrt(N+1)) and Q = ceil((N+1)/B)."""
-    B = math.isqrt(n1 - 1) + 1
-    return B, -(-n1 // B)
-
-
-def _factored(c):
-    """Value/slope matrices of the factored evaluator for coefficient rows c.
-
-    With c_n = a_n - i b_n, F(x) = Re sum_n c_n exp(inx) and F'(x) =
-    Re sum_n i n c_n exp(inx).  Writing n = qB + r with (B, Q) = _radix(N+1),
-    r < B and q < Q factors exp(inx) = exp(iqBx) exp(irx): each row of c
-    (K, N+1), zero-padded to Q*B, becomes a (B, 2Q) matrix of value and
-    slope columns, returned as one (K, B, 2Q) array.
-    """
-    K, n1 = c.shape
-    B, Q = _radix(n1)
-    cp = np.zeros((K, Q * B), dtype=complex)
-    cp[:, :n1] = c
-    slope = 1j * np.arange(Q * B) * cp
-    C = np.concatenate([cp.reshape(K, Q, B), slope.reshape(K, Q, B)], axis=1)
-    return np.ascontiguousarray(C.transpose(0, 2, 1))
-
-
-def _doubled(T, size):
-    """exp(ikx) for k < size along the first axis, from T[j] = exp(i 2^j x):
-    each step multiplies the powers found so far by the next factor, so
-    power k is the product of the factors of its binary digits."""
-    out = np.empty((size, *T.shape[1:]), dtype=complex)
-    out[0] = 1.0
-    w = 1
-    for j in range(len(T)):
-        n = min(w, size - w)
-        np.multiply(out[:n], T[j], out=out[w:w + n])
-        w *= 2
-    return out
-
-
 def _series_values(c, own, x):
     """F and F' at the points of the 1-D array x, point i on the coefficient
-    row own[i] of c (K, N+1); own must be non-decreasing.
+    row own[i] of c (K, N+1), c_n = a_n - i b_n, by direct summation:
 
-    Each point needs the B + Q powers E = exp(irx) and G = exp(iqBx), and
-    the sums are Re sum_q G_q (E @ C)_q with C the row's factored matrix
-    (_factored), built for each block's rows as it is taken.  Only
-    exponentials of power-of-two multiples are taken, exp(i 2^j x) for
-    2^j < B and exp(i (2^j B) x) for 2^j < Q: about log2 N complex
-    exponentials per point instead of N+1 cosines and N+1 sines.  E and G
-    are filled from them by doubling products, E[w:2w] = E[:w] exp(iwx).
-    The arguments 2^j x are exact and (2^j B) x rounds once, so the
-    arguments of exp(inx) together round by at most eps*n*|x|, inside the
-    |x| term of the root finder's noise floor; each power is a product of
-    at most log2 N correctly rounded factors.
-    (Squaring exp(ix) repeatedly would double its rounding with every step.)
+        F(x) = sum_n a_n cos(nx) + b_n sin(nx),
+        F'(x) = sum_n n (b_n cos(nx) - a_n sin(nx)).
 
-    The points are grouped by row, and each row's group is padded with
-    zeros to whole tiles of _TILE points.  Rows of equal padded length go
-    together into blocks, each padded to its longest row, so that each
-    row's points meet its own matrix in one stacked matmul; a block takes
-    as many whole rows, or as large a slice of whole tiles of one long row,
-    as keeps its temporaries within _SERIES_WORDS float64 words.  Every
-    row's product E @ C then has a multiple of _TILE points, which the BLAS
-    kernels split into whole tiles, and every elementwise array a multiple
-    of _TILE entries: a point's values depend only on its row and on that
-    row's points in the call, not on the other rows or on how many there
-    are.
+    The argument n*x rounds once, by at most eps*n*|x|/2, inside the |x|
+    term of the root finder's noise floor; the rest are correctly rounded
+    real elementwise products, sums and differences, NumPy's elementwise
+    cos and sin, and one sum over each point's own N+1 terms.  So a point's values
+    depend only on its row and its x, not on the other points of the call,
+    their rows or how many there are.  The points are taken in slices whose
+    six (points, N+1) temporaries stay within _SERIES_WORDS float64 words.
     """
-    B, Q = _radix(c.shape[1])
-    n = len(x)
-    res = np.empty((n, 2))
-    if n == 0:
-        return res[:, 0], res[:, 1]
-    starts = np.flatnonzero(np.diff(own, prepend=-1))
-    counts = np.diff(np.append(starts, n))
-    # each row's points padded to whole tiles; rows of equal length together
-    L = -(-counts // _TILE) * _TILE
-    rows = np.argsort(-L, kind="stable")
-    je, jg = (B - 1).bit_length(), (Q - 1).bit_length()
-    mult = np.concatenate([2.0 ** np.arange(je), B * 2.0 ** np.arange(jg)])
-    # words per point: the block's padded points (1) and sums (2), and at
-    # the peak of its other temporaries the largest of exp's argument and
-    # result (2 + 2 per exponential), T with E and G (2 per exponential,
-    # 2 per power), and E, G, the product P (4 per q) and its sums (4)
-    J = je + jg
-    words = 3 + max(4 * J, 2 * (J + B + Q), 2 * B + 6 * Q + 4)
-    budget = max(_TILE, _SERIES_WORDS // words)
-    lc = budget // _TILE * _TILE
-    k = 0
-    while k < len(rows):
-        Lb = int(L[rows[k]])  # the longest row of the block
-        block = rows[k:k + max(1, budget // Lb)]
-        k += len(block)
-        cnt = counts[block]
-        grp = np.repeat(np.arange(len(block)), cnt)
-        pos = np.arange(len(grp)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        at = starts[block][grp] + pos
-        X = np.zeros((len(block), Lb))
-        X[grp, pos] = x[at]
-        C = _factored(c[own[starts[block]]])
-        out = np.empty((len(block), Lb, 2))
-        for i in range(0, Lb, lc):
-            xb = X[:, i:i + lc]
-            # powers first, so each doubling product is one contiguous run
-            T = np.exp(1j * np.multiply.outer(mult, xb))
-            E, G = _doubled(T[:je], B), _doubled(T[je:], Q)
-            del T  # before the product is built
-            P = np.matmul(E.transpose(1, 2, 0), C).reshape(*xb.shape, 2, Q)
-            out[:, i:i + lc] = np.matmul(P, G.transpose(1, 2, 0)[..., None])[..., 0].real
-            del E, G, P  # before the next block is built
-        res[at] = out[grp, pos]
-    return res[:, 0], res[:, 1]
+    n = np.arange(c.shape[1], dtype=float)
+    out = np.empty((2, len(x)))
+    step = max(1, _SERIES_WORDS // (6 * len(n)))
+    for i in range(0, len(x), step):
+        rows = own[i:i + step]
+        a, b = c.real[rows], -c.imag[rows]
+        nx = np.multiply.outer(x[i:i + step], n)
+        cos, sin = np.cos(nx), np.sin(nx, out=nx)
+        t, u = a * cos, b * sin
+        out[0, i:i + step] = np.add(t, u, out=t).sum(axis=1)
+        np.multiply(b, cos, out=t)
+        np.multiply(a, sin, out=u)
+        out[1, i:i + step] = np.multiply(np.subtract(t, u, out=t), n, out=t).sum(axis=1)
+    return out[0], out[1]
 
 
 def _value_and_slope(f, x):
@@ -424,8 +337,8 @@ def _value_and_slope(f, x):
 
 
 def evaluate(f: TrigPolynomial, x):
-    """Evaluate F at scalar or array x (the value column of the factored
-    evaluator shared with the root finder)."""
+    """Evaluate F at scalar or array x (the direct sum the root finder
+    certifies its roots with)."""
     xv = np.asarray(x, dtype=float)
     vals = _value_and_slope(f, xv.ravel())[0].reshape(xv.shape)
     if xv.ndim == 0:

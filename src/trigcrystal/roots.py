@@ -12,20 +12,25 @@ Two independent routes are provided and cross-validated in the test suite:
   twice the noise floor: about 99.9% of the roots at N=64, p=0, with its
   many close pairs, and all but a few in 10^5 at N=256, p=20.  The rest,
   close pairs, go to safeguarded Newton on the series (``_newton``), which
-  evaluates every point it takes with the factored evaluator of ``poly``:
-  about log2 N complex exponentials and one small matrix product per
-  point.  A degree-N polynomial has at most 2N real zeros per period, so
-  a missed bracket is very unlikely; a second pass looks for close root
-  pairs hidden inside one grid cell, where F keeps its sign at both ends
-  (``_dip_candidates``).  A proven bound on F alone clears nearly every
-  such cell.  On the few left F' at the ends comes from P', and only the
-  cells where it changes sign and a proven lower bound on the cubic
-  Hermite interpolant of F and F' comes near zero get their extremum
-  located by Newton on F' from the secant zero of F' (``_dip_brackets``).
-  Where F there has the other sign, the extremum splits the cell into two
-  brackets, each started at its midpoint.  Every bracket gives one root
-  strictly inside it, and the brackets' interiors are disjoint, so no
-  root is found twice and the roots need no merging.
+  evaluates every point it takes by the direct sum of ``poly``: N+1
+  cosines and N+1 sines per point, so the finder locates every root and
+  extremum on the grid and evaluates the series only to certify a root or
+  decide a sign.  A degree-N polynomial has at most 2N real zeros per
+  period, so a missed bracket is very unlikely; a second pass looks for
+  close root pairs hidden inside one grid cell, where F keeps its sign at
+  both ends (``_dip_candidates``).  A proven bound on F alone clears
+  nearly every such cell.  On the few left F' at the ends comes from P',
+  and only the cells where it changes sign and a proven lower bound on
+  the cubic Hermite interpolant of F and F' comes near zero get their
+  extremum located by Newton on P' from the secant zero of P'
+  (``_dip_brackets``), and F evaluated there on the series.  Where F
+  there has not the sign of the cell's ends, the extremum splits the cell
+  into two brackets, each started at its midpoint.  Sign changes are told
+  by the signs of F, never by products of its values, so scaling F by a
+  power of two scales nothing but its values, as long as the grid's
+  transform does not overflow.  Every bracket gives one root strictly
+  inside it, and the brackets' interiors are disjoint, so no root is
+  found twice and the roots need no merging.
   Refinement stops at the rounding noise of the series: a root x has
   |F(x)| <= 2 e(x), e(x) = 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)),
   where the second term is the rounding of the arguments n*x; an evaluated
@@ -38,14 +43,13 @@ Two independent routes are provided and cross-validated in the test suite:
   chunk's F grid takes at most 256 KiB: one batched transform per chunk,
   whose sign-change roots, exact zeros and dip candidates come from the
   2-D grid, each carrying its row index, before the grid is freed.
-  Everything after it runs once per batch: the Newton on F' of the dip
-  candidates, one sort and one Newton pass over every bracket the grid
-  could not certify, with each row's points grouped against that row's
-  factored matrix and each row's own noise floor.  That pays the per-call
-  NumPy overhead once per batch instead of once per polynomial.  Every
-  step works row by row and the evaluator is batch-invariant, so a root
-  is the same bit for bit whatever batch it is found in; the ensemble's
-  batches are 8 chunks.
+  Everything after it runs once per batch: the dip candidates' extrema on
+  the interpolant and one Newton pass over every bracket the grid could
+  not certify, each point on its own row with that row's noise floor.
+  That pays the per-call NumPy overhead once per batch instead of once per
+  polynomial.  Every step works row by row and a point's series values
+  depend on that point alone, so a root is the same bit for bit whatever
+  batch it is found in; the ensemble's batches are 8 chunks.
 
 * ``all_roots_companion`` substitutes z = exp(ix), turning F into an
   algebraic polynomial Q of degree 2N with F(x) = exp(-iNx) Q(exp(ix)),
@@ -168,18 +172,12 @@ def _noise_floor(c):
     c_k = 4 eps sum n^k (|a_n| + |b_n|).
 
     The evaluator's F is within c0 + c1|x| of the exact value: c0 covers
-    the cos/sin values and the sum, c1 the rounding of the arguments n*x,
-    which dominates at large N.
+    the cos/sin values, the products and the sum over the N+1 terms, c1 the
+    rounding of the arguments n*x, which dominates at large N.
     """
     w = np.abs(c.real) + np.abs(c.imag)
     n = np.arange(c.shape[-1])
     return 4.0 * _EPS * w.sum(axis=-1), 4.0 * _EPS * (n * w).sum(axis=-1)
-
-
-def _series(c):
-    """Coefficient rows prepared for Newton: the rows and each row's noise
-    floor (c0, c1)."""
-    return (c, *_noise_floor(c))
 
 
 def _bounds(c, c0, c1, h):
@@ -234,6 +232,53 @@ def _inside(x, lo, hi):
     return np.where(ok, x, 0.5 * (lo + hi)), ok
 
 
+def _value_step(wf, r):
+    """(S, P/P') at t of the interpolant P = omega/15! S with the weighted
+    grid values wf (16, n), r_k = 1/(t - k) (_grid_roots): P has the sign
+    of S on (0, 1), and P' = omega/15! (S sum_k r_k - sum_k w_k f_k r_k^2)."""
+    S = np.einsum("kn,kn->n", wf, r)
+    return S, S / (S * r.sum(axis=0) - np.einsum("kn,kn,kn->n", wf, r, r))
+
+
+def _slope_step(wf, r):
+    """(G, P'/P'') at t of the interpolant P = omega/15! S with the weighted
+    grid values wf (16, n), r_k = 1/(t - k) (_dip_brackets).
+
+    With D1 = sum_k r_k = omega'/omega, D2 = sum_k r_k^2, S' = -sum_k w_k
+    f_k r_k^2 and S'' = 2 sum_k w_k f_k r_k^3, P' = omega/15! G with G = S
+    D1 + S', which has the sign of P' on (0, 1), and P'' = omega/15! (D1 G
+    + G'), G' = S' D1 - S D2 + S'', so that P'/P'' = G / (S (D1^2 - D2) +
+    2 S' D1 + S'').
+    """
+    S = np.einsum("kn,kn->n", wf, r)
+    S1 = np.einsum("kn,kn,kn->n", wf, r, r)
+    S2 = np.einsum("kn,kn,kn,kn->n", wf, r, r, r)
+    D1, D2 = r.sum(axis=0), np.einsum("kn,kn->n", r, r)
+    G = S * D1 - S1
+    return G, G / (S * (D1 * D1 - D2) - 2.0 * S1 * D1 + 2.0 * S2)
+
+
+def _interpolant_newton(wf, t, side, step):
+    """t in (0, 1) after _STEPS safeguarded Newton steps from t on a function
+    g of the degree-15 interpolant of a grid cell, with the weighted grid
+    values wf (16, n) at its nodes (_NODES, _WEIGHTS); step(wf, r), r_k =
+    1/(t - k), returns g and the Newton step at t, and side is the sign of
+    g at t = 0.  Each step narrows [0, 1] to the side of t where g has that
+    sign and moves t by the Newton step, or to the narrowed bracket's
+    midpoint where that would leave it (_inside); a step that no longer
+    moves t stays, though t is now a bracket end."""
+    lo, hi = np.zeros(len(t)), np.ones(len(t))
+    r = np.empty_like(wf)
+    for _ in range(_STEPS):
+        g, move = step(wf, np.reciprocal(np.subtract(t, _NODES[:, None], out=r), out=r))
+        on_lo = np.sign(g) == side
+        np.copyto(lo, t, where=on_lo)
+        np.copyto(hi, t, where=~on_lo)
+        new = t - move
+        t = np.where(new == t, t, _inside(new, lo, hi)[0])
+    return t
+
+
 def _grid_roots(f, x0, h, c0, c1, T):
     """The root in each sign-change cell [x0, x0 + h] from the grid alone,
     as (x, certified), certified where x is.  f (16, n) holds the grid's F
@@ -245,10 +290,9 @@ def _grid_roots(f, x0, h, c0, c1, T):
     prod_k (t - k) and S(t) = sum_k w_k f_k / (t - k), is the first
     barycentric form of the degree-15 interpolant of f, with the integer
     weights w_k of _WEIGHTS.  omega > 0 on (0, 1), so P has the sign of S
-    there.  From the secant point, each step narrows [0, 1] to the side of
-    t where S has the sign of f at x0, and takes the Newton step t - P/P'
-    = t - S / (S sum_k 1/(t - k) - sum_k w_k f_k / (t - k)^2), or the
-    bracket's midpoint where that would leave it (_inside).
+    there.  From the secant point, _interpolant_newton takes safeguarded
+    Newton steps on P, narrowing [0, 1] by the sign of S against that of f
+    at x0 (_value_step).
 
     The certificate.  F* is the interpolant of the exact F at the nodes,
     P that of the grid's values, each within delta c0 of F (_DELTA; the
@@ -285,22 +329,11 @@ def _grid_roots(f, x0, h, c0, c1, T):
     slack of gamma_80 and of delta: the grid's error stays below delta c0
     / 2 in those tests.
     """
-    nodes = _NODES[:, None]
     wf = _WEIGHTS[:, None] * f
-    lo, hi = np.zeros(len(x0)), np.ones(len(x0))
-    side = np.sign(f[7])
-    t, _ = _inside(f[7] / (f[7] - f[8]), lo, hi)
-    d = np.empty_like(f)  # 1/(t - k), one buffer for every step
-    for _ in range(_STEPS):
-        np.reciprocal(np.subtract(t, nodes, out=d), out=d)
-        S = np.einsum("kn,kn->n", wf, d)
-        on_lo = np.sign(S) == side
-        np.copyto(lo, t, where=on_lo)
-        np.copyto(hi, t, where=~on_lo)
-        new = t - S / (S * d.sum(axis=0) - np.einsum("kn,kn,kn->n", wf, d, d))
-        # a step that no longer moves t stays, though t is now a bracket end
-        t = np.where(new == t, t, _inside(new, lo, hi)[0])
-    scale = np.abs(np.prod(np.subtract(t, nodes, out=d), axis=0)) / math.factorial(15)
+    t, _ = _inside(f[7] / (f[7] - f[8]), 0.0, 1.0)
+    t = _interpolant_newton(wf, t, np.sign(f[7]), _value_step)
+    d = np.empty_like(f)
+    scale = np.abs(np.prod(np.subtract(t, _NODES[:, None], out=d), axis=0)) / math.factorial(15)
     S = np.einsum("kn,kn->n", wf, np.reciprocal(d, out=d))
     np.abs(d, out=d)
     spread = (_gamma(80) * np.einsum("kn,kn->n", np.abs(wf), d)
@@ -310,9 +343,9 @@ def _grid_roots(f, x0, h, c0, c1, T):
 
 
 def _newton(series, own, lo, hi, x, lo_sign):
-    """One zero in each bracket [lo, hi] of row own[i] of the _series rows,
-    from the start x inside it, lo_sign the sign of f at lo; own must be
-    non-decreasing.  lo and hi are narrowed in place.
+    """One zero of F in each bracket [lo, hi] of row own[i] of the series
+    rows (c, c0, c1), from the start x inside it, lo_sign the sign of F at
+    lo.  lo and hi are narrowed in place.
 
     Safeguarded Newton on the series, vectorized over the brackets of every
     row, evaluating every point it takes.  Every evaluation shrinks the
@@ -324,8 +357,7 @@ def _newton(series, own, lo, hi, x, lo_sign):
     shrunk to adjacent floats.  Only the live brackets are carried from
     round to round.  It takes the sign-change brackets the grid's
     interpolant could not certify (_grid_roots), about one root in a
-    thousand, all in close pairs, and the halves of the dip cells; the dip
-    pass's Newton on F' runs it on the slope rows, with their own floor.
+    thousand, all in close pairs, and the halves of the dip cells.
     """
     roots = np.empty(len(x))
     c, c0, c1 = series
@@ -371,8 +403,9 @@ def _gather(vals, row, j, first, stop):
 
 def _dip_candidates(vals, same, cut, margin):
     """The cells of one chunk's grid of F, vals (K, m), that may hide a
-    near-tangent root pair, as (row, j, f, d): the cell [x_j, x_j+1] of row
-    `row`, with f (2, n) the grid's F at its ends and d (2, n) h P' there,
+    near-tangent root pair, as (row, j, g, d): the cell [x_j, x_j+1] of row
+    `row`, with g (16, n) the grid's F at the interpolant's nodes x_j-7 ..
+    x_j+8 (_NODES), so g[7:9] at its ends, and d (2, n) h P' at its ends,
     h the grid step.  same[k, j] says F has one nonzero sign at both ends
     of cell j on row k, and cut and margin hold each row's _bounds.
 
@@ -397,37 +430,37 @@ def _dip_candidates(vals, same, cut, margin):
     d = np.stack([np.einsum("k,kn->n", _SLOPE, g[:16]), np.einsum("k,kn->n", _SLOPE, g[1:])])
     keep = np.signbit(d[0]) != np.signbit(d[1])
     keep &= np.abs(f).min(axis=0) - 0.25 * np.abs(d).max(axis=0) <= margin[row]
-    return row[keep], j[keep], f[:, keep], d[:, keep]
+    return row[keep], j[keep], g[:16, keep], d[:, keep]
 
 
-def _dip_brackets(series, xe, row, j, f, d):
+def _dip_brackets(c, xe, row, j, g, d):
     """Brackets of the root pairs hidden in dip candidate cells.
 
     A pair of close real roots can sit inside one grid cell without a sign
     change; the extremum between them is then a zero of F'.  Each candidate
-    of _dip_candidates (row, grid index j, F and h P' at the cell's ends in
-    f and d) gets its extremum located by Newton on F' over the cell,
-    which the sign change of d brackets, from the secant zero of d; F is
-    evaluated there.  Returns (row, lo, hi, start, sign) brackets, sign
-    that of F at lo, on both sides of the extremum xc wherever F flips
-    sign there, each started at its midpoint.  Their interiors are
-    disjoint from each other and from every sign-change cell, so each
-    holds its own root.  series holds the _series rows and xe the grid's
-    m + 1 points.
+    of _dip_candidates (row, grid index j, the grid's F at the nodes in g
+    and h P' at the cell's ends in d) gets its extremum located on the
+    cell's interpolant P (_grid_roots): from the secant zero of d,
+    _interpolant_newton takes safeguarded Newton steps on P', narrowing by
+    its sign against that of d at the cell's left end (_slope_step).  F is
+    evaluated once, on the series rows c, at the extremum xc.  Returns
+    (row, lo, hi, start, sign) brackets, sign that of F at lo, on both
+    sides of xc wherever F there has not the sign of F at the cell's ends,
+    each started at its midpoint.  Their interiors are disjoint from each
+    other and from every sign-change cell, so each holds its own root.  xe
+    holds the grid's m + 1 points.
     """
     if len(row):
-        c = series[0]
-        rows, own = np.unique(row, return_inverse=True)
-        slope = _series(1j * np.arange(c.shape[1]) * c[rows])
-        lo, hi = xe[j], xe[j + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x, _ = _inside(lo + d[0] / (d[0] - d[1]) * xe[1], lo, hi)
-        xc = _newton(slope, own, lo, hi, x, 1.0 - 2.0 * np.signbit(d[0]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t, _ = _inside(d[0] / (d[0] - d[1]), 0.0, 1.0)
+            t = _interpolant_newton(_WEIGHTS[:, None] * g, t, 1.0 - 2.0 * np.signbit(d[0]),
+                                    _slope_step)
+        xc = xe[j] + xe[1] * t
         fc, _ = _series_values(c, row, xc)
     else:
         xc = fc = np.empty(0)
-    flips = fc * f[0] < 0
-    row, j, xc, sign = row[flips], j[flips], xc[flips], np.sign(f[0, flips])
+    flips = np.sign(fc) != np.sign(g[7])
+    row, j, xc, sign = row[flips], j[flips], xc[flips], np.sign(g[7, flips])
     lo, hi = np.concatenate([xe[j], xc]), np.concatenate([xc, xe[j + 1]])
     return np.concatenate([row, row]), lo, hi, 0.5 * (lo + hi), np.concatenate([sign, -sign])
 
@@ -439,20 +472,22 @@ def _chunk_rows(n1):
 
 
 def _scan(series, bounds, k0, k1, xe):
-    """The grid pass over rows k0..k1-1 of the _series rows, with their
-    _bounds, on the grid xe[:-1] of m points, each result with its row in
-    the series: the roots the grid settles, (row, x), being the exact zeros
-    on the grid and the certified roots of the sign-change cells
-    (_grid_roots); the sign-change brackets left, (row, lo, hi, start,
-    sign), each started where the interpolant's Newton steps ended; and
-    the dip candidates (row, j, f, d) of _dip_candidates.  The stencils
+    """The grid pass over rows k0..k1-1 of the series rows (c, c0, c1),
+    with their _bounds, on the grid xe[:-1] of m points, each result with
+    its row in the series: the roots the grid settles, (row, x), being the
+    exact zeros on the grid and the certified roots of the sign-change
+    cells (_grid_roots); the sign-change brackets left, (row, lo, hi,
+    start, sign), each started where the interpolant's Newton steps ended;
+    and the dip candidates (row, j, g, d) of _dip_candidates.  The stencils
     live only as long as the chunk's grid, which is freed on return."""
     c, c0, c1 = (v[k0:k1] for v in series)
     T, cut, margin = (v[k0:k1] for v in bounds)
     m = len(xe) - 1
     vals = _grid_values(c, m)
-    # F_j F_j+1 of every cell; F changes sign across the negative ones
-    ends = _across(np.multiply, vals)
+    # the product of the signs of F_j and F_j+1 of every cell: F changes
+    # sign across the negative ones (a product of the values would underflow
+    # or overflow at small or large scales)
+    ends = _across(np.multiply, np.sign(vals))
     row, j = np.divmod(np.flatnonzero(ends < 0.0), m)
     f = _gather(vals, row, j, -7, 9)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -473,28 +508,26 @@ def _real_roots_block(c):
     sign-change cells certified from the grid and the dip candidates
     found on the 2-D grid with their row index, and the chunk's grid freed
     before the next one.  Everything after it runs once for all K rows:
-    the Newton on F' of the dip candidates, one stable sort of the
-    brackets left by row, one Newton pass over them, and the per-row sort
-    and split.  Each bracket gives one root strictly inside it, the
-    brackets' interiors are disjoint (the sign-change cells, and the two
-    halves of a dip cell split at its extremum) and an exact grid zero
-    opens none, so no root is found twice and none needs merging.  A row's
-    roots do not depend on the other rows, since every step works row by
-    row and the series evaluator is batch-invariant.
+    the dip candidates' extrema on the interpolant, one Newton pass over
+    the brackets left, and the per-row sort and split.  Each bracket gives
+    one root strictly inside it, the brackets' interiors are disjoint (the
+    sign-change cells, and the two halves of a dip cell split at its
+    extremum) and an exact grid zero opens none, so no root is found twice
+    and none needs merging.  A row's roots do not depend on the other
+    rows, since every step works row by row and a point's series values
+    depend on that point alone.
     """
     if not np.all(np.any(c != 0.0, axis=1)):
         raise ValueError("degenerate input: polynomial is identically zero")
     K, n1 = c.shape
     m = OVERSAMPLE * (2 * n1 - 1)
     xe = np.arange(m + 1) * (2.0 * np.pi / m)
-    s = _series(c)
+    s = (c, *_noise_floor(c))
     bounds = _bounds(c, *s[1:], xe[1])
     k = _chunk_rows(n1)
     parts = [_scan(s, bounds, k0, k0 + k, xe) for k0 in range(0, K, k)]
-    settled, at, *found, row, j, f, d = (np.concatenate(v, axis=-1) for v in zip(*parts))
-    own, *brackets = (np.concatenate(v) for v in zip(found, _dip_brackets(s, xe, row, j, f, d)))
-    order = np.argsort(own, kind="stable")
-    own, brackets = own[order], [v[order] for v in brackets]
+    settled, at, *found, row, j, g, d = (np.concatenate(v, axis=-1) for v in zip(*parts))
+    own, *brackets = (np.concatenate(v) for v in zip(found, _dip_brackets(c, xe, row, j, g, d)))
     roots = np.mod(np.concatenate([at, _newton(s, own, *brackets)]), 2.0 * np.pi)
     own = np.concatenate([settled, own])
     # by row, then by value: ties are equal values, so the values' sort

@@ -15,10 +15,8 @@ from trigcrystal.poly import (
     VarianceProfile,
     _coefficient_rows,
     _SERIES_WORDS,
-    _TILE,
     _coefficients,
     _draws,
-    _radix,
     _series_values,
     _value_and_slope,
     derivative_rescaled,
@@ -201,12 +199,9 @@ def dense_value_and_slope(f, x):
 
 @st.composite
 def sparse_polynomials(draw):
-    """Degrees 1..4096, with extra weight where N+1 is a square or next to
-    one (the padding edge cases of the factored table); spectra with only
-    the top mode, a few random modes, or all modes."""
-    near_square = st.integers(1, 64).flatmap(
-        lambda k: st.sampled_from([max(1, k * k - 2), max(1, k * k - 1), k * k]))
-    N = draw(st.one_of(st.integers(1, 4096), near_square))
+    """Degrees 1..4096; spectra with only the top mode, a few random modes,
+    or all modes."""
+    N = draw(st.integers(1, 4096))
     kind = draw(st.sampled_from(["top", "few", "all"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a, b = np.zeros(N + 1), np.zeros(N + 1)
@@ -277,26 +272,6 @@ class TestFactoredEvaluator:
         self.assert_within_floor(f, x, value, exact[:, 0], 0.25)
         self.assert_within_floor(f, x, slope, exact[:, 1], 0.25, order=1)
 
-    @pytest.mark.parametrize("N", [1, 2, 64, 256, 4096])
-    def test_exponentials_per_point(self, N, monkeypatch):
-        # exp(i 2^j x) for 2^j < B and exp(i 2^j B x) for 2^j < Q only, at
-        # each point padded to a whole number of tiles
-        f = sample(EnsembleSpec.equal_variance(N, 0, 1, 3), 0)
-        B, Q = _radix(N + 1)
-        taken, exp = [], np.exp
-
-        def counting_exp(z, *args, **kwargs):
-            taken.append(np.size(z))
-            return exp(z, *args, **kwargs)
-
-        monkeypatch.setattr(np, "exp", counting_exp)
-        x = np.linspace(0.1, 6.0, 50)
-        value, _ = _series_values(_coefficients(f)[None], np.zeros(len(x), int), x)
-        monkeypatch.undo()
-        padded = -(-len(x) // _TILE) * _TILE
-        assert sum(taken) <= (math.ceil(math.log2(B)) + math.ceil(math.log2(Q))) * padded
-        self.assert_within_floor(f, x, value, dense_value_and_slope(f, x)[0], 1.0)
-
     @settings(max_examples=150, deadline=None)
     @given(f=sparse_polynomials(),
            x=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20))
@@ -308,11 +283,11 @@ class TestFactoredEvaluator:
         self.assert_within_floor(f, x, slope, want_slope, 1.0, order=1)
 
     def test_rows_of_a_block_match_their_own_polynomials(self):
-        # uneven groups (one row without points) padded into one matmul
+        # uneven groups, one row without points, the rows interleaved
         N = 40
         fs = [sample(EnsembleSpec.equal_variance(N, 0, 4, 5), i) for i in range(4)]
         c = np.stack([_coefficients(f) for f in fs])
-        own = np.repeat([0, 2, 3], [7, 1, 12])
+        own = np.random.default_rng(9).permutation(np.repeat([0, 2, 3], [7, 1, 12]))
         x = np.random.default_rng(8).uniform(-7.0, 7.0, len(own))
         value, slope = _series_values(c, own, x)
         for k in (0, 2, 3):
@@ -322,10 +297,9 @@ class TestFactoredEvaluator:
             self.assert_within_floor(fs[k], x[on], slope[on], want_slope, 1.0, order=1)
 
     def test_peak_memory_is_bounded_at_the_largest_degree(self):
-        # one row of many points: the results, the row's indices, padded
-        # points and sums take 7 words a point, and the temporaries of each
-        # slice of it stay inside the word budget (with room for NumPy's own
-        # buffers and the row's factored matrix)
+        # one row of many points: the results and the row's indices take 3
+        # words a point, and the temporaries of each slice of it stay inside
+        # the word budget (with room for NumPy's own buffers)
         f = sample(EnsembleSpec.equal_variance(4096, 0, 1, 3), 0)
         x = np.random.default_rng(1).uniform(0.0, 2.0 * math.pi, 20_000)
         tracemalloc.start()
@@ -334,16 +308,17 @@ class TestFactoredEvaluator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 8 * len(x) + 2 * 8 * _SERIES_WORDS
+        assert peak <= 3 * 8 * len(x) + 2 * 8 * _SERIES_WORDS
         # the points span several slices; the last, partial one too
         tail = x[-50:]
         self.assert_within_floor(f, tail, value[-50:], dense_value_and_slope(f, tail)[0], 1.0)
 
-    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("N", [1, 10, 64, 256, 1024, 4096])
     def test_a_point_does_not_depend_on_the_others_in_the_call(self, N):
-        # 300 points on 15 rows, evaluated whole and again in groups of 1, 7,
-        # 30 and 100 points: the same values bit for bit, so a root found in
-        # a batch of polynomials is the root of its polynomial found alone
+        # 300 points on 15 rows, evaluated whole, again in groups of 1, 7,
+        # 30 and 100 points and again in shuffled order: the same values bit
+        # for bit, so a root found in a batch of polynomials is the root of
+        # its polynomial found alone
         c = _coefficient_rows(EnsembleSpec.equal_variance(N, 0, 15, 3), 0, 15)
         rng = np.random.default_rng(N)
         own = np.sort(rng.integers(0, 15, 300))
@@ -353,6 +328,9 @@ class TestFactoredEvaluator:
             parts = [np.stack(_series_values(c, own[i:i + size], x[i:i + size]))
                      for i in range(0, 300, size)]
             assert np.array_equal(np.concatenate(parts, axis=1), whole)
+        shuffled = rng.permutation(300)
+        assert np.array_equal(np.stack(_series_values(c, own[shuffled], x[shuffled])),
+                              whole[:, shuffled])
 
 
 class TestEvaluateRescaled:

@@ -1,6 +1,7 @@
 """Root finding: dense-sampling vs companion-matrix cross-validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from trigcrystal.ensemble import _block_size, real_zero_ensemble, rescale_zeros
 from trigcrystal.poly import (
     EnsembleSpec,
     TrigPolynomial,
+    _coefficient_rows,
     _coefficients,
     derivative_rescaled,
     differentiate,
@@ -43,6 +45,13 @@ def random_derivative(N, p, seed):
     spec = EnsembleSpec.equal_variance(N, 0, 1, seed)
     f = sample(spec, 0)
     return derivative_rescaled(f, p) if p else f
+
+
+def hidden_pair():
+    """The N=16, p=3 realization whose close root pair sits inside one cell
+    of the 16x grid, found only by the dip pass (seed 7, index 3291)."""
+    spec = EnsembleSpec.equal_variance(16, 3, 3292, 7)
+    return derivative_rescaled(sample(spec, 3291), 3)
 
 
 class TestSampled:
@@ -80,8 +89,7 @@ class TestSampled:
             a[8] = 1.0
             cases.append((TrigPolynomial(8, a, np.zeros(9)), 16, 1e-8))
         # a sampled realization with a close root pair inside one grid cell
-        spec = EnsembleSpec.equal_variance(16, 3, 3292, 7)
-        cases.append((derivative_rescaled(sample(spec, 3291), 3), 32, 1e-12))
+        cases.append((hidden_pair(), 32, 1e-12))
         for f, count, gap in cases:
             rs = real_roots_sampled(f)
             rc = all_roots_companion(f)
@@ -92,7 +100,7 @@ class TestSampled:
     def test_tangent_dips_above_zero_have_no_roots(self, eps):
         # cos(8x) + 1 + eps stays above zero by eps at eight grid-point
         # minima; the dip screen's margin is 3e-6 here, so the dips at
-        # eps <= 1e-6 reach Newton on F' and must still not flip
+        # eps <= 1e-6 have their extremum located and must still not flip
         a = np.zeros(9)
         a[0], a[8] = 1.0 + eps, 1.0
         f = TrigPolynomial(8, a, np.zeros(9))
@@ -332,6 +340,38 @@ class TestBlock:
                     w *= z
                 assert abs(float(value)) <= 2.0 * (c0 + c1 * abs(x))
 
+    @pytest.mark.parametrize("N,p", [(64, 0), (256, 20), (16, 3)])
+    def test_the_ensemble_makes_no_blas_call(self, N, p, monkeypatch):
+        # a BLAS product starts its own threads in every worker process, and
+        # the finder needs none
+        def blas(*args, **kwargs):
+            raise AssertionError("BLAS call in the ensemble path")
+
+        for name in ("matmul", "dot", "vdot", "inner", "tensordot"):
+            monkeypatch.setattr(np, name, blas)
+        found = real_zero_ensemble(EnsembleSpec.equal_variance(N, p, 2 * _block_size(N), 5))
+        assert sum(len(r) for r in found) > 0
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_scaling_by_a_power_of_two_keeps_every_root(self, k):
+        # 2^k F has F's roots bit for bit, with no overflow or underflow on
+        # the way: the finder compares signs, not products of values; the
+        # realization has a close pair that only the dip pass finds
+        rows = _coefficient_rows(EnsembleSpec.equal_variance(64, 0, 120, 7), 0, 120)
+        pair = _coefficients(hidden_pair())[None]
+        for c in (rows, pair):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                scaled = _real_roots_block(c * 2.0**k)
+            for want, got in zip(_real_roots_block(c), scaled):
+                assert np.array_equal(got, want)
+        assert len(_real_roots_block(pair)[0]) == 32
+
+    def test_a_tiny_sine_keeps_its_roots(self):
+        f = TrigPolynomial(3, [0.0] * 4, [0.0, 0.0, 0.0, 1e-200])
+        roots = real_roots_sampled(f).real_roots
+        assert np.allclose(roots, np.arange(6) * math.pi / 3, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("chunks", [1, ensemble._BATCH_CHUNKS, 4 * ensemble._BATCH_CHUNKS])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_ensemble_roots_are_those_of_each_polynomial_alone(self, chunks, threads,
@@ -460,8 +500,7 @@ class TestDipScreen:
         # test_near_tangent_pairs_are_recovered) leaves an F' sign change
         # between the ends of its cell on these coarser grids too
         monkeypatch.setattr(roots_module, "OVERSAMPLE", oversample)
-        spec = EnsembleSpec.equal_variance(16, 3, 3292, 7)
-        f = derivative_rescaled(sample(spec, 3291), 3)
+        f = hidden_pair()
         assert real_roots_sampled(f).real_count == all_roots_companion(f).real_count == 32
 
 
