@@ -75,12 +75,12 @@ class PairCorrelationEstimate:
 # the root finder takes a batch of this many grid chunks of realizations at
 # once: the grid is still computed one chunk at a time, and everything after
 # it runs once per batch
-_BATCH_CHUNKS = 8
+_BATCH_CHUNKS = 4
 
 
 def _block_size(degree: int) -> int:
-    """Realizations per batch: _BATCH_CHUNKS grid chunks of max(1, 2^15 // m)
-    realizations each, for the m-point grid."""
+    """Realizations per batch: _BATCH_CHUNKS grid chunks of max(1, 2^16 // m)
+    realizations each, for the m-point grid (124 at N = 64, 28 at N = 256)."""
     return _BATCH_CHUNKS * roots._chunk_rows(degree + 1)
 
 
@@ -113,7 +113,7 @@ def real_zero_ensemble(spec: poly.EnsembleSpec, threads: int = 1) -> list[np.nda
     """Rescaled real roots of F^(p) for every realization, in index order.
 
     The root finder works on fixed batches of consecutive realizations
-    (_block_size: 8 grid chunks of max(1, 2^15 // m) realizations for the
+    (_block_size: 4 grid chunks of max(1, 2^16 // m) realizations for the
     m = 16*(2N+1) point grid).  With threads > 1 runs of whole batches are
     processed in parallel worker processes.  Each realization is a pure
     function of (spec, index), its roots do not depend on the batch it is

@@ -4,10 +4,11 @@ Two independent routes are provided and cross-validated in the test suite:
 
 * ``real_roots_sampled`` evaluates F on a uniform grid of m = 16*(2N+1)
   points by one inverse real FFT of length m (O(m) memory) and brackets
-  the sign changes of F.  Each bracket [x_j, x_j+1] is refined by four
-  safeguarded Newton steps from the secant point on P, the degree-15
-  interpolant of the grid's F at x_j-7 .. x_j+8 (``_grid_roots``), and
-  the result is the root, unevaluated, where a proven bound on |F| there
+  the sign changes of F.  Each bracket [x_j, x_j+1] starts at the root of
+  the cubic through the grid's F at x_j-1 .. x_j+2 and is refined by two
+  safeguarded Newton steps on P, the degree-15 interpolant of the grid's
+  F at x_j-7 .. x_j+8 (``_grid_roots``), and the result is the root,
+  unevaluated, where a proven bound on |F| there
   (|P|, P's rounding and truncation, and the grid's error) is within
   twice the noise floor: about 99.9% of the roots at N=64, p=0, with its
   many close pairs, and all but a few in 10^5 at N=256, p=20.  The rest,
@@ -26,11 +27,11 @@ Two independent routes are provided and cross-validated in the test suite:
   (``_dip_brackets``), and F evaluated there on the series.  Where F
   there has not the sign of the cell's ends, the extremum splits the cell
   into two brackets, each started at its midpoint.  Sign changes are told
-  by the signs of F, never by products of its values, so scaling F by a
-  power of two scales nothing but its values, as long as the grid's
-  transform does not overflow.  Every bracket gives one root strictly
-  inside it, and the brackets' interiors are disjoint, so no root is
-  found twice and the roots need no merging.
+  by sign bits, never by products of values, and each row is first scaled
+  by the power of two that puts its largest |a_n|, |b_n| in [0.5, 1), so
+  2^k F has F's roots bit for bit and nothing overflows.  Every bracket
+  gives one root strictly inside it, and the brackets' interiors are
+  disjoint, so no root is found twice and the roots need no merging.
   Refinement stops at the rounding noise of the series: a root x has
   |F(x)| <= 2 e(x), e(x) = 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)),
   where the second term is the rounding of the arguments n*x; an evaluated
@@ -39,17 +40,17 @@ Two independent routes are provided and cross-validated in the test suite:
 
   The finder works on a batch of K polynomials of one degree
   (``_real_roots_block``); ``real_roots_sampled`` is a batch of one.  The
-  grid pass takes the batch in chunks of max(1, 2^15 // m) rows, so a
-  chunk's F grid takes at most 256 KiB: one batched transform per chunk,
-  whose sign-change roots, exact zeros and dip candidates come from the
+  grid pass takes the batch in chunks of max(1, 2^16 // m) rows, so a
+  chunk's F grid takes about 512 KiB: one batched transform per chunk,
+  whose exact zeros, sign-change stencils and dip candidates come from the
   2-D grid, each carrying its row index, before the grid is freed.
   Everything after it runs once per batch: the dip candidates' extrema on
   the interpolant and one Newton pass over every bracket the grid could
-  not certify, each point on its own row with that row's noise floor.
-  That pays the per-call NumPy overhead once per batch instead of once per
+  not certify, each point on its own row with that row's noise floor.  That
+  pays the per-call NumPy overhead once per batch instead of once per
   polynomial.  Every step works row by row and a point's series values
   depend on that point alone, so a root is the same bit for bit whatever
-  batch it is found in; the ensemble's batches are 8 chunks.
+  batch it is found in; the ensemble's batches are 4 chunks.
 
 * ``all_roots_companion`` substitutes z = exp(ix), turning F into an
   algebraic polynomial Q of degree 2N with F(x) = exp(-iNx) Q(exp(ix)),
@@ -84,8 +85,8 @@ CLASSIFY_TOL = 1e-8
 MAX_REFINE_ITERATIONS = 200
 _EPS = np.finfo(float).eps
 # the grid pass takes rows in chunks of at most this many grid points of F,
-# so its grid takes at most 256 KiB however many rows the finder is given
-_CHUNK_GRID_POINTS = 1 << 15
+# so its grid takes about 512 KiB however many rows the finder is given
+_CHUNK_GRID_POINTS = 1 << 16
 
 # The constants of the grid's proofs (_grid_roots, _bounds).  The
 # interpolant's 16 nodes, in grid steps from the left end of a cell, and
@@ -93,9 +94,9 @@ _CHUNK_GRID_POINTS = 1 << 15
 # Lagrange weights 1/prod_(l != i) (k_i - k_l) times 15!.
 _NODES = np.arange(-7.0, 9.0)
 _WEIGHTS = np.array([(-1) ** (i + 1) * math.comb(15, i) for i in range(16)], dtype=float)
-# Newton steps on the interpolant; three leave some roots a few hundred c0
-# from zero, one more brings them below 1e-3 c0
-_STEPS = 4
+# Newton steps on the interpolant: from the cubic start of _grid_roots, and
+# from the secant zero of P' in _dip_brackets
+_STEPS = 2
 # the grid's error in units of c0 (the transform's rounding; at most 0.48
 # c0 against 40-digit sums, tests/test_roots.py)
 _DELTA = 1.0
@@ -155,8 +156,10 @@ class RootSet:
 
 
 def _grid_values(c, m):
-    """F of every coefficient row c (K, N+1) at x_k = 2*pi*k/m, k < m, by
-    one batched inverse real FFT of length m, as a (K, m) array.
+    """F of every coefficient row c (K, N+1) at x_k = 2*pi*k/m, k = -7 ..
+    m+9, as a (K, m + 17) array whose column k + 7 holds x_k: one batched
+    inverse real FFT of length m, wrapped around the period by copies of
+    its first 10 and last 7 columns, so every stencil is a run of columns.
 
     Bin n of the half spectrum holds (m/2)(a_n - i b_n) (bin 0 holds
     m*a_0); irfft pads the N+1 bins with zeros to m/2+1 itself.  Needs
@@ -164,7 +167,10 @@ def _grid_values(c, m):
     """
     spec = 0.5 * m * c
     spec[:, 0] = m * c[:, 0].real
-    return np.fft.irfft(spec, m)
+    vals = np.empty((len(c), m + 17))
+    np.fft.irfft(spec, m, out=vals[:, 7:-10])
+    vals[:, :7], vals[:, -10:] = vals[:, m:m + 7], vals[:, 7:17]
+    return vals
 
 
 def _noise_floor(c):
@@ -290,9 +296,11 @@ def _grid_roots(f, x0, h, c0, c1, T):
     prod_k (t - k) and S(t) = sum_k w_k f_k / (t - k), is the first
     barycentric form of the degree-15 interpolant of f, with the integer
     weights w_k of _WEIGHTS.  omega > 0 on (0, 1), so P has the sign of S
-    there.  From the secant point, _interpolant_newton takes safeguarded
-    Newton steps on P, narrowing [0, 1] by the sign of S against that of f
-    at x0 (_value_step).
+    there.  From the root in (0, 1) of the cubic through f at x0 - h ..
+    x0 + 2h, two Newton steps on it from the secant point, each kept in
+    (0, 1) by _inside, _interpolant_newton takes safeguarded Newton steps
+    on P, narrowing [0, 1] by the sign of S against that of f at x0
+    (_value_step).  f is overwritten.
 
     The certificate.  F* is the interpolant of the exact F at the nodes,
     P that of the grid's values, each within delta c0 of F (_DELTA; the
@@ -329,14 +337,20 @@ def _grid_roots(f, x0, h, c0, c1, T):
     slack of gamma_80 and of delta: the grid's error stays below delta c0
     / 2 in those tests.
     """
-    wf = _WEIGHTS[:, None] * f
-    t, _ = _inside(f[7] / (f[7] - f[8]), 0.0, 1.0)
-    t = _interpolant_newton(wf, t, np.sign(f[7]), _value_step)
+    f0, f1, f2, f3 = f[6:10].copy()
+    a1, a2 = f2 - f1 / 2 - f0 / 3 - f3 / 6, (f0 + f2) / 2 - f1
+    a3 = (f1 - f2) / 2 + (f3 - f0) / 6
+    t, _ = _inside(f1 / (f1 - f2), 0.0, 1.0)
+    for _ in range(2):
+        move = (f1 + t * (a1 + t * (a2 + t * a3))) / (a1 + t * (2 * a2 + 3 * t * a3))
+        t, _ = _inside(t - move, 0.0, 1.0)
+    wf = np.multiply(f, _WEIGHTS[:, None], out=f)
+    t = _interpolant_newton(wf, t, np.sign(f1), _value_step)
     d = np.empty_like(f)
     scale = np.abs(np.prod(np.subtract(t, _NODES[:, None], out=d), axis=0)) / math.factorial(15)
     S = np.einsum("kn,kn->n", wf, np.reciprocal(d, out=d))
     np.abs(d, out=d)
-    spread = (_gamma(80) * np.einsum("kn,kn->n", np.abs(wf), d)
+    spread = (_gamma(80) * np.einsum("kn,kn->n", np.abs(wf, out=wf), d)
               + _DELTA * c0 * np.einsum("k,kn->n", np.abs(_WEIGHTS), d))
     x = x0 + h * t
     return x, scale * (np.abs(S) + spread) + T <= 2.0 * c0 + 1.5 * c1 * np.abs(x)
@@ -384,30 +398,21 @@ def _newton(series, own, lo, hi, x, lo_sign):
     )
 
 
-def _across(op, a):
-    """The ufunc op of the two ends of every grid cell [x_j, x_j+1] of the
-    rows of a (K, m), the last cell wrapping to x_0, as a (K, m) array."""
-    out = np.empty_like(a)
-    op(a[:, :-1], a[:, 1:], out=out[:, :-1])
-    op(a[:, -1], a[:, 0], out=out[:, -1])
-    return out
-
-
-def _gather(vals, row, j, first, stop):
-    """The grid values at x_j+first .. x_j+stop-1 of the cell j of row row,
-    wrapped around the period, from the rows of vals (K, m) by flat index,
-    as a (stop - first, n) array."""
-    m = vals.shape[1]
-    return vals.reshape(-1).take((j + np.arange(first, stop)[:, None]) % m + m * row)
+def _gather(vals, row, j, width):
+    """The grid values at x_j-7 .. x_j-8+width of the cell j of row row,
+    from the rows of the padded grid vals (K, m + 17) of _grid_values by
+    flat index, as a (width, n) array."""
+    return vals.reshape(-1).take(row * vals.shape[1] + j + np.arange(width)[:, None])
 
 
 def _dip_candidates(vals, same, cut, margin):
-    """The cells of one chunk's grid of F, vals (K, m), that may hide a
-    near-tangent root pair, as (row, j, g, d): the cell [x_j, x_j+1] of row
-    `row`, with g (16, n) the grid's F at the interpolant's nodes x_j-7 ..
-    x_j+8 (_NODES), so g[7:9] at its ends, and d (2, n) h P' at its ends,
-    h the grid step.  same[k, j] says F has one nonzero sign at both ends
-    of cell j on row k, and cut and margin hold each row's _bounds.
+    """The cells of one chunk's padded grid of F, vals (K, m + 17)
+    (_grid_values), that may hide a near-tangent root pair, as
+    (row, j, g, d): the cell [x_j, x_j+1] of row `row`, with g (16, n) the
+    grid's F at the interpolant's nodes x_j-7 .. x_j+8 (_NODES), so g[7:9]
+    at its ends, and d (2, n) h P' at its ends, h the grid step.  same[k, j]
+    says F has one nonzero sign at both ends of cell j on row k, and cut
+    and margin hold each row's _bounds.
 
     The cells where both |F_j| and |F_j+1| exceed cut hold no zero of F
     and go first: nearly all of them.  On the rest, h F' at each end x_i
@@ -422,10 +427,10 @@ def _dip_candidates(vals, same, cut, margin):
     cell leaves a sign change of F' between the cell's ends: a cell where
     F' has two zeros (the extremum and a turn back) is not looked at.
     """
-    m = vals.shape[1]
-    low = _across(np.logical_or, np.abs(vals) <= cut[:, None])
-    row, j = np.divmod(np.flatnonzero(low & same), m)
-    g = _gather(vals, row, j, -7, 10)
+    ends = vals[:, 7:-9]
+    low = (ends <= cut[:, None]) & (ends >= -cut[:, None])
+    row, j = np.divmod(np.flatnonzero((low[:, :-1] | low[:, 1:]) & same), same.shape[1])
+    g = _gather(vals, row, j, 17)
     f = g[7:9]
     d = np.stack([np.einsum("k,kn->n", _SLOPE, g[:16]), np.einsum("k,kn->n", _SLOPE, g[1:])])
     keep = np.signbit(d[0]) != np.signbit(d[1])
@@ -466,7 +471,7 @@ def _dip_brackets(c, xe, row, j, g, d):
 
 
 def _chunk_rows(n1):
-    """Rows per grid chunk for coefficient rows of length n1: max(1, 2^15 // m)
+    """Rows per grid chunk for coefficient rows of length n1: max(1, 2^16 // m)
     for the m-point grid."""
     return max(1, _CHUNK_GRID_POINTS // (OVERSAMPLE * (2 * n1 - 1)))
 
@@ -478,25 +483,31 @@ def _scan(series, bounds, k0, k1, xe):
     exact zeros on the grid and the certified roots of the sign-change
     cells (_grid_roots); the sign-change brackets left, (row, lo, hi,
     start, sign), each started where the interpolant's Newton steps ended;
-    and the dip candidates (row, j, g, d) of _dip_candidates.  The stencils
-    live only as long as the chunk's grid, which is freed on return."""
+    and the dip candidates (row, j, g, d) of _dip_candidates.  The chunk's
+    padded grid is freed once the sign-change stencils and the dip
+    candidates are gathered, before the sign-change roots are refined."""
     c, c0, c1 = (v[k0:k1] for v in series)
     T, cut, margin = (v[k0:k1] for v in bounds)
     m = len(xe) - 1
     vals = _grid_values(c, m)
-    # the product of the signs of F_j and F_j+1 of every cell: F changes
-    # sign across the negative ones (a product of the values would underflow
-    # or overflow at small or large scales)
-    ends = _across(np.multiply, np.sign(vals))
-    row, j = np.divmod(np.flatnonzero(ends < 0.0), m)
-    f = _gather(vals, row, j, -7, 9)
+    # F changes sign across cell j where F_j and F_j+1 (x_m is x_0) differ in
+    # sign bit and keeps it where they agree, unless one is zero
+    ends = vals[:, 7:-9]
+    zero, sign = ends == 0.0, np.signbit(ends)
+    live, flip = ~(zero[:, :-1] | zero[:, 1:]), sign[:, :-1] != sign[:, 1:]
+    row, j = np.divmod(np.flatnonzero(live & flip), m)
+    zr, zj = np.divmod(np.flatnonzero(zero[:, :-1]), m)
+    same = live & ~flip
+    del ends, zero, sign, live, flip  # each map, then the grid, freed once used
+    f = _gather(vals, row, j, 16)
+    drow, *dips = _dip_candidates(vals, same, cut, margin)
+    del vals, same
+    lo_sign = np.sign(f[7])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x, certified = _grid_roots(f, xe[j], xe[1], c0[row], c1[row], T[row])
-    zr, zj = np.divmod(np.flatnonzero(vals == 0.0), m)
-    drow, *dips = _dip_candidates(vals, ends > 0.0, cut, margin)
     go, j = ~certified, j[~certified]
     return (np.concatenate([zr, row[certified]]) + k0, np.concatenate([xe[zj], x[certified]]),
-            row[go] + k0, xe[j], xe[j + 1], x[go], np.sign(f[7, go]), drow + k0, *dips)
+            row[go] + k0, xe[j], xe[j + 1], x[go], lo_sign[go], drow + k0, *dips)
 
 
 def _real_roots_block(c):
@@ -519,6 +530,10 @@ def _real_roots_block(c):
     """
     if not np.all(np.any(c != 0.0, axis=1)):
         raise ValueError("degenerate input: polynomial is identically zero")
+    # each row times the power of two, exact, that puts its largest |a_n|,
+    # |b_n| in [0.5, 1), so neither the transform nor the noise floor overflows
+    ab = np.ascontiguousarray(c).view(float)
+    c = np.ldexp(ab, -np.frexp(np.abs(ab).max(axis=1))[1][:, None]).view(complex)
     K, n1 = c.shape
     m = OVERSAMPLE * (2 * n1 - 1)
     xe = np.arange(m + 1) * (2.0 * np.pi / m)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,19 @@ class TestCommands:
         with open(tmp_path / "roots.json") as fh:
             doc = json.load(fh)
         assert len(doc["real"]) == 4  # cos(2x)
+
+    def test_roots_of_a_huge_sine(self, tmp_path, capsys):
+        # 1e308 sin(3x): the transform of the unscaled coefficients would
+        # overflow; the finder scales each row by a power of two first
+        fx = tmp_path / "poly.json"
+        fx.write_text(json.dumps({"degree": 3, "a": [0, 0, 0, 0], "b": [0, 0, 0, 1e308]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["roots", "--input", str(fx), "--out", str(tmp_path)]) == 0
+        assert "sampled: 6 real roots of 2N = 6" in capsys.readouterr().out
+        with open(tmp_path / "roots.json") as fh:
+            real = json.load(fh)["real"]
+        assert np.allclose(real, np.arange(6) * math.pi / 3, rtol=0, atol=1e-12)
 
     def test_roots_both_without_real_roots(self, tmp_path, capsys):
         # 2 + cos(2x) + sin(2x)/2 > 0: both finders agree on no real root

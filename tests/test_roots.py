@@ -27,6 +27,7 @@ from trigcrystal.roots import (
     _WEIGHTS,
     _bounds,
     _dip_candidates,
+    _gather,
     _grid_values,
     _noise_floor,
     _real_roots_block,
@@ -194,7 +195,7 @@ def block_of(fs):
     return _real_roots_block(np.stack([_coefficients(f) for f in fs]))
 
 
-# realizations per test block: one grid chunk, so the tests' cost does not
+# realizations per test block: at most one grid chunk, so the tests' cost does not
 # grow with the ensemble's batch
 BLOCK = {10: 97, 16: 62, 64: 15, 256: 3}
 
@@ -270,6 +271,37 @@ class TestBlock:
         assert sum(points) <= 0.02 * sum(len(r) for r in block)
         assert_matches_companion(fs, block)
 
+    @pytest.mark.parametrize("N,p,M,certified,brackets", [
+        (64, 0, 1000, 73948, 74022),
+        (256, 20, 200, 100093, 100096),
+        (16, 3, 4000, 115902, 116128),
+        (10, 0, 2000, 23621, 23670),
+    ])
+    def test_two_steps_certify_no_fewer_roots(self, N, p, M, certified, brackets, monkeypatch):
+        # each sign-change bracket costs two Newton steps on the interpolant
+        # (_value_step) and its certificate; the share of the brackets the
+        # grid certifies is no lower than with four steps from the secant
+        # point (the counts given, seed 7)
+        calls, grid_roots, value_step = [], roots_module._grid_roots, roots_module._value_step
+        tally = [0, 0]
+
+        def counting_value_step(wf, r):
+            calls[-1] += 1
+            return value_step(wf, r)
+
+        def counting_grid_roots(*args):
+            calls.append(0)
+            x, ok = grid_roots(*args)
+            tally[0] += ok.sum()
+            tally[1] += len(ok)
+            return x, ok
+
+        monkeypatch.setattr(roots_module, "_value_step", counting_value_step)
+        monkeypatch.setattr(roots_module, "_grid_roots", counting_grid_roots)
+        real_zero_ensemble(EnsembleSpec.equal_variance(N, p, M, 7))
+        assert calls and set(calls) == {2}
+        assert tally[0] / tally[1] >= certified / brackets
+
     def test_interpolant_reproduces_every_polynomial_of_degree_15(self):
         # from q at the nodes k = -7 .. 8 the first barycentric form with
         # the integer weights gives q on the centre cell, and the slope row
@@ -302,6 +334,42 @@ class TestBlock:
         h = 2 * math.pi / (16 * (2 * N + 1))
         assert np.all(np.abs(roots - exact) <= 1e-9 * h)
 
+    @pytest.mark.parametrize("N", [1, 7, 64])
+    def test_padded_stencils_wrap_around_the_period(self, N):
+        # the 17 values of a cell's stencil, x_j-7 .. x_j+9, are the grid's
+        # values at (j + k) mod m, in the first and the last cells too
+        c = np.stack([_coefficients(random_derivative(N, 0, s)) for s in (1, 2)])
+        m = 16 * (2 * N + 1)
+        padded = _grid_values(c, m)
+        grid = padded[:, 7:-10]
+        j = np.concatenate([np.arange(9), np.arange(m - 10, m)])
+        row = np.repeat([0, 1], len(j))
+        j = np.tile(j, 2)
+        stencil = _gather(padded, row, j, 17)
+        assert np.array_equal(stencil, grid[row, (j + np.arange(-7, 10)[:, None]) % m])
+
+    @pytest.mark.parametrize("N", [1, 7, 64])
+    @pytest.mark.parametrize("cell", [0, -1])
+    def test_roots_in_the_end_cells_are_certified_from_the_grid(self, N, cell, monkeypatch):
+        # cos(Nx - phi) with a zero in the first or the last cell of the
+        # grid, whose interpolant's stencil wraps around the period: all 2N
+        # zeros come from the grid, none evaluated.  The zero sits at 0.95 of
+        # the cell, where the interpolant's rounding is small, since near
+        # x = 0 the bound has no slack from the arguments' rounding c1 |x|
+        m = 16 * (2 * N + 1)
+        h = 2 * math.pi / m
+        x0 = (cell % m + 0.95) * h
+        phi = N * x0 - math.pi / 2
+        a, b = np.zeros(N + 1), np.zeros(N + 1)
+        a[N], b[N] = math.cos(phi), math.sin(phi)
+        points = evaluator_points(monkeypatch)
+        roots = real_roots_sampled(TrigPolynomial(N, a, b)).real_roots
+        assert sum(points) == 0
+        assert len(roots) == 2 * N
+        exact = np.sort(np.mod(x0 + np.arange(2 * N) * math.pi / N, 2 * math.pi))
+        assert np.all(np.abs(roots - exact) <= 1e-9 * h)
+        assert abs(roots[cell] - x0) <= 1e-9 * h
+
     @pytest.mark.parametrize("N", [1, 10, 64, 256, 1024, 4096])
     @pytest.mark.parametrize("p", [0, 20, 500])
     def test_grid_is_within_delta_c0_of_40_digit_sums(self, N, p):
@@ -313,7 +381,7 @@ class TestBlock:
         f = random_derivative(N, p, 100)
         c = _coefficients(f)
         m = 16 * (2 * N + 1)
-        grid = _grid_values(c[None], m)[0]
+        grid = _grid_values(c[None], m)[0, 7:-10]
         c0, _ = _noise_floor(c)
         coeffs = [mp.mpc(float(z.real), float(z.imag)) for z in c]
         for k in np.random.default_rng(N + p).choice(m, 8, replace=False):
@@ -352,11 +420,13 @@ class TestBlock:
         found = real_zero_ensemble(EnsembleSpec.equal_variance(N, p, 2 * _block_size(N), 5))
         assert sum(len(r) for r in found) > 0
 
-    @pytest.mark.parametrize("k", [-600, 600])
+    @pytest.mark.parametrize("k", [-600, 600, 1015])
     def test_scaling_by_a_power_of_two_keeps_every_root(self, k):
         # 2^k F has F's roots bit for bit, with no overflow or underflow on
-        # the way: the finder compares signs, not products of values; the
-        # realization has a close pair that only the dip pass finds
+        # the way: the finder compares signs, not products of values, and
+        # scales each row to a largest coefficient in [0.5, 1) before the
+        # transform; the realization has a close pair that only the dip
+        # pass finds
         rows = _coefficient_rows(EnsembleSpec.equal_variance(64, 0, 120, 7), 0, 120)
         pair = _coefficients(hidden_pair())[None]
         for c in (rows, pair):
@@ -419,14 +489,15 @@ class TestDipScreen:
         c = np.stack([_coefficients(f) for f in fs])
         m = 16 * (2 * c.shape[1] - 1)
         h = 2 * math.pi / m
-        vals = _grid_values(c, m)
+        padded = _grid_values(c, m)
+        vals = padded[:, 7:-10]
         slopes = np.stack([evaluate(differentiate(f), np.arange(m) * h) for f in fs])
         same = vals * np.roll(vals, -1, axis=1) > 0
         turn = np.signbit(slopes) != np.signbit(np.roll(slopes, -1, axis=1))
         row, j = np.nonzero(same & turn)
         _, cut, margin = _bounds(c, *_noise_floor(c), h)
         low = np.minimum(np.abs(vals), np.abs(np.roll(vals, -1, axis=1))) <= cut[:, None]
-        krow, kj, *_ = _dip_candidates(vals, same, cut, margin)
+        krow, kj, *_ = _dip_candidates(padded, same, cut, margin)
         kept = np.isin(row * m + j, krow * m + kj)
         return c, m, vals, row, j, (low & same).sum() / same.sum(), kept
 
