@@ -58,9 +58,7 @@ def theorem_profile(n: int, p: int, u):
         raise ValueError("p must be at least 1")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    u = np.asarray(u, dtype=float)
-    out = (p / n) * (1.0 + 4.0 * u * u) ** -1.5
-    return float(out) if out.ndim == 0 else out
+    return (p / n) * nn_density(u)
 
 
 def nn_density(u):

@@ -213,19 +213,14 @@ def _pcg64_states(seed, lo, hi):
     SeedSequence(seed); the rest is replayed here on uint32 arrays for every
     i at once.  Its hashes take consecutive constants of one sequence, so
     the spawn key's take them after the 16 of the four-word pool and the 4
-    of each further seed word.  An index below 2^32 is one key word, one
-    below 2^64 two; a larger one, past any ensemble that fits in memory,
-    takes its own SeedSequence.
+    of each further seed word.  An index below 2^32 is one key word; a
+    larger one, past any ensemble the CLI runs, takes its own SeedSequence.
     """
     out = np.empty((hi - lo, 4), dtype=np.uint64)
-    i = np.arange(lo, max(lo, min(hi, 1 << 64)), dtype=np.uint64)
+    i = np.arange(lo, max(lo, min(hi, 1 << 32)), dtype=np.uint32)
     n = 16 + 4 * max(0, -(-int(seed).bit_length() // 32) - 4)
     pool = np.random.SeedSequence(seed).pool[:, None]
-    pool = _seed_mix(pool, _seed_hash(i.astype(np.uint32), _INIT_A, _MULT_A, n, 4))
-    two = i >= 1 << 32
-    if two.any():
-        high = (i[two] >> np.uint64(32)).astype(np.uint32)
-        pool[:, two] = _seed_mix(pool[:, two], _seed_hash(high, _INIT_A, _MULT_A, n + 4, 4))
+    pool = _seed_mix(pool, _seed_hash(i, _INIT_A, _MULT_A, n, 4))
     state = _seed_hash(np.concatenate([pool, pool]), _INIT_B, _MULT_B, 0, 8)
     # each uint64 is two uint32 words, the first the low half
     out[:len(i)] = state.T.astype("<u4", order="C").view("<u8")

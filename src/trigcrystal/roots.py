@@ -102,11 +102,21 @@ _STEPS = 2
 _DELTA = 1.0
 # max |prod_k (t - k)| / 16! over t in [0, 1], reached at t = 1/2
 _OMEGA = abs(np.prod(0.5 - _NODES)) / math.factorial(16)
-# h P'(x_j) = sum_k _SLOPE[k] F_j+k, the differentiation row of the node
-# k = 0; the sum of its magnitudes (2.843) is the Lebesgue constant of P'
-# there, and |prod_(k != 0) k| / 16! = 7! 8! / 16! bounds its truncation
-_SLOPE = np.divide(_WEIGHTS / _WEIGHTS[7], -_NODES, out=np.zeros(16), where=_NODES != 0.0)
-_SLOPE[7] = -1.0 / 8.0  # sum_(k != 0) 1/(0 - k)
+# The interpolant's differentiation matrix: h P'(x_j+i) = sum_k _DIFF[i, k]
+# F_j+k, i, k = -7 .. 8 (rows and columns in the order of _NODES), with
+# (w_k / w_i) / (i - k) off the diagonal and sum_(l != i) 1/(i - l) on it,
+# summed exactly in units of 1/lcm(1, .., 15) and rounded once.  P' has
+# degree 14, so the degree-15 interpolant of _DIFF f is P' itself
+# (_dip_brackets).
+_DIFF = np.divide(_WEIGHTS / _WEIGHTS[:, None], _NODES[:, None] - _NODES,
+                  out=np.zeros((16, 16)), where=_NODES[:, None] != _NODES)
+_LCM = math.lcm(*range(1, 16))
+np.fill_diagonal(_DIFF, [sum(_LCM // (i - l) for l in range(16) if l != i) / _LCM
+                         for i in range(16)])
+# h P'(x_j) = sum_k _SLOPE[k] F_j+k, the row of the node k = 0; the sum of
+# its magnitudes (2.843) is the Lebesgue constant of P' there, and
+# |prod_(k != 0) k| / 16! = 7! 8! / 16! bounds its truncation
+_SLOPE = _DIFF[7]
 _OMEGA_SLOPE = math.factorial(7) * math.factorial(8) / math.factorial(16)
 
 
@@ -246,38 +256,19 @@ def _value_step(wf, r):
     return S, S / (S * r.sum(axis=0) - np.einsum("kn,kn,kn->n", wf, r, r))
 
 
-def _slope_step(wf, r):
-    """(G, P'/P'') at t of the interpolant P = omega/15! S with the weighted
-    grid values wf (16, n), r_k = 1/(t - k) (_dip_brackets).
-
-    With D1 = sum_k r_k = omega'/omega, D2 = sum_k r_k^2, S' = -sum_k w_k
-    f_k r_k^2 and S'' = 2 sum_k w_k f_k r_k^3, P' = omega/15! G with G = S
-    D1 + S', which has the sign of P' on (0, 1), and P'' = omega/15! (D1 G
-    + G'), G' = S' D1 - S D2 + S'', so that P'/P'' = G / (S (D1^2 - D2) +
-    2 S' D1 + S'').
-    """
-    S = np.einsum("kn,kn->n", wf, r)
-    S1 = np.einsum("kn,kn,kn->n", wf, r, r)
-    S2 = np.einsum("kn,kn,kn,kn->n", wf, r, r, r)
-    D1, D2 = r.sum(axis=0), np.einsum("kn,kn->n", r, r)
-    G = S * D1 - S1
-    return G, G / (S * (D1 * D1 - D2) - 2.0 * S1 * D1 + 2.0 * S2)
-
-
-def _interpolant_newton(wf, t, side, step):
-    """t in (0, 1) after _STEPS safeguarded Newton steps from t on a function
-    g of the degree-15 interpolant of a grid cell, with the weighted grid
-    values wf (16, n) at its nodes (_NODES, _WEIGHTS); step(wf, r), r_k =
-    1/(t - k), returns g and the Newton step at t, and side is the sign of
-    g at t = 0.  Each step narrows [0, 1] to the side of t where g has that
+def _interpolant_newton(wf, t, side):
+    """t in (0, 1) after _STEPS safeguarded Newton steps from t on the
+    degree-15 interpolant P of a grid cell (_value_step), with the weighted
+    values wf (16, n) at its nodes (_NODES, _WEIGHTS), and side the sign of
+    P at t = 0.  Each step narrows [0, 1] to the side of t where P has that
     sign and moves t by the Newton step, or to the narrowed bracket's
     midpoint where that would leave it (_inside); a step that no longer
     moves t stays, though t is now a bracket end."""
     lo, hi = np.zeros(len(t)), np.ones(len(t))
     r = np.empty_like(wf)
     for _ in range(_STEPS):
-        g, move = step(wf, np.reciprocal(np.subtract(t, _NODES[:, None], out=r), out=r))
-        on_lo = np.sign(g) == side
+        S, move = _value_step(wf, np.reciprocal(np.subtract(t, _NODES[:, None], out=r), out=r))
+        on_lo = np.sign(S) == side
         np.copyto(lo, t, where=on_lo)
         np.copyto(hi, t, where=~on_lo)
         new = t - move
@@ -345,7 +336,7 @@ def _grid_roots(f, x0, h, c0, c1, T):
         move = (f1 + t * (a1 + t * (a2 + t * a3))) / (a1 + t * (2 * a2 + 3 * t * a3))
         t, _ = _inside(t - move, 0.0, 1.0)
     wf = np.multiply(f, _WEIGHTS[:, None], out=f)
-    t = _interpolant_newton(wf, t, np.sign(f1), _value_step)
+    t = _interpolant_newton(wf, t, np.sign(f1))
     d = np.empty_like(f)
     scale = np.abs(np.prod(np.subtract(t, _NODES[:, None], out=d), axis=0)) / math.factorial(15)
     S = np.einsum("kn,kn->n", wf, np.reciprocal(d, out=d))
@@ -445,21 +436,22 @@ def _dip_brackets(c, xe, row, j, g, d):
     change; the extremum between them is then a zero of F'.  Each candidate
     of _dip_candidates (row, grid index j, the grid's F at the nodes in g
     and h P' at the cell's ends in d) gets its extremum located on the
-    cell's interpolant P (_grid_roots): from the secant zero of d,
-    _interpolant_newton takes safeguarded Newton steps on P', narrowing by
-    its sign against that of d at the cell's left end (_slope_step).  F is
-    evaluated once, on the series rows c, at the extremum xc.  Returns
-    (row, lo, hi, start, sign) brackets, sign that of F at lo, on both
-    sides of xc wherever F there has not the sign of F at the cell's ends,
-    each started at its midpoint.  Their interiors are disjoint from each
-    other and from every sign-change cell, so each holds its own root.  xe
-    holds the grid's m + 1 points.
+    cell's interpolant P (_grid_roots) as a root of P': _DIFF g holds h P'
+    at the nodes, and P', of degree 14, is their degree-15 interpolant, so
+    from the secant zero of d _interpolant_newton takes its safeguarded
+    Newton steps on P', narrowing by its sign against that of d at the
+    cell's left end.  F is evaluated once, on the series rows c, at the
+    extremum xc.  Returns (row, lo, hi, start, sign) brackets, sign that of
+    F at lo, on both sides of xc wherever F there has not the sign of F at
+    the cell's ends, each started at its midpoint.  Their interiors are
+    disjoint from each other and from every sign-change cell, so each holds
+    its own root.  xe holds the grid's m + 1 points.
     """
     if len(row):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t, _ = _inside(d[0] / (d[0] - d[1]), 0.0, 1.0)
-            t = _interpolant_newton(_WEIGHTS[:, None] * g, t, 1.0 - 2.0 * np.signbit(d[0]),
-                                    _slope_step)
+            wd = _WEIGHTS[:, None] * np.einsum("ik,kn->in", _DIFF, g)
+            t = _interpolant_newton(wd, t, 1.0 - 2.0 * np.signbit(d[0]))
         xc = xe[j] + xe[1] * t
         fc, _ = _series_values(c, row, xc)
     else:
@@ -591,6 +583,12 @@ def all_roots_companion(f: TrigPolynomial) -> RootSet:
     a, b = f.cos_coeffs, f.sin_coeffs
     if a[N] == 0.0 and b[N] == 0.0:
         raise ValueError("degree deficient: leading coefficients a_N, b_N both zero")
+    # f times the power of two, exact, that puts its largest |a_n|, |b_n| in
+    # [0.5, 1), so the polish's F' does not overflow; the companion matrix
+    # and the Newton steps F/F' are unchanged by it
+    k = -np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+    a, b = np.ldexp(a, k), np.ldexp(b, k)
+    f = TrigPolynomial(N, a, b)
     c = np.zeros(2 * N + 1, dtype=complex)
     c[N] = a[0]
     for n in range(1, N + 1):

@@ -234,6 +234,17 @@ class TestCommands:
             real = json.load(fh)["real"]
         assert np.allclose(real, np.arange(6) * math.pi / 3, rtol=0, atol=1e-12)
 
+    def test_the_companion_polishes_a_huge_sine(self, tmp_path, capsys):
+        # 1e308 sin(3x): the companion's Newton polish on the unscaled
+        # series would overflow in F'; it runs on f times a power of two
+        fx = tmp_path / "poly.json"
+        fx.write_text(json.dumps({"degree": 3, "a": [0, 0, 0, 0], "b": [0, 0, 0, 1e308]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["roots", "--input", str(fx), "--method", "both",
+                         "--out", str(tmp_path)]) == 0
+        assert "sampled 6 real roots, companion 6" in capsys.readouterr().out
+
     def test_roots_both_without_real_roots(self, tmp_path, capsys):
         # 2 + cos(2x) + sin(2x)/2 > 0: both finders agree on no real root
         fx = tmp_path / "poly.json"

@@ -22,6 +22,7 @@ from trigcrystal.poly import (
     sample,
 )
 from trigcrystal.roots import (
+    _DIFF,
     _NODES,
     _SLOPE,
     _WEIGHTS,
@@ -281,17 +282,22 @@ class TestBlock:
         # each sign-change bracket costs two Newton steps on the interpolant
         # (_value_step) and its certificate; the share of the brackets the
         # grid certifies is no lower than with four steps from the secant
-        # point (the counts given, seed 7)
+        # point (the counts given, seed 7); the dip pass's steps on P' are
+        # not counted
         calls, grid_roots, value_step = [], roots_module._grid_roots, roots_module._value_step
-        tally = [0, 0]
+        tally, inside = [0, 0], [False]
 
         def counting_value_step(wf, r):
-            calls[-1] += 1
+            calls[-1] += inside[0]
             return value_step(wf, r)
 
         def counting_grid_roots(*args):
             calls.append(0)
-            x, ok = grid_roots(*args)
+            inside[0] = True
+            try:
+                x, ok = grid_roots(*args)
+            finally:
+                inside[0] = False
             tally[0] += ok.sum()
             tally[1] += len(ok)
             return x, ok
@@ -304,8 +310,13 @@ class TestBlock:
 
     def test_interpolant_reproduces_every_polynomial_of_degree_15(self):
         # from q at the nodes k = -7 .. 8 the first barycentric form with
-        # the integer weights gives q on the centre cell, and the slope row
-        # gives q'(0); the node polynomial peaks on the cell at t = 1/2
+        # the integer weights gives q on the centre cell, and each row of the
+        # differentiation matrix gives q' at its own node, the row of the
+        # node k = 0 being (w_k / w_7) / (0 - k) off the diagonal; the node
+        # polynomial peaks on the cell at t = 1/2
+        slope = np.divide(_WEIGHTS / _WEIGHTS[7], -_NODES, out=np.zeros(16), where=_NODES != 0.0)
+        slope[7] = -1.0 / 8.0
+        assert np.array_equal(_DIFF[7], slope)
         grid = np.linspace(0.0, 1.0, 2001)[:, None]
         peak = np.abs(np.prod(grid - _NODES, axis=1)).max() / math.factorial(16)
         assert peak <= roots_module._OMEGA * (1 + 1e-12)
@@ -316,7 +327,8 @@ class TestBlock:
             f = np.polyval(q[::-1], _NODES / 8)
             P = omega * (_WEIGHTS * f / (t - _NODES)).sum(axis=1)
             assert np.allclose(P, np.polyval(q[::-1], t[:, 0] / 8), rtol=0, atol=1e-12)
-            assert abs(_SLOPE @ f - q[1] / 8) <= 1e-12
+            slopes = np.polyval(np.polyder(q[::-1]), _NODES / 8) / 8
+            assert np.allclose(_DIFF @ f, slopes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("N", [1, 7, 64, 1000])
     def test_a_cosine_is_certified_from_the_grid(self, N, monkeypatch):
