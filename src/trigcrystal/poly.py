@@ -31,9 +31,6 @@ __all__ = [
     "derivative_rescaled",
 ]
 
-# row blocks of the limit curves' tables allocate at most this many float64
-# words of temporaries (16 MiB)
-_TABLE_WORDS = 1 << 21
 # the series evaluator's temporaries hold at most this many float64 words
 # (512 KiB) at once
 _SERIES_WORDS = 1 << 16

@@ -2,8 +2,9 @@
 
 Two independent routes are provided and cross-validated in the test suite:
 
-* ``real_roots_sampled`` evaluates F on a uniform grid of m = 16*(2N+1)
-  points by one inverse real FFT of length m (O(m) memory) and brackets
+* ``real_roots_sampled`` evaluates F on a uniform grid of m points, m the
+  smallest even 5-smooth number >= 16*(2N+1) (``_grid_length``), by one
+  inverse real FFT of length m (O(m) memory) and brackets
   the sign changes of F.  Each bracket [x_j, x_j+1] starts at the root of
   the cubic through the grid's F at x_j-1 .. x_j+2 and is refined by two
   safeguarded Newton steps on P, the degree-15 interpolant of the grid's
@@ -40,8 +41,9 @@ Two independent routes are provided and cross-validated in the test suite:
 
   The finder works on a batch of K polynomials of one degree
   (``_real_roots_block``); ``real_roots_sampled`` is a batch of one.  The
-  grid pass takes the batch in chunks of max(1, 2^16 // m) rows, so a
-  chunk's F grid takes about 512 KiB: one batched transform per chunk,
+  grid pass takes the batch in chunks of max(1, 2^16 // m) rows (182 at
+  N = 10, 60 at 32, 30 at 64, 7 at 256 and 1 from 1024 up), so a chunk's
+  F grid takes about 512 KiB: one batched transform per chunk,
   whose exact zeros, sign-change stencils and dip candidates come from the
   2-D grid, each carrying its row index, before the grid is freed.
   Everything after it runs once per batch: the dip candidates' extrema on
@@ -78,7 +80,7 @@ __all__ = [
     "all_roots_companion",
 ]
 
-# the grid has m = OVERSAMPLE*(2N+1) points
+# the grid has at least OVERSAMPLE*(2N+1) points (_grid_length)
 OVERSAMPLE = 16
 # companion eigenvalues with ||z| - 1| below this are real roots
 CLASSIFY_TOL = 1e-8
@@ -462,10 +464,27 @@ def _dip_brackets(c, xe, row, j, g, d):
     return np.concatenate([row, row]), lo, hi, 0.5 * (lo + hi), np.concatenate([sign, -sign])
 
 
+def _grid_length(n1):
+    """m, the length of the grid for coefficient rows of length n1: the
+    smallest even 5-smooth number >= OVERSAMPLE (2 n1 - 1), a length whose
+    transform takes radix-2, 3 and 5 passes only (16(2N+1) itself has the
+    factor 683 at N = 1024)."""
+    need = OVERSAMPLE * (2 * n1 - 1)
+    best, f5 = 2 * need, 1
+    while f5 < best:
+        f = f5
+        while f < best:
+            # the smallest f 2^e >= need with e >= 1
+            best = min(best, f << max(1, (-(-need // f) - 1).bit_length()))
+            f *= 3
+        f5 *= 5
+    return best
+
+
 def _chunk_rows(n1):
     """Rows per grid chunk for coefficient rows of length n1: max(1, 2^16 // m)
-    for the m-point grid."""
-    return max(1, _CHUNK_GRID_POINTS // (OVERSAMPLE * (2 * n1 - 1)))
+    for the m-point grid (_grid_length)."""
+    return max(1, _CHUNK_GRID_POINTS // _grid_length(n1))
 
 
 def _scan(series, bounds, k0, k1, xe):
@@ -527,7 +546,7 @@ def _real_roots_block(c):
     ab = np.ascontiguousarray(c).view(float)
     c = np.ldexp(ab, -np.frexp(np.abs(ab).max(axis=1))[1][:, None]).view(complex)
     K, n1 = c.shape
-    m = OVERSAMPLE * (2 * n1 - 1)
+    m = _grid_length(n1)
     xe = np.arange(m + 1) * (2.0 * np.pi / m)
     s = (c, *_noise_floor(c))
     bounds = _bounds(c, *s[1:], xe[1])

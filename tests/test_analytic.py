@@ -1,13 +1,16 @@
 """Kac-Rice counts, finite-N pair correlation, and the large-N limit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trigcrystal.analytic import (
+    _CAPS,
     MAX_SEPARATION,
     _moment_terms,
+    _rule,
     expected_real_fraction,
     kac_rice_density,
     limit_terms,
@@ -375,3 +378,52 @@ class TestLimitPairCorrelation:
                                   50.0000001], top_quarters])
             for x, got in zip(xs, pair_correlation_limit_curve(p, xs)):
                 assert got == pytest.approx(r2_mp(p, x), rel=1e-12, abs=0.0), (p, x)
+
+
+class TestLimitRules:
+    def test_the_curves_make_no_lapack_call(self, monkeypatch):
+        # each rule is built by Newton's method on the Legendre recurrence,
+        # not from the eigenvalues of the Jacobi matrix
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK call in the limit curves")
+
+        for name in ("eigvalsh", "eigh", "eig", "eigvals", "solve"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        _rule.cache_clear()
+        try:
+            got = pair_correlation_limit_curve(3, [0.5, 20.0, 40.0, 99.0])
+        finally:
+            _rule.cache_clear()
+        assert np.all(np.isfinite(got))
+
+    def test_rules_match_40_digit_roots(self):
+        # every rung's nodes against the roots of P_n found from them at 40
+        # digits, and its weights against 2 / ((1 - x^2) P_n'(x)^2) there;
+        # the eigenvalue route of leggauss is 4.4e-12 off at 103 nodes
+        mp = pytest.importorskip("mpmath")
+        for cap in _CAPS:
+            nodes, weights = _rule(cap)
+            n = len(nodes)
+            assert np.all(np.diff(nodes) > 0)
+            assert np.array_equal(nodes, -nodes[::-1])
+            assert np.array_equal(weights, weights[::-1])
+            with mp.workdps(40):
+                for x, w in zip(nodes, weights):
+                    r = mp.findroot(lambda z: mp.legendre(n, z), mp.mpf(float(x)))
+                    slope = mp.diff(lambda z: mp.legendre(n, z), r)
+                    want = 2 / ((1 - r * r) * slope * slope)
+                    assert abs(float(x - r)) <= 2.3e-16, (n, x)
+                    assert abs(float((w - want) / want)) <= 1e-13, (n, x)
+
+    def test_a_long_curve_holds_little_memory(self):
+        # the moment tables are built in blocks of at most 2^13 words each,
+        # so 4950 points up to x = 99 take about 1.1 MiB of temporaries
+        xs = np.arange(1, 4951) * 0.02
+        pair_correlation_limit_curve(3, xs)  # the rules, built once
+        tracemalloc.start()
+        try:
+            pair_correlation_limit_curve(3, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20

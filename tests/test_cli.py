@@ -112,6 +112,26 @@ class TestParsing:
         assert len(rows) == 5000
         assert float(rows[-1][0]) == 100.0
 
+    def test_x_max_below_the_grid_step_is_a_usage_error(self, tmp_path, capsys):
+        # the grid's first point is its step, 0.02: a smaller x_max would
+        # give an empty curve
+        for argv in (["paircorr", "--mode", "analytic"], ["figure", "--which", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--x-max", "0.01", "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "x_max" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("x_max,points", [(0.02, 1), (0.03, 1), (0.05, 2), (0.0599, 2),
+                                              (30.0, 1500)])
+    def test_the_curve_grid_never_passes_x_max(self, tmp_path, capsys, x_max, points):
+        assert main(["paircorr", "--mode", "analytic", "--x-max", str(x_max),
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        _, rows = read_csv(tmp_path / "paircorr_analytic.csv")
+        assert len(rows) == points
+        assert float(rows[-1][0]) <= x_max
+
 
 class TestCommands:
     def test_vp_table_row_p4(self, tmp_path, capsys):

@@ -29,6 +29,7 @@ from trigcrystal.roots import (
     _bounds,
     _dip_candidates,
     _gather,
+    _grid_length,
     _grid_values,
     _noise_floor,
     _real_roots_block,
@@ -343,15 +344,28 @@ class TestBlock:
         assert sum(points) == 0
         assert len(roots) == 2 * N
         exact = (phi + math.pi / 2 + np.arange(2 * N) * math.pi) / N
-        h = 2 * math.pi / (16 * (2 * N + 1))
+        h = 2 * math.pi / _grid_length(N + 1)
         assert np.all(np.abs(roots - exact) <= 1e-9 * h)
+
+    def test_the_grid_length_is_the_least_even_5_smooth_one(self):
+        def smooth(m):
+            for q in (2, 3, 5):
+                while m % q == 0:
+                    m //= q
+            return m == 1
+
+        for N in [*range(1, 300), 1024, 2000, 4095, 4096]:
+            need = 16 * (2 * N + 1)
+            want = next(m for m in range(need, 2 * need + 1, 2) if smooth(m))
+            assert _grid_length(N + 1) == want
+        assert [_grid_length(N + 1) for N in (64, 256, 1024, 4096)] == [2160, 8640, 33750, 131220]
 
     @pytest.mark.parametrize("N", [1, 7, 64])
     def test_padded_stencils_wrap_around_the_period(self, N):
         # the 17 values of a cell's stencil, x_j-7 .. x_j+9, are the grid's
         # values at (j + k) mod m, in the first and the last cells too
         c = np.stack([_coefficients(random_derivative(N, 0, s)) for s in (1, 2)])
-        m = 16 * (2 * N + 1)
+        m = _grid_length(N + 1)
         padded = _grid_values(c, m)
         grid = padded[:, 7:-10]
         j = np.concatenate([np.arange(9), np.arange(m - 10, m)])
@@ -368,7 +382,7 @@ class TestBlock:
         # zeros come from the grid, none evaluated.  The zero sits at 0.95 of
         # the cell, where the interpolant's rounding is small, since near
         # x = 0 the bound has no slack from the arguments' rounding c1 |x|
-        m = 16 * (2 * N + 1)
+        m = _grid_length(N + 1)
         h = 2 * math.pi / m
         x0 = (cell % m + 0.95) * h
         phi = N * x0 - math.pi / 2
@@ -392,7 +406,7 @@ class TestBlock:
         mp.mp.dps = 40
         f = random_derivative(N, p, 100)
         c = _coefficients(f)
-        m = 16 * (2 * N + 1)
+        m = _grid_length(N + 1)
         grid = _grid_values(c[None], m)[0, 7:-10]
         c0, _ = _noise_floor(c)
         coeffs = [mp.mpc(float(z.real), float(z.imag)) for z in c]
@@ -499,7 +513,7 @@ class TestDipScreen:
         ends that the F-only cut leaves, and whether _dip_candidates keeps
         each cell."""
         c = np.stack([_coefficients(f) for f in fs])
-        m = 16 * (2 * c.shape[1] - 1)
+        m = _grid_length(c.shape[1])
         h = 2 * math.pi / m
         padded = _grid_values(c, m)
         vals = padded[:, 7:-10]
