@@ -16,6 +16,9 @@ count), and rerunning a command with the same configuration and seed
 reproduces byte-identical CSV output for any --threads value.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure.
+A run whose report has a count violation still exits 0, with stdout and
+the CSVs as they are, but prints one warning line to stderr naming how
+many of its real-root counts are odd or above 2N.
 """
 
 from __future__ import annotations
@@ -550,7 +553,8 @@ def run(cfg: RunConfig) -> int:
         return 2
     out = _Outputs(cfg.out)
     try:
-        _write_manifest(out, cfg, _DISPATCH[cfg.command](cfg, out))
+        report = _DISPATCH[cfg.command](cfg, out)
+        _write_manifest(out, cfg, report)
     except _InputError as exc:
         out.discard_all()
         print(exc, file=sys.stderr)
@@ -560,6 +564,9 @@ def run(cfg: RunConfig) -> int:
         taken = ", ".join(f"{k}={v}" for k, v in _own_options(cfg).items())
         print(f"numerical failure in {cfg.command} ({taken}): {exc}", file=sys.stderr)
         return 3
+    if report and report["count_violations"]:
+        print(f"warning: {report['count_violations']} of {report['realizations']} real-root "
+              "counts is odd or above 2N (see count_violations in the manifest)", file=sys.stderr)
     return 0
 
 

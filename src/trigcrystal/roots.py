@@ -22,17 +22,19 @@ Two independent routes are provided and cross-validated in the test suite:
   close root pairs hidden inside one grid cell, where F keeps its sign at
   both ends (``_dip_candidates``).  A proven bound on F alone clears
   nearly every such cell.  On the few left F' at the ends comes from P',
-  and only the cells where it changes sign and a proven lower bound on
-  the cubic Hermite interpolant of F and F' comes near zero get their
-  extremum located by Newton on P' from the secant zero of P'
-  (``_dip_brackets``), and F evaluated there on the series.  Where F
-  there has not the sign of the cell's ends, the extremum splits the cell
-  into two brackets, each started at its midpoint.  Sign changes are told
-  by sign bits, never by products of values, and each row is first scaled
-  by the power of two that puts its largest |a_n|, |b_n| in [0.5, 1), so
-  2^k F has F's roots bit for bit and nothing overflows.  Every bracket
-  gives one root strictly inside it, and the brackets' interiors are
-  disjoint, so no root is found twice and the roots need no merging.
+  and the cells where it changes sign get their extremum located by
+  Newton on P' from the secant zero of P' (``_dip_brackets``).  The
+  grid's certificate at the extremum clears most of these, where it
+  proves F there beyond the series' noise with the sign of the cell's
+  ends, and F is evaluated on the series at the extrema of the rest.
+  Where F there has not the sign of the cell's ends, the extremum splits
+  the cell into two brackets, each started at its midpoint.  Sign changes
+  are told by sign bits, never by products of values, and each row is
+  first scaled by the power of two that puts its largest |a_n|, |b_n| in
+  [0.5, 1), so 2^k F has F's roots bit for bit and nothing overflows.
+  Every bracket gives one root strictly inside it, and the brackets'
+  interiors are disjoint, so no root is found twice and the roots need no
+  merging.
   Refinement stops at the rounding noise of the series: a root x has
   |F(x)| <= 2 e(x), e(x) = 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)),
   where the second term is the rounding of the arguments n*x; an evaluated
@@ -115,11 +117,8 @@ _DIFF = np.divide(_WEIGHTS / _WEIGHTS[:, None], _NODES[:, None] - _NODES,
 _LCM = math.lcm(*range(1, 16))
 np.fill_diagonal(_DIFF, [sum(_LCM // (i - l) for l in range(16) if l != i) / _LCM
                          for i in range(16)])
-# h P'(x_j) = sum_k _SLOPE[k] F_j+k, the row of the node k = 0; the sum of
-# its magnitudes (2.843) is the Lebesgue constant of P' there, and
-# |prod_(k != 0) k| / 16! = 7! 8! / 16! bounds its truncation
+# h P'(x_j) = sum_k _SLOPE[k] F_j+k, the row of the node k = 0
 _SLOPE = _DIFF[7]
-_OMEGA_SLOPE = math.factorial(7) * math.factorial(8) / math.factorial(16)
 
 
 def _gamma(k):
@@ -198,9 +197,9 @@ def _noise_floor(c):
     return 4.0 * _EPS * w.sum(axis=-1), 4.0 * _EPS * (n * w).sum(axis=-1)
 
 
-def _bounds(c, c0, c1, h):
-    """(T, cut, margin) of each coefficient row of c (K, N+1), with (c0, c1)
-    its noise floor, on the grid of step h; delta = _DELTA.
+def _bounds(c, c0, h):
+    """(T, cut) of each coefficient row of c (K, N+1), with c0 its noise
+    floor, on the grid of step h; delta = _DELTA.
 
     T = _OMEGA sum (n h)^16 |c_n| bounds the interpolant's truncation error
     on its centre cell (_grid_roots).
@@ -209,38 +208,11 @@ def _bounds(c, c0, c1, h):
     max|F''| <= h^2/8 sum n^2 |c_n|, and the grid's F_j from F by at most
     delta c0, so F has no zero on a cell whose grid ends have one sign and
     both exceed cut = h^2/8 sum n^2 |c_n| + delta c0 in magnitude.
-
-    margin, the prefilter's (_dip_candidates): the cubic Hermite
-    interpolant H of F and F' at the ends of a cell is F_j h00 + F_j+1 h01
-    + h (F'_j h10 + F'_j+1 h11), with h00, h01 >= 0, h00 + h01 = 1 and
-    |h10| + |h11| = t(1 - t) <= 1/4 on t in [0, 1], so with s the sign of
-    F at the ends
-
-        s H >= min(|F_j|, |F_j+1|) - h/4 max(|F'_j|, |F'_j+1|),
-
-    and |F - H| <= h^4/384 max|F''''| <= h^4/384 sum n^4 |c_n|.  The
-    prefilter takes the grid's f, within delta c0 of F, and d = h P' at the
-    ends (_SLOPE), within E of h F': 2.843 delta c0, the grid's error
-    through P' (2.843 = sum |_SLOPE|); _OMEGA_SLOPE sum (n h)^16 |c_n|, P''s
-    truncation at a node, F^(16)(xi) h^16 omega'(0) / 16!; and the dot
-    product's rounding, gamma_18 2.843 max|f| with max|f| <= c0 / (4 eps)
-    + delta c0, as the entries of _SLOPE round by 2 u.  The margin
-    h^4/384 sum n^4 |c_n| + delta c0 + E/4 + 2 c0 + 2 pi c1 adds the
-    evaluator's noise, at most c0 + 2 pi c1, and c0 for the prefilter's own
-    rounding: where min(|f_j|, |f_j+1|) - max(|d_j|, |d_j+1|)/4 exceeds it,
-    s F stays above the evaluator's noise on the cell, so F has no zero
-    there and F at the extremum would keep the sign s.
     """
     n = np.arange(c.shape[1])
     a = np.abs(c)
-    top = ((n * h) ** 16 * a).sum(axis=1)
-    floor = c0 / (4.0 * _EPS) + _DELTA * c0
-    lebesgue = np.abs(_SLOPE).sum()
-    slope = lebesgue * _DELTA * c0 + _OMEGA_SLOPE * top + _gamma(18) * lebesgue * floor
     cut = h * h / 8.0 * (n**2 * a).sum(axis=1) + _DELTA * c0
-    margin = h**4 / 384.0 * (n**4 * a).sum(axis=1) + _DELTA * c0 + 0.25 * slope
-    margin += 2.0 * c0 + 2.0 * np.pi * c1
-    return _OMEGA * top, cut, margin
+    return _OMEGA * ((n * h) ** 16 * a).sum(axis=1), cut
 
 
 def _inside(x, lo, hi):
@@ -339,14 +311,24 @@ def _grid_roots(f, x0, h, c0, c1, T):
         t, _ = _inside(t - move, 0.0, 1.0)
     wf = np.multiply(f, _WEIGHTS[:, None], out=f)
     t = _interpolant_newton(wf, t, np.sign(f1))
-    d = np.empty_like(f)
+    scale, S, spread = _interpolant_bound(wf, t, c0)
+    x = x0 + h * t
+    return x, scale * (np.abs(S) + spread) + T <= 2.0 * c0 + 1.5 * c1 * np.abs(x)
+
+
+def _interpolant_bound(wf, t, c0):
+    """(scale, S, spread) of the certificate of _grid_roots at t in (0, 1),
+    with the weighted grid values wf (16, n) and each cell's c0: the
+    computed P is scale S, scale = |omega(t)|/15!, and |F(x(t)) - scale S|
+    <= scale spread + T, spread = gamma_80 sum_k |w_k f_k| / |t - k| +
+    delta c0 sum_k |w_k| / |t - k|.  wf is overwritten."""
+    d = np.empty_like(wf)
     scale = np.abs(np.prod(np.subtract(t, _NODES[:, None], out=d), axis=0)) / math.factorial(15)
     S = np.einsum("kn,kn->n", wf, np.reciprocal(d, out=d))
     np.abs(d, out=d)
     spread = (_gamma(80) * np.einsum("kn,kn->n", np.abs(wf, out=wf), d)
               + _DELTA * c0 * np.einsum("k,kn->n", np.abs(_WEIGHTS), d))
-    x = x0 + h * t
-    return x, scale * (np.abs(S) + spread) + T <= 2.0 * c0 + 1.5 * c1 * np.abs(x)
+    return scale, S, spread
 
 
 def _newton(series, own, lo, hi, x, lo_sign):
@@ -398,23 +380,21 @@ def _gather(vals, row, j, width):
     return vals.reshape(-1).take(row * vals.shape[1] + j + np.arange(width)[:, None])
 
 
-def _dip_candidates(vals, same, cut, margin):
+def _dip_candidates(vals, same, cut):
     """The cells of one chunk's padded grid of F, vals (K, m + 17)
     (_grid_values), that may hide a near-tangent root pair, as
     (row, j, g, d): the cell [x_j, x_j+1] of row `row`, with g (16, n) the
     grid's F at the interpolant's nodes x_j-7 .. x_j+8 (_NODES), so g[7:9]
     at its ends, and d (2, n) h P' at its ends, h the grid step.  same[k, j]
     says F has one nonzero sign at both ends of cell j on row k, and cut
-    and margin hold each row's _bounds.
+    holds each row's cut of _bounds.
 
     The cells where both |F_j| and |F_j+1| exceed cut hold no zero of F
     and go first: nearly all of them.  On the rest, h F' at each end x_i
     comes from the interpolant on x_i-7 .. x_i+8 (_SLOPE), so a grid point
     has one slope whichever cell asks.  A candidate is a cell where the
     sign bits of the two differ, so that F' changes sign in the cell (an
-    F' of exactly +-0 at a grid point flags one of its two cells), and
-    that the prefilter of _bounds keeps: min(|f_j|, |f_j+1|) -
-    max(|d_j|, |d_j+1|)/4 within the margin.
+    F' of exactly +-0 at a grid point flags one of its two cells).
 
     The pass assumes that the extremum between a pair of roots hidden in a
     cell leaves a sign change of F' between the cell's ends: a cell where
@@ -424,14 +404,12 @@ def _dip_candidates(vals, same, cut, margin):
     low = (ends <= cut[:, None]) & (ends >= -cut[:, None])
     row, j = np.divmod(np.flatnonzero((low[:, :-1] | low[:, 1:]) & same), same.shape[1])
     g = _gather(vals, row, j, 17)
-    f = g[7:9]
     d = np.stack([np.einsum("k,kn->n", _SLOPE, g[:16]), np.einsum("k,kn->n", _SLOPE, g[1:])])
     keep = np.signbit(d[0]) != np.signbit(d[1])
-    keep &= np.abs(f).min(axis=0) - 0.25 * np.abs(d).max(axis=0) <= margin[row]
     return row[keep], j[keep], g[:16, keep], d[:, keep]
 
 
-def _dip_brackets(c, xe, row, j, g, d):
+def _dip_brackets(series, T, xe, row, j, g, d):
     """Brackets of the root pairs hidden in dip candidate cells.
 
     A pair of close real roots can sit inside one grid cell without a sign
@@ -442,24 +420,38 @@ def _dip_brackets(c, xe, row, j, g, d):
     at the nodes, and P', of degree 14, is their degree-15 interpolant, so
     from the secant zero of d _interpolant_newton takes its safeguarded
     Newton steps on P', narrowing by its sign against that of d at the
-    cell's left end.  F is evaluated once, on the series rows c, at the
-    extremum xc.  Returns (row, lo, hi, start, sign) brackets, sign that of
-    F at lo, on both sides of xc wherever F there has not the sign of F at
-    the cell's ends, each started at its midpoint.  Their interiors are
+    cell's left end.
+
+    At the extremum xc the certificate of _grid_roots (_interpolant_bound,
+    with each row's truncation bound T) decides the cell where it proves
+    |F| above the series' noise with the sign of the cell's ends s:
+    S has the sign s and scale (|S| - spread) - T > c0 + 1.5 c1 |xc|,
+    the 1.5 c1 |xc| covering the rounding of xc as in _grid_roots, so
+    |F(xc)| > c0 + c1 |xc| and the series, the rows (c, c0, c1), would
+    give s.  Those cells hold no hidden pair.  F is evaluated on the
+    series at the extrema of the rest.  Returns (row, lo, hi, start, sign)
+    brackets, sign that of F at lo, on both sides of xc wherever F there
+    has not the sign s, each started at its midpoint.  Their interiors are
     disjoint from each other and from every sign-change cell, so each holds
     its own root.  xe holds the grid's m + 1 points.
     """
+    c, c0, c1 = series
     if len(row):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t, _ = _inside(d[0] / (d[0] - d[1]), 0.0, 1.0)
             wd = _WEIGHTS[:, None] * np.einsum("ik,kn->in", _DIFF, g)
             t = _interpolant_newton(wd, t, 1.0 - 2.0 * np.signbit(d[0]))
+            scale, S, spread = _interpolant_bound(_WEIGHTS[:, None] * g, t, c0[row])
         xc = xe[j] + xe[1] * t
+        s = np.sign(g[7])
+        clear = np.sign(S) == s
+        clear &= scale * (np.abs(S) - spread) - T[row] > c0[row] + 1.5 * c1[row] * np.abs(xc)
+        row, j, xc, s = row[~clear], j[~clear], xc[~clear], s[~clear]
         fc, _ = _series_values(c, row, xc)
     else:
-        xc = fc = np.empty(0)
-    flips = np.sign(fc) != np.sign(g[7])
-    row, j, xc, sign = row[flips], j[flips], xc[flips], np.sign(g[7, flips])
+        xc = fc = s = np.empty(0)
+    flips = np.sign(fc) != s
+    row, j, xc, sign = row[flips], j[flips], xc[flips], s[flips]
     lo, hi = np.concatenate([xe[j], xc]), np.concatenate([xc, xe[j + 1]])
     return np.concatenate([row, row]), lo, hi, 0.5 * (lo + hi), np.concatenate([sign, -sign])
 
@@ -498,7 +490,7 @@ def _scan(series, bounds, k0, k1, xe):
     padded grid is freed once the sign-change stencils and the dip
     candidates are gathered, before the sign-change roots are refined."""
     c, c0, c1 = (v[k0:k1] for v in series)
-    T, cut, margin = (v[k0:k1] for v in bounds)
+    T, cut = (v[k0:k1] for v in bounds)
     m = len(xe) - 1
     vals = _grid_values(c, m)
     # F changes sign across cell j where F_j and F_j+1 (x_m is x_0) differ in
@@ -511,7 +503,7 @@ def _scan(series, bounds, k0, k1, xe):
     same = live & ~flip
     del ends, zero, sign, live, flip  # each map, then the grid, freed once used
     f = _gather(vals, row, j, 16)
-    drow, *dips = _dip_candidates(vals, same, cut, margin)
+    drow, *dips = _dip_candidates(vals, same, cut)
     del vals, same
     lo_sign = np.sign(f[7])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -549,11 +541,12 @@ def _real_roots_block(c):
     m = _grid_length(n1)
     xe = np.arange(m + 1) * (2.0 * np.pi / m)
     s = (c, *_noise_floor(c))
-    bounds = _bounds(c, *s[1:], xe[1])
+    bounds = _bounds(c, s[1], xe[1])
     k = _chunk_rows(n1)
     parts = [_scan(s, bounds, k0, k0 + k, xe) for k0 in range(0, K, k)]
     settled, at, *found, row, j, g, d = (np.concatenate(v, axis=-1) for v in zip(*parts))
-    own, *brackets = (np.concatenate(v) for v in zip(found, _dip_brackets(c, xe, row, j, g, d)))
+    dips = _dip_brackets(s, bounds[0], xe, row, j, g, d)
+    own, *brackets = (np.concatenate(v) for v in zip(found, dips))
     roots = np.mod(np.concatenate([at, _newton(s, own, *brackets)]), 2.0 * np.pi)
     own = np.concatenate([settled, own])
     # by row, then by value: ties are equal values, so the values' sort

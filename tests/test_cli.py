@@ -241,6 +241,19 @@ class TestCommands:
             doc = json.load(fh)
         assert len(doc["real"]) == 4  # cos(2x)
 
+    def test_an_odd_root_count_is_warned_on_stderr(self, tmp_path, capsys):
+        # 1 + cos(2x) has two double roots; the finder counts three of them,
+        # and the run says so on stderr, still exiting 0
+        fx = tmp_path / "poly.json"
+        fx.write_text(json.dumps({"degree": 2, "a": [1, 0, 1], "b": [0, 0, 0]}))
+        assert main(["roots", "--input", str(fx), "--out", str(tmp_path / "double")]) == 0
+        out, err = capsys.readouterr()
+        assert "sampled: 3 real roots of 2N = 4" in out
+        assert err == ("warning: 1 of 1 real-root counts is odd or above 2N "
+                       "(see count_violations in the manifest)\n")
+        assert main(["roots", "--N", "64", "--out", str(tmp_path / "plain")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_roots_of_a_huge_sine(self, tmp_path, capsys):
         # 1e308 sin(3x): the transform of the unscaled coefficients would
         # overflow; the finder scales each row by a power of two first

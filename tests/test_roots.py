@@ -16,6 +16,7 @@ from trigcrystal.poly import (
     TrigPolynomial,
     _coefficient_rows,
     _coefficients,
+    _series_values,
     derivative_rescaled,
     differentiate,
     evaluate,
@@ -24,13 +25,14 @@ from trigcrystal.poly import (
 from trigcrystal.roots import (
     _DIFF,
     _NODES,
-    _SLOPE,
     _WEIGHTS,
     _bounds,
+    _dip_brackets,
     _dip_candidates,
     _gather,
     _grid_length,
     _grid_values,
+    _interpolant_bound,
     _noise_floor,
     _real_roots_block,
     all_roots_companion,
@@ -102,8 +104,9 @@ class TestSampled:
     @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
     def test_tangent_dips_above_zero_have_no_roots(self, eps):
         # cos(8x) + 1 + eps stays above zero by eps at eight grid-point
-        # minima; the dip screen's margin is 3e-6 here, so the dips at
-        # eps <= 1e-6 have their extremum located and must still not flip
+        # minima; each is a dip candidate whose extremum is located on the
+        # interpolant, and neither the grid's certificate there nor the
+        # series, where the certificate cannot decide, may flip it
         a = np.zeros(9)
         a[0], a[8] = 1.0 + eps, 1.0
         f = TrigPolynomial(8, a, np.zeros(9))
@@ -491,14 +494,15 @@ def polynomial_of(row):
 
 
 class TestDipScreen:
-    """The F-only cut and the prefilter drop only cells that cannot hide a
-    root, on bounds that hold."""
+    """The F-only cut and the grid's certificate at the extremum drop only
+    cells that cannot hide a root, on bounds that hold."""
 
     def blocks(self):
         # ordinary draws with many shallow dips, the crystallized regime, and
-        # tangent dips just above and just below zero on the grid and off it
+        # tangent dips just above and just below zero on the grid and off it,
+        # the last within the series' noise of zero
         tangent = []
-        for eps in (1e-2, 1e-5, -1e-5, 1e-9, -1e-9):
+        for eps in (1e-2, 1e-5, -1e-5, 1e-9, -1e-9, 1e-15):
             for shift in (0.0, 0.37):
                 a, b = np.zeros(9), np.zeros(9)
                 a[0] = 1.0 + eps
@@ -506,26 +510,60 @@ class TestDipScreen:
                 tangent.append(TrigPolynomial(8, a, b))
         return [seeded_block(64, 0, BLOCK[64]), seeded_block(256, 20, BLOCK[256]), tangent]
 
+    def grid(self, fs):
+        """(c, m, padded, same) of fs: their coefficient rows, the grid
+        length, the padded grid of F (_grid_values) and the cells with one
+        sign of F at both ends."""
+        c = np.stack([_coefficients(f) for f in fs])
+        m = _grid_length(c.shape[1])
+        padded = _grid_values(c, m)
+        vals = padded[:, 7:-10]
+        return c, m, padded, vals * np.roll(vals, -1, axis=1) > 0
+
     def screened(self, fs):
         """Every cell [x_j, x_j+1] of the grids of fs with one sign of F at
         both ends and differing sign bits of the series' F' there: (c, m,
         vals, row, j), the share of all cells with one sign of F at both
         ends that the F-only cut leaves, and whether _dip_candidates keeps
         each cell."""
-        c = np.stack([_coefficients(f) for f in fs])
-        m = _grid_length(c.shape[1])
+        c, m, padded, same = self.grid(fs)
         h = 2 * math.pi / m
-        padded = _grid_values(c, m)
         vals = padded[:, 7:-10]
         slopes = np.stack([evaluate(differentiate(f), np.arange(m) * h) for f in fs])
-        same = vals * np.roll(vals, -1, axis=1) > 0
         turn = np.signbit(slopes) != np.signbit(np.roll(slopes, -1, axis=1))
         row, j = np.nonzero(same & turn)
-        _, cut, margin = _bounds(c, *_noise_floor(c), h)
+        _, cut = _bounds(c, _noise_floor(c)[0], h)
         low = np.minimum(np.abs(vals), np.abs(np.roll(vals, -1, axis=1))) <= cut[:, None]
-        krow, kj, *_ = _dip_candidates(padded, same, cut, margin)
+        krow, kj, *_ = _dip_candidates(padded, same, cut)
         kept = np.isin(row * m + j, krow * m + kj)
         return c, m, vals, row, j, (low & same).sum() / same.sum(), kept
+
+    def decided(self, fs, monkeypatch):
+        """Every candidate of _dip_candidates on the grids of fs, run through
+        _dip_brackets: (c, m, vals, row, j, xc, sent), xc each cell's
+        extremum, as _dip_brackets computes it, and sent whether F was
+        evaluated there on the series."""
+        c, m, padded, same = self.grid(fs)
+        xe = np.arange(m + 1) * (2 * math.pi / m)
+        series = (c, *_noise_floor(c))
+        T, cut = _bounds(c, series[1], xe[1])
+        row, j, g, d = _dip_candidates(padded, same, cut)
+        at, asked = [], set()
+
+        def bound(wf, t, c0):
+            at.append(t)
+            return _interpolant_bound(wf, t, c0)
+
+        def values(c, own, x):
+            asked.update(zip(own, x))
+            return _series_values(c, own, x)
+
+        monkeypatch.setattr(roots_module, "_interpolant_bound", bound)
+        monkeypatch.setattr(roots_module, "_series_values", values)
+        _dip_brackets(series, T, xe, row, j, g, d)
+        xc = xe[j] + xe[1] * at[0] if len(row) else np.empty(0)
+        sent = np.array([(r, x) in asked for r, x in zip(row, xc)], dtype=bool)
+        return c, m, padded[:, 7:-10], row, j, xc, sent
 
     def test_dropped_candidates_have_no_sign_change(self):
         dropped = 0
@@ -538,6 +576,22 @@ class TestDipScreen:
                 assert np.all(evaluate(polynomial_of(c[r]), xs) * vals[r, cells, None] > 0)
                 dropped += len(cells)
         assert dropped > 1000
+
+    def test_the_certificate_drops_only_cells_without_a_root(self, monkeypatch):
+        # a candidate the certificate clears has F at its extremum beyond the
+        # series' noise with the sign of the cell's ends, and F keeps that
+        # sign over the whole cell
+        dropped = 0
+        t = np.linspace(0.0, 1.0, 801)
+        for fs in self.blocks():
+            c, m, vals, row, j, xc, sent = self.decided(fs, monkeypatch)
+            c0, c1 = _noise_floor(c)
+            for r, k, x in zip(row[~sent], j[~sent], xc[~sent]):
+                f, s = polynomial_of(c[r]), np.sign(vals[r, k])
+                assert s * evaluate(f, x) > c0[r] + c1[r] * abs(x)
+                assert np.all(s * evaluate(f, (k + t) * (2 * math.pi / m)) > 0)
+                dropped += 1
+        assert dropped > 30
 
     def test_chord_is_within_the_cut(self):
         # the truncation term of the F-only cut, h^2/8 sum n^2 |c_n|, bounds
@@ -552,44 +606,20 @@ class TestDipScreen:
                 exact = evaluate(polynomial_of(c[r]), (k + t) * h)
                 assert np.max(np.abs(exact - (exact[0] + t * (exact[-1] - exact[0])))) <= bound[r]
 
-    def test_hermite_cubic_is_within_the_margin(self):
-        # the truncation term of the prefilter's margin, h^4/384 sum n^4
-        # |c_n|, bounds |F - H| on every candidate cell; and h P' at its
-        # ends, from the grid's F at the 16 nodes around each, is within
-        # E = 2.843 delta c0 + 7! 8!/16! sum (n h)^16 |c_n| + gamma_18 2.843
-        # (c0 / (4 eps) + delta c0) of h F', the slope error the margin takes
-        eps, delta = np.finfo(float).eps, roots_module._DELTA
-        lebesgue = np.abs(_SLOPE).sum()
-        for fs in self.blocks():
-            c, m, vals, row, j, *_ = self.screened(fs)
-            h = 2 * math.pi / m
-            n = np.arange(c.shape[1])
-            bound = h**4 / 384 * (n**4 * np.abs(c)).sum(axis=1)
-            c0, _ = _noise_floor(c)
-            E = (lebesgue * delta * c0
-                 + roots_module._OMEGA_SLOPE * ((n * h) ** 16 * np.abs(c)).sum(axis=1)
-                 + 9 * eps / (1 - 9 * eps) * lebesgue * (c0 / (4 * eps) + delta * c0))
-            t = np.linspace(0.0, 1.0, 65)
-            h00, h01 = (1 + 2 * t) * (1 - t) ** 2, t * t * (3 - 2 * t)
-            h10, h11 = t * (1 - t) ** 2, t * t * (t - 1)
-            for r, k in zip(row[:40], j[:40]):
-                f = polynomial_of(c[r])
-                x = k * h + np.array([0.0, h])
-                (f0, f1), (d0, d1) = evaluate(f, x), evaluate(differentiate(f), x)
-                cubic = f0 * h00 + f1 * h01 + h * (d0 * h10 + d1 * h11)
-                assert np.max(np.abs(evaluate(f, x[0] + t * h) - cubic)) <= bound[r]
-                d = [_SLOPE @ vals[r, (i + np.arange(-7, 9)) % m] for i in (k, k + 1)]
-                assert np.all(np.abs(np.array(d) - h * np.array([d0, d1])) <= E[r])
-
-    def test_only_a_few_candidates_reach_newton(self):
+    def test_only_a_few_candidates_reach_newton(self, monkeypatch):
         # at N=64, p=0 the F-only cut leaves 1.4% of the cells with one sign
-        # of F at both ends, and fewer than two in a thousand of those with
-        # an F' sign change pass the prefilter (37 of 23 973 here); in the
-        # crystallized regime the cut leaves 2.3% and none pass
-        *_, left, kept = self.screened(seeded_block(64, 0, 240))
-        assert left <= 0.02 and len(kept) > 20000 and kept.sum() <= 0.002 * len(kept)
-        *_, left, kept = self.screened(seeded_block(256, 20, 6))
-        assert left <= 0.03 and len(kept) > 2000 and not kept.any()
+        # of F at both ends, and F is evaluated on the series at the
+        # extremum of fewer than one in 2000 of those with an F' sign change
+        # (1 of 23 970 here); in the crystallized regime the cut leaves
+        # 2.3% and the certificate decides every candidate
+        fs = seeded_block(64, 0, 240)
+        *_, left, kept = self.screened(fs)
+        *_, sent = self.decided(fs, monkeypatch)
+        assert left <= 0.02 and len(kept) > 20000 and sent.sum() <= 0.0005 * len(kept)
+        fs = seeded_block(256, 20, 6)
+        *_, left, kept = self.screened(fs)
+        *_, sent = self.decided(fs, monkeypatch)
+        assert left <= 0.03 and len(kept) > 2000 and not sent.any()
 
     @pytest.mark.parametrize("oversample", [5, 3])
     def test_coarse_grids_keep_a_pair_inside_one_cell(self, oversample, monkeypatch):
