@@ -29,12 +29,14 @@ Two independent routes are provided and cross-validated in the test suite:
   ends, and F is evaluated on the series at the extrema of the rest.
   Where F there has not the sign of the cell's ends, the extremum splits
   the cell into two brackets, each started at its midpoint.  Sign changes
-  are told by sign bits, never by products of values, and each row is
-  first scaled by the power of two that puts its largest |a_n|, |b_n| in
-  [0.5, 1), so 2^k F has F's roots bit for bit and nothing overflows.
-  Every bracket gives one root strictly inside it, and the brackets'
-  interiors are disjoint, so no root is found twice and the roots need no
-  merging.
+  are told by sign bits, +-0 included, never by products of values, and
+  each row is first scaled by the power of two that puts its largest
+  |a_n|, |b_n| in [0.5, 1), so 2^k F has F's roots bit for bit and nothing
+  overflows.  Every bracket gives one root strictly inside it, and the
+  brackets' interiors are disjoint, so no root is found twice and the
+  roots need no merging.  Every root comes from a bracket, so each count
+  is even by construction: the sign-bit flips around the closed grid are
+  even in number, and each split dip cell adds two.
   Refinement stops at the rounding noise of the series: a root x has
   |F(x)| <= 2 e(x), e(x) = 4 eps (sum |a_n|+|b_n| + |x| sum n(|a_n|+|b_n|)),
   where the second term is the rounding of the arguments n*x; an evaluated
@@ -45,9 +47,9 @@ Two independent routes are provided and cross-validated in the test suite:
   (``_real_roots_block``); ``real_roots_sampled`` is a batch of one.  The
   grid pass takes the batch in chunks of max(1, 2^16 // m) rows (182 at
   N = 10, 60 at 32, 30 at 64, 7 at 256 and 1 from 1024 up), so a chunk's
-  F grid takes about 512 KiB: one batched transform per chunk,
-  whose exact zeros, sign-change stencils and dip candidates come from the
-  2-D grid, each carrying its row index, before the grid is freed.
+  F grid takes about 512 KiB: one batched transform per chunk, whose
+  sign-change stencils and dip candidates come from the 2-D grid, each
+  carrying its row index, before the grid is freed.
   Everything after it runs once per batch: the dip candidates' extrema on
   the interpolant and one Newton pass over every bracket the grid could
   not certify, each point on its own row with that row's noise floor.  That
@@ -233,11 +235,11 @@ def _value_step(wf, r):
 def _interpolant_newton(wf, t, side):
     """t in (0, 1) after _STEPS safeguarded Newton steps from t on the
     degree-15 interpolant P of a grid cell (_value_step), with the weighted
-    values wf (16, n) at its nodes (_NODES, _WEIGHTS), and side the sign of
-    P at t = 0.  Each step narrows [0, 1] to the side of t where P has that
-    sign and moves t by the Newton step, or to the narrowed bracket's
-    midpoint where that would leave it (_inside); a step that no longer
-    moves t stays, though t is now a bracket end."""
+    values wf (16, n) at its nodes (_NODES, _WEIGHTS), and side (+-1) the
+    sign bit's sign of P at t = 0.  Each step narrows [0, 1] to the side of
+    t where S has that sign and moves t by the Newton step, or to the
+    narrowed bracket's midpoint where that would leave it (_inside); a step
+    that no longer moves t stays, though t is now a bracket end."""
     lo, hi = np.zeros(len(t)), np.ones(len(t))
     r = np.empty_like(wf)
     for _ in range(_STEPS):
@@ -264,7 +266,7 @@ def _grid_roots(f, x0, h, c0, c1, T):
     there.  From the root in (0, 1) of the cubic through f at x0 - h ..
     x0 + 2h, two Newton steps on it from the secant point, each kept in
     (0, 1) by _inside, _interpolant_newton takes safeguarded Newton steps
-    on P, narrowing [0, 1] by the sign of S against that of f at x0
+    on P, narrowing [0, 1] by the sign of S against the sign bit of f at x0
     (_value_step).  f is overwritten.
 
     The certificate.  F* is the interpolant of the exact F at the nodes,
@@ -310,7 +312,7 @@ def _grid_roots(f, x0, h, c0, c1, T):
         move = (f1 + t * (a1 + t * (a2 + t * a3))) / (a1 + t * (2 * a2 + 3 * t * a3))
         t, _ = _inside(t - move, 0.0, 1.0)
     wf = np.multiply(f, _WEIGHTS[:, None], out=f)
-    t = _interpolant_newton(wf, t, np.sign(f1))
+    t = _interpolant_newton(wf, t, 1.0 - 2.0 * np.signbit(f1))
     scale, S, spread = _interpolant_bound(wf, t, c0)
     x = x0 + h * t
     return x, scale * (np.abs(S) + spread) + T <= 2.0 * c0 + 1.5 * c1 * np.abs(x)
@@ -333,8 +335,8 @@ def _interpolant_bound(wf, t, c0):
 
 def _newton(series, own, lo, hi, x, lo_sign):
     """One zero of F in each bracket [lo, hi] of row own[i] of the series
-    rows (c, c0, c1), from the start x inside it, lo_sign the sign of F at
-    lo.  lo and hi are narrowed in place.
+    rows (c, c0, c1), from the start x inside it, lo_sign (+-1) the sign
+    of F at lo.  lo and hi are narrowed in place.
 
     Safeguarded Newton on the series, vectorized over the brackets of every
     row, evaluating every point it takes.  Every evaluation shrinks the
@@ -386,8 +388,8 @@ def _dip_candidates(vals, same, cut):
     (row, j, g, d): the cell [x_j, x_j+1] of row `row`, with g (16, n) the
     grid's F at the interpolant's nodes x_j-7 .. x_j+8 (_NODES), so g[7:9]
     at its ends, and d (2, n) h P' at its ends, h the grid step.  same[k, j]
-    says F has one nonzero sign at both ends of cell j on row k, and cut
-    holds each row's cut of _bounds.
+    says the grid's F has one sign bit at both ends of cell j on row k, and
+    cut holds each row's cut of _bounds.
 
     The cells where both |F_j| and |F_j+1| exceed cut hold no zero of F
     and go first: nearly all of them.  On the rest, h F' at each end x_i
@@ -424,7 +426,8 @@ def _dip_brackets(series, T, xe, row, j, g, d):
 
     At the extremum xc the certificate of _grid_roots (_interpolant_bound,
     with each row's truncation bound T) decides the cell where it proves
-    |F| above the series' noise with the sign of the cell's ends s:
+    |F| above the series' noise with the sign bit's sign s of the cell's
+    ends (a computed S or F of 0 has sign 0, so it never clears a cell):
     S has the sign s and scale (|S| - spread) - T > c0 + 1.5 c1 |xc|,
     the 1.5 c1 |xc| covering the rounding of xc as in _grid_roots, so
     |F(xc)| > c0 + c1 |xc| and the series, the rows (c, c0, c1), would
@@ -443,7 +446,7 @@ def _dip_brackets(series, T, xe, row, j, g, d):
             t = _interpolant_newton(wd, t, 1.0 - 2.0 * np.signbit(d[0]))
             scale, S, spread = _interpolant_bound(_WEIGHTS[:, None] * g, t, c0[row])
         xc = xe[j] + xe[1] * t
-        s = np.sign(g[7])
+        s = 1.0 - 2.0 * np.signbit(g[7])
         clear = np.sign(S) == s
         clear &= scale * (np.abs(S) - spread) - T[row] > c0[row] + 1.5 * c1[row] * np.abs(xc)
         row, j, xc, s = row[~clear], j[~clear], xc[~clear], s[~clear]
@@ -483,33 +486,29 @@ def _scan(series, bounds, k0, k1, xe):
     """The grid pass over rows k0..k1-1 of the series rows (c, c0, c1),
     with their _bounds, on the grid xe[:-1] of m points, each result with
     its row in the series: the roots the grid settles, (row, x), being the
-    exact zeros on the grid and the certified roots of the sign-change
-    cells (_grid_roots); the sign-change brackets left, (row, lo, hi,
-    start, sign), each started where the interpolant's Newton steps ended;
-    and the dip candidates (row, j, g, d) of _dip_candidates.  The chunk's
-    padded grid is freed once the sign-change stencils and the dip
-    candidates are gathered, before the sign-change roots are refined."""
+    certified roots of the sign-change cells (_grid_roots); the sign-change
+    brackets left, (row, lo, hi, start, sign), each started where the
+    interpolant's Newton steps ended; and the dip candidates (row, j, g, d)
+    of _dip_candidates.  The chunk's padded grid is freed once the
+    sign-change stencils and the dip candidates are gathered, before the
+    sign-change roots are refined."""
     c, c0, c1 = (v[k0:k1] for v in series)
     T, cut = (v[k0:k1] for v in bounds)
     m = len(xe) - 1
     vals = _grid_values(c, m)
     # F changes sign across cell j where F_j and F_j+1 (x_m is x_0) differ in
-    # sign bit and keeps it where they agree, unless one is zero
-    ends = vals[:, 7:-9]
-    zero, sign = ends == 0.0, np.signbit(ends)
-    live, flip = ~(zero[:, :-1] | zero[:, 1:]), sign[:, :-1] != sign[:, 1:]
-    row, j = np.divmod(np.flatnonzero(live & flip), m)
-    zr, zj = np.divmod(np.flatnonzero(zero[:, :-1]), m)
-    same = live & ~flip
-    del ends, zero, sign, live, flip  # each map, then the grid, freed once used
+    # sign bit and keeps it where they agree, a zero's sign being its sign bit
+    sign = np.signbit(vals[:, 7:-9])
+    same = sign[:, :-1] == sign[:, 1:]
+    row, j = np.divmod(np.flatnonzero(~same), m)
     f = _gather(vals, row, j, 16)
     drow, *dips = _dip_candidates(vals, same, cut)
-    del vals, same
-    lo_sign = np.sign(f[7])
+    del vals, same, sign  # the grid and its maps, freed once used
+    lo_sign = 1.0 - 2.0 * np.signbit(f[7])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x, certified = _grid_roots(f, xe[j], xe[1], c0[row], c1[row], T[row])
     go, j = ~certified, j[~certified]
-    return (np.concatenate([zr, row[certified]]) + k0, np.concatenate([xe[zj], x[certified]]),
+    return (row[certified] + k0, x[certified],
             row[go] + k0, xe[j], xe[j + 1], x[go], lo_sign[go], drow + k0, *dips)
 
 
@@ -518,16 +517,16 @@ def _real_roots_block(c):
     one array per row.
 
     The grid pass runs chunk by chunk (_chunk_rows rows each, _scan): one
-    batched transform per chunk, its exact zeros, the roots of its
-    sign-change cells certified from the grid and the dip candidates
-    found on the 2-D grid with their row index, and the chunk's grid freed
-    before the next one.  Everything after it runs once for all K rows:
-    the dip candidates' extrema on the interpolant, one Newton pass over
-    the brackets left, and the per-row sort and split.  Each bracket gives
-    one root strictly inside it, the brackets' interiors are disjoint (the
-    sign-change cells, and the two halves of a dip cell split at its
-    extremum) and an exact grid zero opens none, so no root is found twice
-    and none needs merging.  A row's roots do not depend on the other
+    batched transform per chunk, the roots of its sign-change cells
+    certified from the grid and the dip candidates found on the 2-D grid
+    with their row index, and the chunk's grid freed before the next one.
+    Everything after it runs once for all K rows: the dip candidates'
+    extrema on the interpolant, one Newton pass over the brackets left, and
+    the per-row sort and split.  Each bracket gives one root strictly
+    inside it, the brackets' interiors are disjoint (the sign-change cells,
+    and the two halves of a dip cell split at its extremum), so no root is
+    found twice and none needs merging, and every root comes from one, so
+    each row's count is even.  A row's roots do not depend on the other
     rows, since every step works row by row and a point's series values
     depend on that point alone.
     """

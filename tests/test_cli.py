@@ -15,6 +15,15 @@ from trigcrystal.cli import main, parse_config
 from trigcrystal.poly import EnsembleSpec, TrigPolynomial, derivative_rescaled, sample
 
 
+def flat_root():
+    """(1 - cos x)^10 in exact dyadic coefficients: a root of multiplicity
+    20 at x = 0, flatter than the noise floor, where the grid's signs are
+    rounding, so the sampled finder counts 24 roots of 2N = 20."""
+    a = [math.comb(20, 10) / 2**10]
+    a += [(-1) ** j * math.comb(20, 10 - j) / 2**9 for j in range(1, 11)]
+    return {"degree": 10, "a": a, "b": [0] * 11}
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -241,14 +250,23 @@ class TestCommands:
             doc = json.load(fh)
         assert len(doc["real"]) == 4  # cos(2x)
 
-    def test_an_odd_root_count_is_warned_on_stderr(self, tmp_path, capsys):
-        # 1 + cos(2x) has two double roots; the finder counts three of them,
-        # and the run says so on stderr, still exiting 0
+    def test_a_double_root_counts_twice(self, tmp_path, capsys):
+        # 1 + cos(2x) has two double roots, each found as a pair
         fx = tmp_path / "poly.json"
         fx.write_text(json.dumps({"degree": 2, "a": [1, 0, 1], "b": [0, 0, 0]}))
-        assert main(["roots", "--input", str(fx), "--out", str(tmp_path / "double")]) == 0
+        assert main(["roots", "--input", str(fx), "--out", str(tmp_path)]) == 0
         out, err = capsys.readouterr()
-        assert "sampled: 3 real roots of 2N = 4" in out
+        assert "sampled: 4 real roots of 2N = 4" in out
+        assert err == ""
+
+    def test_a_count_above_2n_is_warned_on_stderr(self, tmp_path, capsys):
+        # the finder's 24 roots of (1 - cos x)^10 are more than 2N; the run
+        # says so on stderr, still exiting 0
+        fx = tmp_path / "poly.json"
+        fx.write_text(json.dumps(flat_root()))
+        assert main(["roots", "--input", str(fx), "--out", str(tmp_path / "flat")]) == 0
+        out, err = capsys.readouterr()
+        assert "sampled: 24 real roots of 2N = 20" in out
         assert err == ("warning: 1 of 1 real-root counts is odd or above 2N "
                        "(see count_violations in the manifest)\n")
         assert main(["roots", "--N", "64", "--out", str(tmp_path / "plain")]) == 0
@@ -264,8 +282,11 @@ class TestCommands:
             assert main(["roots", "--input", str(fx), "--out", str(tmp_path)]) == 0
         assert "sampled: 6 real roots of 2N = 6" in capsys.readouterr().out
         with open(tmp_path / "roots.json") as fh:
-            real = json.load(fh)["real"]
-        assert np.allclose(real, np.arange(6) * math.pi / 3, rtol=0, atol=1e-12)
+            real = np.array(json.load(fh)["real"])
+        # F(0) is exactly +0 on the grid, so the root at 0 is found from
+        # inside the cell below 2 pi: compared around the circle
+        exact = np.arange(6) * math.pi / 3
+        assert np.all(cli._gaps(real, exact) < 1e-12) and np.all(cli._gaps(exact, real) < 1e-12)
 
     def test_the_companion_polishes_a_huge_sine(self, tmp_path, capsys):
         # 1e308 sin(3x): the companion's Newton polish on the unscaled
@@ -301,10 +322,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("method", ["sampled", "both", "companion"])
     def test_roots_manifest_reports_the_sampled_count(self, tmp_path, capsys, method):
-        # 1 + cos 2x has two double roots; the sampled finder counts 3 of
-        # the 4, an odd count the report must flag
+        # the sampled finder counts 24 roots of (1 - cos x)^10, above 2N =
+        # 20, a count the report must flag
         fx = tmp_path / "poly.json"
-        fx.write_text(json.dumps({"degree": 2, "a": [1, 0, 1], "b": [0, 0, 0]}))
+        fx.write_text(json.dumps(flat_root()))
         assert main(["roots", "--input", str(fx), "--method", method,
                      "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -314,8 +335,8 @@ class TestCommands:
             assert "report" not in doc
             return
         count = int(re.match(r"sampled:? (\d+) real roots", out).group(1))
-        assert doc["report"] == {"realizations": 1, "roots": count,
-                                 "count_violations": count % 2}
+        assert count == 24
+        assert doc["report"] == {"realizations": 1, "roots": 24, "count_violations": 1}
 
     def test_manifest_echoes_config(self, tmp_path, capsys):
         assert main(["vp-table", "--p-max", "2", "--N", "17",
