@@ -296,21 +296,22 @@ def _spec(cfg: RunConfig) -> poly.EnsembleSpec:
     )
 
 
-def _count_report(rootsets, N: int) -> dict:
-    """The manifest report of the count invariant of degree-N real zero
-    sets: every realization has an even number of real zeros, at most 2N."""
-    counts = np.array([len(r) for r in rootsets])
+def _count_report(counts, N: int) -> dict:
+    """The manifest report of the count invariant of degree-N realizations
+    with these real-zero counts: each is even and at most 2N."""
     return {
-        "realizations": len(rootsets),
+        "realizations": len(counts),
         "roots": int(counts.sum()),
         "count_violations": int(np.sum((counts % 2 == 1) | (counts > 2 * N))),
     }
 
 
-def _ensemble(cfg: RunConfig):
-    """The run's rootsets and the manifest report of their count invariant."""
-    rootsets = ensemble.real_zero_ensemble(_spec(cfg), threads=cfg.threads)
-    return rootsets, _count_report(rootsets, cfg.N)
+def _ensemble(cfg: RunConfig, pair_edges=None, gap_edges=None):
+    """The run's ensemble statistics, with the pair and gap histogram counts
+    on pair_edges and gap_edges where given (ensemble._statistics), and the
+    manifest report of their count invariant."""
+    stats = ensemble._statistics(_spec(cfg), cfg.threads, pair_edges, gap_edges)
+    return stats, _count_report(stats.counts, cfg.N)
 
 
 class _InputError(Exception):
@@ -399,7 +400,9 @@ def _cmd_roots(cfg: RunConfig, out: _Outputs):
     else:
         print(f"{primary.method}: {primary.real_count} real roots "
               f"of 2N = {2 * f.degree}")
-    return _count_report([sets["sampled"].real_roots], f.degree) if "sampled" in sets else None
+    if "sampled" in sets:
+        return _count_report(np.array([sets["sampled"].real_count]), f.degree)
+    return None
 
 
 def _cmd_fraction(cfg: RunConfig, out: _Outputs):
@@ -410,8 +413,8 @@ def _cmd_fraction(cfg: RunConfig, out: _Outputs):
     if cfg.mode in ("asymptotic", "all"):
         rows.append(("asymptotic", analytic.v_p(cfg.p), ""))
     if cfg.mode in ("empirical", "all"):
-        rootsets, report = _ensemble(cfg)
-        mean, err = ensemble.empirical_real_fraction(_spec(cfg), rootsets=rootsets)
+        stats, report = _ensemble(cfg)
+        mean, err = ensemble._real_fraction(stats.counts, cfg.N)
         rows.append(("empirical", mean, repr(err)))
     lines = ["mode,value,stderr"]
     for mode, value, err in rows:
@@ -426,10 +429,9 @@ def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
     """pair correlation of real zeros"""
     series, report = [], None
     if cfg.mode in ("empirical", "all"):
-        rootsets, report = _ensemble(cfg)
-        est = ensemble.empirical_pair_correlation(
-            rootsets, cfg.N, bin_width=cfg.bins, max_range=cfg.max_range
-        )
+        edges = ensemble._bin_edges(cfg.bins, cfg.max_range)
+        stats, report = _ensemble(cfg, pair_edges=edges)
+        est = ensemble._pair_correlation(stats, cfg.N, edges)
         report["ordered_pairs"] = est.metadata["ordered_pairs"]
         series.append(_write_histogram(out, "paircorr_empirical.csv", est.histogram,
                                        "empirical"))
@@ -452,13 +454,11 @@ def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
 
 def _cmd_spacing(cfg: RunConfig, out: _Outputs):
     """nearest-neighbor spacing distribution"""
-    rootsets, report = _ensemble(cfg)
-    hist = ensemble.nearest_neighbor_spacings(
-        rootsets, cfg.N, bin_width=cfg.bins, max_range=cfg.max_range
-    )
+    edges = ensemble._bin_edges(cfg.bins, cfg.max_range)
+    stats, report = _ensemble(cfg, gap_edges=edges)
+    hist = ensemble._spacings(stats, edges)
     series = [_write_histogram(out, "spacing.csv", hist, "empirical")]
-    mean_gap = float(np.mean(ensemble.gap_ensemble(rootsets, cfg.N)))
-    print(f"spacing: {len(hist.values)} bins, ensemble mean gap {mean_gap:.6f}")
+    print(f"spacing: {len(hist.values)} bins, ensemble mean gap {stats.mean_gap():.6f}")
     if cfg.p >= 1:
         ss = _analytic_grid(cfg.max_range, 0.01)
         us = cfg.p * (ss - 1.0 - 1.0 / (2.0 * cfg.p))

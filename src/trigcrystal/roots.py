@@ -513,8 +513,11 @@ def _scan(series, bounds, k0, k1, xe):
 
 
 def _real_roots_block(c):
-    """Sorted real zeros in [0, 2*pi) of each coefficient row of c (K, N+1),
-    one array per row.
+    """The real zeros in [0, 2*pi) of each coefficient row of c (K, N+1), as
+    one flat record (roots, counts): roots holds row 0's zeros sorted, then
+    row 1's, and so on, and counts[k] is how many row k has.  The ensemble
+    reduces the record as it is, and np.split(roots, np.cumsum(counts)[:-1])
+    gives one array per row.
 
     The grid pass runs chunk by chunk (_chunk_rows rows each, _scan): one
     batched transform per chunk, the roots of its sign-change cells
@@ -522,7 +525,7 @@ def _real_roots_block(c):
     with their row index, and the chunk's grid freed before the next one.
     Everything after it runs once for all K rows: the dip candidates'
     extrema on the interpolant, one Newton pass over the brackets left, and
-    the per-row sort and split.  Each bracket gives one root strictly
+    the sort by row and value.  Each bracket gives one root strictly
     inside it, the brackets' interiors are disjoint (the sign-change cells,
     and the two halves of a dip cell split at its extremum), so no root is
     found twice and none needs merging, and every root comes from one, so
@@ -553,8 +556,7 @@ def _real_roots_block(c):
     # indices held in the smallest unsigned type
     order = np.argsort(roots)
     order = order[np.argsort(own[order].astype(np.min_scalar_type(K)), kind="stable")]
-    counts = np.bincount(own, minlength=K)
-    return np.split(roots[order], np.cumsum(counts)[:-1])
+    return roots[order], np.bincount(own, minlength=K)
 
 
 def real_roots_sampled(f: TrigPolynomial) -> RootSet:
@@ -563,7 +565,7 @@ def real_roots_sampled(f: TrigPolynomial) -> RootSet:
     Each root is refined to the rounding noise of the series, one root per
     bracket.  This is the block finder run on a block of one.
     """
-    (roots,) = _real_roots_block(_coefficients(f)[None])
+    roots, _ = _real_roots_block(_coefficients(f)[None])
     return RootSet(real_roots=roots, complex_roots=None, method="sampled")
 
 

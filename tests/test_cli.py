@@ -389,8 +389,11 @@ class TestCommands:
 
     def test_manifest_report_counts_violations(self, tmp_path, capsys, monkeypatch):
         # odd and above-2N counts are reported, not dropped
-        bad = [np.array([0.5]), np.arange(20) * 0.8, np.array([1.0, 3.0])]
-        monkeypatch.setattr(ensemble, "real_zero_ensemble", lambda *a, **k: bad)
+        def bad(*args, **kwargs):
+            return ensemble._Statistics(np.array([1, 20, 2], dtype=np.int32),
+                                        ensemble._NO_BINS, ensemble._NO_BINS)
+
+        monkeypatch.setattr(ensemble, "_statistics", bad)
         assert main(["fraction", "--mode", "empirical", "--N", "8", "--realizations", "3",
                      "--out", str(tmp_path)]) == 0
         capsys.readouterr()
@@ -480,6 +483,7 @@ class TestFailureHandling:
         def no_ensemble(*args, **kwargs):
             raise AssertionError("the ensemble ran before the p >= 1 check")
 
+        monkeypatch.setattr(ensemble, "_statistics", no_ensemble)
         monkeypatch.setattr(ensemble, "real_zero_ensemble", no_ensemble)
         for mode in ("all", "asymptotic"):
             with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,16 @@
 """Empirical zero statistics on the rescaled circle."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trigcrystal import ensemble
-from trigcrystal.cli import _Outputs, _write_histogram
+from trigcrystal.cli import _Outputs, _write_histogram, main
 from trigcrystal.ensemble import (
     Histogram,
     circular_gaps,
@@ -74,16 +78,25 @@ class TestPairCorrelation:
         assert np.array_equal(est.histogram.values, expect)
 
     def test_runs_of_realizations_count_the_same_pairs(self, monkeypatch):
-        # one realization per run, as a loop over the realizations takes
-        # them, against the whole ensemble in one run; some hold 0 or 1 roots
+        # a list is reduced in the ensemble's batches, _BATCH_CHUNKS
+        # realizations each at N = 1024: one per batch, as a loop over the
+        # realizations takes them, or 7, against all 60 in one batch; some
+        # hold 0 or 1 roots
         rng = np.random.default_rng(5)
-        deg = 20
-        sets = [np.sort(rng.uniform(0, 2 * deg, n)) for n in rng.integers(0, 40, 60)]
+        deg = 1024
+        sets = [np.sort(rng.uniform(0, 2 * deg, n)) for n in rng.integers(0, 400, 60)]
+        sets[3], sets[10] = np.empty(0), np.array([5.0])
+        assert ensemble._block_size(deg) == ensemble._BATCH_CHUNKS
+        monkeypatch.setattr(ensemble, "_BATCH_CHUNKS", len(sets))
         whole = empirical_pair_correlation(sets, deg, bin_width=0.1, max_range=6.0)
-        monkeypatch.setattr(ensemble, "_PAIR_ROOTS", 2 * deg)
-        apart = empirical_pair_correlation(sets, deg, bin_width=0.1, max_range=6.0)
-        assert np.array_equal(whole.histogram.values, apart.histogram.values)
-        assert whole.metadata["ordered_pairs"] == apart.metadata["ordered_pairs"] > 0
+        gaps = nearest_neighbor_spacings(sets, deg, bin_width=0.1, max_range=6.0)
+        for chunks in (1, 7):
+            monkeypatch.setattr(ensemble, "_BATCH_CHUNKS", chunks)
+            apart = empirical_pair_correlation(sets, deg, bin_width=0.1, max_range=6.0)
+            assert np.array_equal(whole.histogram.values, apart.histogram.values)
+            assert whole.metadata["ordered_pairs"] == apart.metadata["ordered_pairs"] > 0
+            apart = nearest_neighbor_spacings(sets, deg, bin_width=0.1, max_range=6.0)
+            assert np.array_equal(gaps.values, apart.values)
 
     def test_total_pair_mass_identity(self):
         rng = np.random.default_rng(7)
@@ -165,6 +178,13 @@ class TestSpacings:
         with pytest.raises(ValueError):
             gap_ensemble([np.array([3.0])], deg)
 
+    def test_gap_bins_are_numpys(self):
+        # every edge, values just beside each, and values outside the range
+        edges = ensemble._bin_edges(0.07, 6.0)
+        x = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 9.0),
+                            [-1.0, 7.0, np.nan], np.random.default_rng(3).uniform(-1, 7, 500)])
+        assert np.array_equal(ensemble._histogram(x, edges), np.histogram(x, bins=edges)[0])
+
     def test_both_estimators_share_one_bin_edge_rule(self):
         # 6 / 0.07 = 85.7 bins: both histograms end at 85 * 0.07 = 5.95, never
         # past max_range
@@ -192,6 +212,101 @@ class TestRealFraction:
         spec = EnsembleSpec.equal_variance(6, 0, 1, 11)
         with pytest.raises(ValueError):
             empirical_real_fraction(spec)
+
+
+class TestStreaming:
+    """The commands' path: each batch is reduced to statistics as it leaves
+    the finder, and no list of roots is held."""
+
+    @pytest.mark.parametrize("chunks", [1, 16])
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("N,p", [(64, 0), (256, 20)])
+    def test_streamed_counts_are_those_of_the_root_sets(self, N, p, threads, chunks,
+                                                       monkeypatch):
+        # two full default batches and a partial one, taken in batches of
+        # 1 or 16 grid chunks, in one process or three
+        M = 2 * ensemble._block_size(N) + 17
+        spec = EnsembleSpec.equal_variance(N, p, M, 19)
+        sets = real_zero_ensemble(spec)
+        edges = ensemble._bin_edges(0.05, 6.0)
+        monkeypatch.setattr(ensemble, "_BATCH_CHUNKS", chunks)
+        stats = ensemble._statistics(spec, threads, pair_edges=edges, gap_edges=edges)
+        assert np.array_equal(stats.counts, [len(r) for r in sets])
+        pairs = empirical_pair_correlation(sets, N)
+        streamed = ensemble._pair_correlation(stats, N, edges)
+        assert np.array_equal(streamed.histogram.values, pairs.histogram.values)
+        assert streamed.metadata == pairs.metadata
+        assert stats.pairs.sum() == pairs.metadata["ordered_pairs"] > 0
+        gaps = gap_ensemble(sets, N)
+        assert np.array_equal(stats.gaps, np.histogram(gaps, bins=edges)[0])
+        assert stats.gap_count == len(gaps)
+        assert stats.mean_gap() == pytest.approx(gaps.mean(), rel=1e-14)
+        assert np.array_equal(ensemble._spacings(stats, edges).values,
+                              nearest_neighbor_spacings(sets, N).values)
+
+    def test_memory_does_not_grow_with_the_ensemble(self, monkeypatch):
+        # the traced peak of the streamed reduction over 8 batches is within
+        # 10% of that over 2: one batch's roots and temporaries, and one
+        # count per realization (holding the root sets reads +27%); the
+        # 16 MiB the workers free to tune malloc is left out, since it would
+        # hide the difference, and a first run takes the one-time allocations
+        monkeypatch.setattr(ensemble, "_LIFT_WORDS", 0)
+        N = 64
+        K = ensemble._block_size(N)
+        edges = ensemble._bin_edges(0.05, 6.0)
+
+        def peak(batches):
+            spec = EnsembleSpec.equal_variance(N, 0, batches * K, 23)
+            tracemalloc.start()
+            try:
+                ensemble._statistics(spec, 1, pair_edges=edges, gap_edges=edges)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)
+        small, large = peak(2), peak(8)
+        assert large <= 1.1 * small
+
+    def test_counts_take_four_bytes_a_realization(self):
+        # from N = 1024 up a batch is 4 realizations, so at M = 10^7 an
+        # array per batch would hold 2.5 million arrays, about 10 times
+        # the counts' own bytes
+        reduce = ensemble._Reduction(1024)
+        k = np.array([3, 4, 5, 6])
+        parts = (reduce(np.empty(0), k) for _ in range(25_000))
+        tracemalloc.start()
+        try:
+            counts = reduce.merge(parts).counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counts) == 100_000 and np.array_equal(counts[-4:], k)
+        assert peak < 6 * len(counts)
+
+    def test_one_cpu_runs_in_process(self, tmp_path):
+        # --threads 2 on a process that may use one CPU starts no pool, and
+        # writes the CSV bytes of --threads 1
+        args = ["spacing", "--N", "32", "--p", "2", "--realizations", "600", "--seed", "7"]
+        assert main([*args, "--threads", "1", "--out", str(tmp_path / "t1")]) == 0
+        code = ("import os, sys\n"
+                "os.sched_getaffinity = lambda pid: {0}\n"
+                "os.cpu_count = lambda: 1\n"
+                "from trigcrystal.cli import main\n"
+                f"code = main({[*args, '--threads', '2', '--out', str(tmp_path / 't2')]!r})\n"
+                "print(code, 'concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "0 False"
+        for name in ("spacing.csv", "spacing_model.csv"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+    def test_cpus_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ensemble._cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert ensemble._cpus() == 6
 
 
 class TestScaleInvariance:

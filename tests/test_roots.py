@@ -232,7 +232,8 @@ class TestCrossValidation:
 
 
 def block_of(fs):
-    return _real_roots_block(np.stack([_coefficients(f) for f in fs]))
+    roots, counts = _real_roots_block(np.stack([_coefficients(f) for f in fs]))
+    return np.split(roots, np.cumsum(counts)[:-1])
 
 
 # realizations per test block: at most one grid chunk, so the tests' cost does not
@@ -499,7 +500,8 @@ class TestBlock:
                 scaled = _real_roots_block(c * 2.0**k)
             for want, got in zip(_real_roots_block(c), scaled):
                 assert np.array_equal(got, want)
-        assert len(_real_roots_block(pair)[0]) == 32
+        roots, counts = _real_roots_block(pair)
+        assert len(roots) == counts[0] == 32
 
     def test_a_tiny_sine_keeps_its_roots(self):
         f = TrigPolynomial(3, [0.0] * 4, [0.0, 0.0, 0.0, 1e-200])
