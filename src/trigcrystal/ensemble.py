@@ -11,14 +11,17 @@ histogram counts of the ordered pairs or of the gaps, and the sum of the
 gaps held exactly, as a whole number of 2^-1074.  Integers add up alike in
 any order, so every estimate is the same however the batches are spread
 over workers, and a run holds one batch's roots at a time: beyond that its
-memory grows by one count per realization.  The functions that take lists
-of root sets reduce them in the same batches with the same code.
+memory grows by one count per realization.  With more than one worker, each
+is a process forked directly, with no pool, which takes one run of whole
+batches and sends back its statistics through a pipe.  The functions that
+take lists of root sets reduce them in the same batches with the same code.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,17 +180,16 @@ def _block_size(degree: int) -> int:
     return _BATCH_CHUNKS * roots._chunk_rows(degree + 1)
 
 
-def _reduce_batches(args):
+def _reduce_batches(spec: poly.EnsembleSpec, lo: int, hi: int, reduce):
     """reduce.merge of reduce applied to each batch of realizations
     lo..hi-1, whose roots are found, rescaled and reduced one batch at a
     time.
 
     lo is a multiple of the batch size, so the batches do not depend on how
-    the index range was split into tasks; nor does any root depend on the
-    batch it was found in.  The sampler draws each batch's coefficient rows
-    straight into one array.
+    the index range was split between workers; nor does any root depend on
+    the batch it was found in.  The sampler draws each batch's coefficient
+    rows straight into one array.
     """
-    spec, lo, hi, reduce = args
     # freeing one mapped array larger than any temporary of a batch (the
     # evaluator's budget, a chunk's F grid and its interpolant stencils,
     # the transform's own buffers: several MiB at N = 4096) lifts glibc's
@@ -216,6 +218,79 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _portable(exc: Exception) -> Exception:
+    """exc, if it survives a pickle round trip, else a RuntimeError carrying
+    its type name and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _report(work, task, fd: int):
+    """In a forked worker: write (True, work(*task)), or (False, the
+    exception it raised), pickled to the pipe fd, then end the process with
+    os._exit, status 0 once the pipe has it all.  The worker never returns
+    into the parent's code, runs none of its atexit handlers and flushes
+    none of its buffers, whatever is raised here."""
+    status = 1
+    try:
+        try:
+            data = pickle.dumps((True, work(*task)), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, _portable(exc)), pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked(work, tasks) -> list:
+    """[work(*task) for task in tasks], each task run in a worker process
+    forked for it, which sends its result back pickled through a pipe.
+
+    The pipes are read in task order.  A worker's exception is raised again
+    here, and a worker that ends without a result, killed say, raises a
+    RuntimeError that names it.  However this returns, every worker still
+    running is killed and every worker is reaped."""
+    # imported here: building its enums takes about 0.6 ms, which a
+    # one-process run never needs
+    import signal
+
+    workers = []  # [pid or None once reaped, read end of its pipe]
+    try:
+        for task in tasks:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _report(work, task, w)
+            os.close(w)
+            workers.append([pid, open(r, "rb")])
+        results = []
+        for i, worker in enumerate(workers):
+            pid, pipe = worker
+            data = pipe.read()
+            worker[0] = None
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status:
+                how = f"signal {-status}" if status < 0 else f"exit status {status}"
+                raise RuntimeError(f"ensemble worker {i} (pid {pid}) ended without a "
+                                   f"result ({how})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def real_zero_ensemble(spec: poly.EnsembleSpec, threads: int = 1, reduce=None):
     """Rescaled real roots of F^(p) for every realization, in index order,
     or, given reduce, the ensemble's reduction by it.
@@ -231,29 +306,24 @@ def real_zero_ensemble(spec: poly.EnsembleSpec, threads: int = 1, reduce=None):
     the commands' statistics (_Reduction) keep one count per realization.
 
     The workers are the least of threads, the CPUs this process may use and
-    the batches.  With more than one, runs of whole batches go to that many
-    worker processes, and each returns its run's merged result, not its
-    roots; the pool is imported when first used, so a one-process run never
-    loads multiprocessing.  Each realization is a pure function of (spec,
-    index) and its roots do not depend on the batch it is found in, so the
-    result is identical for any thread count.
+    the batches, and one where the platform cannot fork.  With more than
+    one, each worker is forked directly (_forked: no pool, so a run never
+    loads multiprocessing), takes one run of whole batches and returns its
+    run's merged result, not its roots.  Each realization is a pure
+    function of (spec, index) and its roots do not depend on the batch it
+    is found in, so the result is identical for any thread count.
     """
     if reduce is None:
         reduce = _RootSets()
     M = spec.realizations
     K = _block_size(spec.degree)
     blocks = math.ceil(M / K)
-    workers = min(threads, _cpus(), blocks)
+    workers = min(threads, _cpus(), blocks) if hasattr(os, "fork") else 1
     if workers <= 1:
-        return _reduce_batches((spec, 0, M, reduce))
-    step = K * max(1, math.ceil(blocks / (4 * workers)))
-    tasks = [(spec, lo, min(lo + step, M), reduce) for lo in range(0, M, step)]
-    # imported here: it loads multiprocessing, socket, subprocess and
-    # logging, which a one-process run never needs
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return reduce.merge(pool.map(_reduce_batches, tasks))
+        return _reduce_batches(spec, 0, M, reduce)
+    step = K * math.ceil(blocks / workers)
+    return reduce.merge(_forked(_reduce_batches, [(spec, lo, min(lo + step, M), reduce)
+                                                  for lo in range(0, M, step)]))
 
 
 def _statistics(spec: poly.EnsembleSpec, threads: int = 1, pair_edges=None,
@@ -281,11 +351,27 @@ def _list_statistics(rootsets, degree: int, pair_edges=None, gap_edges=None) -> 
                         for lo in range(0, len(rootsets), K))
 
 
+# counts summed at a time by _real_fraction: 256 KiB as int64
+_SUM_SLICE = 1 << 15
+
+
 def _real_fraction(counts, degree: int) -> tuple[float, float]:
     """Mean and standard error of the real-zero fraction of degree-N
-    realizations with these real-root counts."""
-    fracs = counts / (2.0 * degree)
-    return float(fracs.mean()), float(fracs.std(ddof=1) / math.sqrt(len(fracs)))
+    realizations with these real-root counts.
+
+    Both come from the exact integer sums S1 = sum k and S2 = sum k^2,
+    taken a slice at a time, so the memory does not grow with the counts:
+    the mean S1 / (2N M) and the squared standard error
+    (M S2 - S1^2) / (M^2 (M-1) (2N)^2) are each rounded once, as quotients
+    of Python integers.
+    """
+    M, s1, s2 = len(counts), 0, 0
+    for lo in range(0, M, _SUM_SLICE):
+        k = counts[lo:lo + _SUM_SLICE].astype(np.int64)
+        s1 += int(k.sum())
+        s2 += int(k @ k)
+    two_n = 2 * degree
+    return s1 / (two_n * M), math.sqrt((M * s2 - s1 * s1) / (M * M * (M - 1) * two_n * two_n))
 
 
 def empirical_real_fraction(

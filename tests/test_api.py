@@ -44,7 +44,8 @@ def test_import_loads_no_scipy():
 
 
 def test_the_cli_imports_no_process_pool():
-    # only an ensemble run with threads > 1 starts a pool, and imports it then
+    # an ensemble run with threads > 1 forks its workers directly, so no
+    # command loads a process pool
     code = ("import sys, trigcrystal.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
             "if m in sys.modules))")

@@ -2,9 +2,12 @@
 
 import math
 import os
+import signal
+import statistics
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,6 +211,27 @@ class TestRealFraction:
         assert mean == 1.0
         assert err == 0.0
 
+    def test_exact_sums_round_once(self):
+        # the mean and the squared standard error are those of exact
+        # rational arithmetic, each rounded once
+        counts = np.random.default_rng(5).integers(0, 61, 1001).astype(np.int32)
+        fracs = [Fraction(int(k), 60) for k in counts]
+        mean, err = ensemble._real_fraction(counts, 30)
+        assert mean == float(statistics.mean(fracs))
+        assert err == math.sqrt(float(statistics.variance(fracs) / len(fracs)))
+        assert err == pytest.approx(np.std(counts / 60, ddof=1) / math.sqrt(len(counts)),
+                                    rel=1e-12)
+
+    def test_memory_does_not_grow_with_the_counts(self):
+        counts = np.random.default_rng(6).integers(0, 2049, 10**6).astype(np.int32)
+        tracemalloc.start()
+        try:
+            ensemble._real_fraction(counts, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_needs_two_realizations(self):
         spec = EnsembleSpec.equal_variance(6, 0, 1, 11)
         with pytest.raises(ValueError):
@@ -285,21 +309,62 @@ class TestStreaming:
         assert peak < 6 * len(counts)
 
     def test_one_cpu_runs_in_process(self, tmp_path):
-        # --threads 2 on a process that may use one CPU starts no pool, and
-        # writes the CSV bytes of --threads 1
+        # --threads 2 on a process that may use one CPU starts no worker (a
+        # fork would raise), and writes the CSV bytes of --threads 1
         args = ["spacing", "--N", "32", "--p", "2", "--realizations", "600", "--seed", "7"]
         assert main([*args, "--threads", "1", "--out", str(tmp_path / "t1")]) == 0
         code = ("import os, sys\n"
                 "os.sched_getaffinity = lambda pid: {0}\n"
                 "os.cpu_count = lambda: 1\n"
+                "def fork():\n"
+                "    raise AssertionError('a worker was forked')\n"
+                "os.fork = fork\n"
                 "from trigcrystal.cli import main\n"
                 f"code = main({[*args, '--threads', '2', '--out', str(tmp_path / 't2')]!r})\n"
-                "print(code, 'concurrent.futures' in sys.modules)")
+                "print(code)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=120)
-        assert out.stdout.splitlines()[-1] == "0 False"
+        assert out.stdout.splitlines()[-1] == "0"
         for name in ("spacing.csv", "spacing_model.csv"):
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+    def test_two_workers_are_forked_directly(self, tmp_path):
+        # --threads 2 with two CPUs forks exactly two workers and loads no
+        # pool module, and writes the CSV bytes of --threads 1 at an M that
+        # splits into runs of unequal length
+        M = 600
+        assert M % (2 * ensemble._block_size(32))
+        args = ["spacing", "--N", "32", "--p", "2", "--realizations", str(M), "--seed", "7"]
+        assert main([*args, "--threads", "1", "--out", str(tmp_path / "t1")]) == 0
+        code = ("import os, sys\n"
+                "from trigcrystal import ensemble\n"
+                "from trigcrystal.cli import main\n"
+                "ensemble._cpus = lambda: 2\n"
+                "forks, fork = [], os.fork\n"
+                "def counted():\n"
+                "    pid = fork()\n"
+                "    if pid:\n"
+                "        forks.append(pid)\n"
+                "    return pid\n"
+                "os.fork = counted\n"
+                f"code = main({[*args, '--threads', '2', '--out', str(tmp_path / 't2')]!r})\n"
+                "print(code, len(forks), sorted(m for m in ('concurrent.futures', "
+                "'multiprocessing') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "0 2 []"
+        for name in ("spacing.csv", "spacing_model.csv"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        # a platform without os.fork counts as one worker
+        spec = EnsembleSpec.equal_variance(64, 0, 2 * ensemble._block_size(64) + 17, 19)
+        serial = real_zero_ensemble(spec)
+        monkeypatch.setattr(ensemble, "_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        sets = real_zero_ensemble(spec, threads=2)
+        assert len(sets) == len(serial)
+        assert all(np.array_equal(a, b) for a, b in zip(sets, serial))
 
     def test_cpus_without_an_affinity_mask(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -307,6 +372,76 @@ class TestStreaming:
         assert ensemble._cpus() == 1
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert ensemble._cpus() == 6
+
+
+class TestForkedWorkers:
+    """Two forked workers, one of them failing: the failure reaches the
+    parent, and no child is left."""
+
+    N = 64
+
+    def spec(self):
+        # two runs of whole batches: 2K realizations, then 17
+        return EnsembleSpec.equal_variance(self.N, 0, 2 * ensemble._block_size(self.N) + 17, 19)
+
+    @staticmethod
+    def fail(monkeypatch, worker, act):
+        """Make worker 0 (lo = 0) or 1 (lo > 0) of two call act before its
+        work."""
+        monkeypatch.setattr(ensemble, "_cpus", lambda: 2)
+        work = ensemble._reduce_batches
+
+        def reduce_batches(spec, lo, hi, reduce):
+            if (lo > 0) == (worker == 1):
+                act()
+            return work(spec, lo, hi, reduce)
+
+        monkeypatch.setattr(ensemble, "_reduce_batches", reduce_batches)
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def raise_value_error():
+        raise ValueError("no roots in this worker")
+
+    @pytest.mark.parametrize("worker", [1, 0])
+    def test_an_exception_is_raised_again(self, monkeypatch, worker, capfd):
+        # a failure in the first worker leaves the second running: it is
+        # killed and reaped, and prints nothing
+        self.fail(monkeypatch, worker, self.raise_value_error)
+        with pytest.raises(ValueError, match="no roots in this worker"):
+            real_zero_ensemble(self.spec(), threads=2)
+        self.assert_no_child()
+        assert capfd.readouterr().err == ""
+
+    def test_an_exception_that_cannot_be_pickled(self, monkeypatch):
+        class Local(Exception):
+            pass
+
+        def act():
+            raise Local("defined in a function")
+
+        self.fail(monkeypatch, 1, act)
+        with pytest.raises(RuntimeError, match="Local: defined in a function"):
+            real_zero_ensemble(self.spec(), threads=2)
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("worker", [1, 0])
+    def test_a_killed_worker_is_named(self, monkeypatch, worker):
+        self.fail(monkeypatch, worker, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match=f"ensemble worker {worker} .* without a result"):
+            real_zero_ensemble(self.spec(), threads=2)
+        self.assert_no_child()
+
+    def test_the_cli_exits_3(self, monkeypatch, tmp_path, capsys):
+        self.fail(monkeypatch, 1, self.raise_value_error)
+        args = ["spacing", "--N", "32", "--p", "2", "--realizations", "600", "--threads", "2"]
+        assert main([*args, "--out", str(tmp_path)]) == 3
+        assert "no roots in this worker" in capsys.readouterr().err
+        self.assert_no_child()
 
 
 class TestScaleInvariance:
