@@ -306,11 +306,11 @@ def _count_report(counts, N: int) -> dict:
     }
 
 
-def _ensemble(cfg: RunConfig, pair_edges=None, gap_edges=None):
-    """The run's ensemble statistics, with the pair and gap histogram counts
-    on pair_edges and gap_edges where given (ensemble._statistics), and the
+def _ensemble(cfg: RunConfig, edges=None, lags=None):
+    """The run's ensemble statistics, with the histogram counts on edges of
+    the pairs up to lag lags where given (ensemble._statistics), and the
     manifest report of their count invariant."""
-    stats = ensemble._statistics(_spec(cfg), cfg.threads, pair_edges, gap_edges)
+    stats = ensemble._statistics(_spec(cfg), cfg.threads, edges, lags)
     return stats, _count_report(stats.counts, cfg.N)
 
 
@@ -430,7 +430,7 @@ def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
     series, report = [], None
     if cfg.mode in ("empirical", "all"):
         edges = ensemble._bin_edges(cfg.bins, cfg.max_range)
-        stats, report = _ensemble(cfg, pair_edges=edges)
+        stats, report = _ensemble(cfg, edges)
         est = ensemble._pair_correlation(stats, cfg.N, edges)
         report["ordered_pairs"] = est.metadata["ordered_pairs"]
         series.append(_write_histogram(out, "paircorr_empirical.csv", est.histogram,
@@ -455,10 +455,10 @@ def _cmd_paircorr(cfg: RunConfig, out: _Outputs):
 def _cmd_spacing(cfg: RunConfig, out: _Outputs):
     """nearest-neighbor spacing distribution"""
     edges = ensemble._bin_edges(cfg.bins, cfg.max_range)
-    stats, report = _ensemble(cfg, gap_edges=edges)
+    stats, report = _ensemble(cfg, edges, lags=1)
     hist = ensemble._spacings(stats, edges)
     series = [_write_histogram(out, "spacing.csv", hist, "empirical")]
-    print(f"spacing: {len(hist.values)} bins, ensemble mean gap {stats.mean_gap():.6f}")
+    print(f"spacing: {len(hist.values)} bins, ensemble mean gap {stats.mean_gap(cfg.N):.6f}")
     if cfg.p >= 1:
         ss = _analytic_grid(cfg.max_range, 0.01)
         us = cfg.p * (ss - 1.0 - 1.0 / (2.0 * cfg.p))

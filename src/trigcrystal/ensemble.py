@@ -6,15 +6,19 @@ circumference 2N.  The root finder takes an ensemble in fixed batches of
 consecutive realizations, and each batch leaves it as one flat record:
 every realization's sorted roots, one realization after the other, and
 each realization's count.  The process that found a batch reduces it at
-once to statistics (_Reduction): the per-realization counts, the integer
-histogram counts of the ordered pairs or of the gaps, and the sum of the
-gaps held exactly, as a whole number of 2^-1074.  Integers add up alike in
-any order, so every estimate is the same however the batches are spread
-over workers, and a run holds one batch's roots at a time: beyond that its
-memory grows by one count per realization.  With more than one worker, each
-is a process forked directly, with no pool, which takes one run of whole
-batches and sends back its statistics through a pipe.  The functions that
-take lists of root sets reduce them in the same batches with the same code.
+once to statistics (_Reduction), all of them integer counts: the
+per-realization counts, and the histogram counts of one walk over each
+root's successors around its circle (_successors), the ordered pairs at
+every lag or the gaps at lag 1.  A distance d goes to bin floor(d/w) when
+it is below the top edge.  The mean gap needs no sum of gaps, since the
+gaps of a realization with two roots or more go once round its circle.
+Integers add up alike in any order, so every estimate is the same however
+the batches are spread over workers, and a run holds one batch's roots at
+a time: beyond that its memory grows by one count per realization.  With
+more than one worker, each is a process forked directly, with no pool,
+which takes one run of whole batches and sends back its statistics
+through a pipe.  The functions that take lists of root sets reduce them
+in the same batches with the same code.
 """
 
 from __future__ import annotations
@@ -81,28 +85,14 @@ class PairCorrelationEstimate:
     metadata: dict = field(default_factory=dict)
 
 
-# every double is a whole multiple of 2^-1074, the least subnormal
-_TINY = 1074
-
-
-def _whole(x) -> int:
-    """The double x as a whole number of 2^-1074: exact, so sums of these do
-    not depend on their order."""
-    n, d = float(x).as_integer_ratio()
-    return n << (_TINY + 1 - d.bit_length())
-
-
 @dataclass
 class _Statistics:
     """Statistics of realizations, summed over their batches: each
-    realization's real-root count, in index order; the integer histogram
-    counts of the ordered pairs and of the gaps (empty unless asked for);
-    and the sum of the gaps, _whole."""
+    realization's real-root count, in index order, and the integer histogram
+    counts of the successor walk (empty unless asked for)."""
 
     counts: np.ndarray
-    pairs: np.ndarray
-    gaps: np.ndarray
-    gap_sum: int = 0
+    hist: np.ndarray
 
     @property
     def gap_count(self) -> int:
@@ -110,9 +100,11 @@ class _Statistics:
         more."""
         return int(self.counts[self.counts >= 2].sum())
 
-    def mean_gap(self) -> float:
-        """The mean gap, correctly rounded from the batches' exact sum."""
-        return self.gap_sum / (self.gap_count << _TINY)
+    def mean_gap(self, degree: int) -> float:
+        """The mean gap of degree-N realizations: the gaps of each one with
+        two or more roots add up to its circle, 2N, so this is 2N times
+        their number over their roots, rounded once."""
+        return 2 * degree * int(np.count_nonzero(self.counts >= 2)) / self.gap_count
 
 
 # no histogram asked for
@@ -122,36 +114,31 @@ _NO_BINS = np.zeros(0, dtype=np.int64)
 @dataclass(frozen=True)
 class _Reduction:
     """What each batch of a degree-N ensemble leaves the root finder as: the
-    _Statistics of its realizations, with the ordered-pair histogram counts
-    on pair_edges and the gap histogram counts on gap_edges where given."""
+    _Statistics of its realizations, with, where edges are given, the
+    histogram counts on them of the distances from each root to its
+    successors up to lag lags (_pair_counts): at every lag (lags None) the
+    ordered pairs, at lag 1 the gaps."""
 
     degree: int
-    pair_edges: np.ndarray | None = None
-    gap_edges: np.ndarray | None = None
+    edges: np.ndarray | None = None
+    lags: int | None = None
 
     def __call__(self, r, k) -> _Statistics:
         """The statistics of the flat record (r, k): rescaled roots sorted
         realization by realization, and each realization's count."""
-        period = 2.0 * self.degree
-        stats = _Statistics(k.astype(np.int32), _NO_BINS, _NO_BINS)
-        if self.pair_edges is not None:
-            stats.pairs = _pair_counts(r, k, period, self.pair_edges)
-        if self.gap_edges is not None:
-            g = _gaps(r, k, period)
-            stats.gaps = _histogram(g, self.gap_edges)
-            stats.gap_sum = _whole(g.sum())
-        return stats
+        hist = (_NO_BINS if self.edges is None
+                else _pair_counts(r, k, 2.0 * self.degree, self.edges, self.lags))
+        return _Statistics(k.astype(np.int32), hist)
 
     def merge(self, parts) -> _Statistics:
         """The statistics of parts, consecutive runs of realizations in
         index order, taken together.  The counts are appended to one byte
         buffer, 4 bytes a realization, not kept as one array per batch."""
-        counts, pairs, gaps, gap_sum = bytearray(), 0, 0, 0
+        counts, hist = bytearray(), 0
         for part in parts:
             counts += part.counts.tobytes()
-            pairs, gaps = pairs + part.pairs, gaps + part.gaps
-            gap_sum += part.gap_sum
-        return _Statistics(np.frombuffer(counts, dtype=np.int32), pairs, gaps, gap_sum)
+            hist = hist + part.hist
+        return _Statistics(np.frombuffer(counts, dtype=np.int32), hist)
 
 
 class _RootSets:
@@ -326,14 +313,14 @@ def real_zero_ensemble(spec: poly.EnsembleSpec, threads: int = 1, reduce=None):
                                                   for lo in range(0, M, step)]))
 
 
-def _statistics(spec: poly.EnsembleSpec, threads: int = 1, pair_edges=None,
-                gap_edges=None) -> _Statistics:
-    """The ensemble's _Statistics, with the ordered-pair and gap histogram
-    counts on pair_edges and gap_edges where given: real_zero_ensemble
-    reduced batch by batch by _Reduction, the same for any thread count.
-    It runs through the module's real_zero_ensemble, which
-    perfbench/traced.py wraps by name to time the ensemble layer."""
-    return real_zero_ensemble(spec, threads, _Reduction(spec.degree, pair_edges, gap_edges))
+def _statistics(spec: poly.EnsembleSpec, threads: int = 1, edges=None,
+                lags=None) -> _Statistics:
+    """The ensemble's _Statistics, with the histogram counts on edges of the
+    pairs up to lag lags where given: real_zero_ensemble reduced batch by
+    batch by _Reduction, the same for any thread count.  It runs through
+    the module's real_zero_ensemble, which perfbench/traced.py wraps by
+    name to time the ensemble layer."""
+    return real_zero_ensemble(spec, threads, _Reduction(spec.degree, edges, lags))
 
 
 def _record(rootsets):
@@ -342,10 +329,10 @@ def _record(rootsets):
     return np.concatenate(rootsets, dtype=float), np.array([len(x) for x in rootsets])
 
 
-def _list_statistics(rootsets, degree: int, pair_edges=None, gap_edges=None) -> _Statistics:
+def _list_statistics(rootsets, degree: int, edges=None, lags=None) -> _Statistics:
     """_statistics of a list of rescaled root sets of degree-N polynomials,
     taken in the ensemble's batches."""
-    reduce = _Reduction(degree, pair_edges, gap_edges)
+    reduce = _Reduction(degree, edges, lags)
     K = _block_size(degree)
     return reduce.merge(reduce(*_record(rootsets[lo:lo + K]))
                         for lo in range(0, len(rootsets), K))
@@ -380,7 +367,7 @@ def empirical_real_fraction(
     """Monte Carlo mean and standard error of the real-zero fraction, of the
     given rescaled root sets or else of a one-thread run of the ensemble,
     which keeps only the counts."""
-    if spec.realizations < 2:
+    if (spec.realizations if rootsets is None else len(rootsets)) < 2:
         raise ValueError("need at least 2 realizations for a standard error")
     if rootsets is None:
         counts = _statistics(spec).counts
@@ -409,28 +396,39 @@ def _bin_edges(bin_width: float, max_range: float) -> np.ndarray:
     return np.arange(_steps_within(bin_width, max_range) + 1) * bin_width
 
 
-def _pair_counts(r, k, period, edges):
-    """Histogram counts on edges of the ordered pairs of roots closer than
-    top = edges[-1] around the circle, within each realization of the flat
-    record (r, k); the bins are edges[1] wide.
-
-    Lag l pairs each root r_i with the l-th root after it in its
-    realization's r followed by r + period, as long as that one is still
-    below r_i + top: the diffs are the same doubles a loop over the
-    realizations takes, and the lags stop when no root has a partner left.
-    A root's partners never reach the next realization's roots, since
-    r_i + period is not below r_i + top.
-    """
-    bin_width, top, nbins = edges[1], edges[-1], len(edges) - 1
-    # each realization's r, then r + period; root t sits at ext[at[t]]
+def _successors(r, k, period):
+    """The successor record of the flat record (r, k): (at, ext), ext
+    holding each realization's r followed by r + period, and root t at
+    ext[at[t]].  The l-th root after root t around its circle, for l up to
+    its realization's count, is then ext[at[t] + l], and its distance
+    ext[at[t] + l] - r[t] is the same double a loop over the realizations
+    takes."""
     at = np.arange(len(r)) + np.repeat(np.cumsum(k) - k, k)
     ext = np.empty(2 * len(r))
     ext[at] = r
     ext[at + np.repeat(k, k)] = r + period
+    return at, ext
+
+
+def _pair_counts(r, k, period, edges, lags=None):
+    """Histogram counts on edges of the pairs of each root and its
+    successors around the circle (_successors) closer than top = edges[-1],
+    at lags 1 to lags, or at every lag if lags is None, within each
+    realization of the flat record (r, k) that has two roots or more.  A
+    distance d goes to bin floor(d / w), w = edges[1].  Every lag gives the
+    ordered pairs, lag 1 the gaps.
+
+    The lags stop when no root has a successor left below top.  A root's
+    successors never reach the next realization's roots: lag l < k stays in
+    its realization, and at lag k, r_i + period is not below r_i + top when
+    top <= period, which every caller without a lag limit ensures.
+    """
+    bin_width, top, nbins = edges[1], edges[-1], len(edges) - 1
+    at, ext = _successors(r, k, period)
     counts = np.zeros(nbins, dtype=np.int64)
-    live, bound = np.arange(len(r)), r + top
+    live, bound = np.flatnonzero(np.repeat(k >= 2, k)), r + top
     lag = 1
-    while len(live):
+    while len(live) and (lags is None or lag <= lags):
         j = at[live] + lag
         near = ext[j] < bound[live]
         live, j = live[near], j[near]
@@ -445,9 +443,9 @@ def _pair_correlation(stats: _Statistics, degree: int, edges) -> PairCorrelation
     """The pair-correlation estimate of stats' ordered-pair counts on edges."""
     period = 2.0 * degree
     bin_width, M = float(edges[1]), len(stats.counts)
-    values = stats.pairs / (M * period * bin_width)
+    values = stats.hist / (M * period * bin_width)
     meta = {"realizations": M, "degree": degree, "bin_width": bin_width,
-            "max_range": float(edges[-1]), "ordered_pairs": int(stats.pairs.sum())}
+            "max_range": float(edges[-1]), "ordered_pairs": int(stats.hist.sum())}
     return PairCorrelationEstimate(histogram=Histogram(edges, values), metadata=meta)
 
 
@@ -470,30 +468,16 @@ def empirical_pair_correlation(
     edges = _bin_edges(bin_width, max_range)
     if max_range > degree:
         raise ValueError("max_range cannot exceed the half period N")
-    return _pair_correlation(_list_statistics(rootsets, degree, pair_edges=edges),
+    return _pair_correlation(_list_statistics(rootsets, degree, edges),
                              degree, edges)
-
-
-def _histogram(x, edges):
-    """np.histogram(x, edges)[0], bin i holding edges[i] <= x < edges[i+1]
-    and the last also x = edges[-1], found by binary search on the edges:
-    NumPy's sorts x, whose first call faults in about 0.5 MB of sort code in
-    every worker."""
-    i = np.searchsorted(edges, x, side="right") - 1
-    i[x == edges[-1]] -= 1
-    return np.bincount(i[(i >= 0) & (i < len(edges) - 1)], minlength=len(edges) - 1)
 
 
 def _gaps(r, k, period):
     """The circular gaps of each realization of the flat record (r, k) that
     has two roots or more, one realization after the other: each root's
-    distance to the next around its circle of length period."""
-    first = np.cumsum(k) - k
-    ahead = np.empty_like(r)
-    ahead[:-1] = r[1:]
-    some = k > 0
-    ahead[first[some] + k[some] - 1] = r[first[some]] + period
-    return (ahead - r)[np.repeat(k >= 2, k)]
+    distance to its first successor (_successors)."""
+    at, ext = _successors(r, k, period)
+    return (ext[at + 1] - r)[np.repeat(k >= 2, k)]
 
 
 def circular_gaps(zeros, period: float) -> np.ndarray:
@@ -514,10 +498,10 @@ def _spacings(stats: _Statistics, edges) -> Histogram:
     """The density-normalized histogram of stats' gap counts on edges."""
     if not stats.gap_count:
         raise ValueError("no realization contributed two or more roots")
-    in_range = stats.gaps.sum()
+    in_range = stats.hist.sum()
     if in_range == 0:
         raise ValueError("no gaps fall inside the histogram range")
-    return Histogram(edges, stats.gaps / (in_range * float(edges[1])))
+    return Histogram(edges, stats.hist / (in_range * float(edges[1])))
 
 
 def nearest_neighbor_spacings(
@@ -532,4 +516,4 @@ def nearest_neighbor_spacings(
     integrate to 1 over the histogram support.
     """
     edges = _bin_edges(bin_width, max_range)
-    return _spacings(_list_statistics(rootsets, degree, gap_edges=edges), edges)
+    return _spacings(_list_statistics(rootsets, degree, edges, lags=1), edges)

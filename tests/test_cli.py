@@ -391,7 +391,7 @@ class TestCommands:
         # odd and above-2N counts are reported, not dropped
         def bad(*args, **kwargs):
             return ensemble._Statistics(np.array([1, 20, 2], dtype=np.int32),
-                                        ensemble._NO_BINS, ensemble._NO_BINS)
+                                        ensemble._NO_BINS)
 
         monkeypatch.setattr(ensemble, "_statistics", bad)
         assert main(["fraction", "--mode", "empirical", "--N", "8", "--realizations", "3",

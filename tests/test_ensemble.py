@@ -100,6 +100,10 @@ class TestPairCorrelation:
             assert whole.metadata["ordered_pairs"] == apart.metadata["ordered_pairs"] > 0
             apart = nearest_neighbor_spacings(sets, deg, bin_width=0.1, max_range=6.0)
             assert np.array_equal(gaps.values, apart.values)
+            # the mean gap comes from the counts alone: each realization
+            # with two or more roots has gaps that go once round its circle
+            mean = ensemble._list_statistics(sets, deg).mean_gap(deg)
+            assert mean == pytest.approx(gap_ensemble(sets, deg).mean(), rel=1e-14)
 
     def test_total_pair_mass_identity(self):
         rng = np.random.default_rng(7)
@@ -180,13 +184,13 @@ class TestSpacings:
         assert len(gaps) == 2 * deg
         with pytest.raises(ValueError):
             gap_ensemble([np.array([3.0])], deg)
-
-    def test_gap_bins_are_numpys(self):
-        # every edge, values just beside each, and values outside the range
-        edges = ensemble._bin_edges(0.07, 6.0)
-        x = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 9.0),
-                            [-1.0, 7.0, np.nan], np.random.default_rng(3).uniform(-1, 7, 500)])
-        assert np.array_equal(ensemble._histogram(x, edges), np.histogram(x, bins=edges)[0])
+        # a range above the circle, 2N = 6: the one-root set still adds no
+        # gap, where its gap round the circle would be 6; the other's gaps
+        # are 1.5 and 4.5
+        hist = nearest_neighbor_spacings([[1.0], [1.0, 2.5]], 3, bin_width=0.5,
+                                         max_range=7.0)
+        assert np.flatnonzero(hist.values).tolist() == [3, 9]
+        assert hist.values[3] == hist.values[9] == 1.0
 
     def test_both_estimators_share_one_bin_edge_rule(self):
         # 6 / 0.07 = 85.7 bins: both histograms end at 85 * 0.07 = 5.95, never
@@ -236,6 +240,11 @@ class TestRealFraction:
         spec = EnsembleSpec.equal_variance(6, 0, 1, 11)
         with pytest.raises(ValueError):
             empirical_real_fraction(spec)
+        # given root sets, those are what is averaged, whatever the spec says
+        spec = EnsembleSpec.equal_variance(6, 0, 5, 11)
+        for sets in ([], real_zero_ensemble(spec)[:1]):
+            with pytest.raises(ValueError, match="at least 2"):
+                empirical_real_fraction(spec, sets)
 
 
 class TestStreaming:
@@ -254,17 +263,21 @@ class TestStreaming:
         sets = real_zero_ensemble(spec)
         edges = ensemble._bin_edges(0.05, 6.0)
         monkeypatch.setattr(ensemble, "_BATCH_CHUNKS", chunks)
-        stats = ensemble._statistics(spec, threads, pair_edges=edges, gap_edges=edges)
+        # the pairs at every lag
+        stats = ensemble._statistics(spec, threads, edges)
         assert np.array_equal(stats.counts, [len(r) for r in sets])
         pairs = empirical_pair_correlation(sets, N)
         streamed = ensemble._pair_correlation(stats, N, edges)
         assert np.array_equal(streamed.histogram.values, pairs.histogram.values)
         assert streamed.metadata == pairs.metadata
-        assert stats.pairs.sum() == pairs.metadata["ordered_pairs"] > 0
+        assert stats.hist.sum() == pairs.metadata["ordered_pairs"] > 0
+        # the gaps, lag 1 of the same walk
+        stats = ensemble._statistics(spec, threads, edges, lags=1)
+        assert np.array_equal(stats.counts, [len(r) for r in sets])
         gaps = gap_ensemble(sets, N)
-        assert np.array_equal(stats.gaps, np.histogram(gaps, bins=edges)[0])
+        assert np.array_equal(stats.hist, np.histogram(gaps, bins=edges)[0])
         assert stats.gap_count == len(gaps)
-        assert stats.mean_gap() == pytest.approx(gaps.mean(), rel=1e-14)
+        assert stats.mean_gap(N) == pytest.approx(gaps.mean(), rel=1e-14)
         assert np.array_equal(ensemble._spacings(stats, edges).values,
                               nearest_neighbor_spacings(sets, N).values)
 
@@ -283,7 +296,7 @@ class TestStreaming:
             spec = EnsembleSpec.equal_variance(N, 0, batches * K, 23)
             tracemalloc.start()
             try:
-                ensemble._statistics(spec, 1, pair_edges=edges, gap_edges=edges)
+                ensemble._statistics(spec, 1, edges)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
