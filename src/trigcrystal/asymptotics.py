@@ -46,6 +46,9 @@ __all__ = [
 TRIPLE_ZERO_CRITICAL = math.sqrt(2.0 / (math.pi**2 - 8.0))
 # triple_zero_count samples the derivative at this many interior points
 TRIPLE_ZERO_POINTS = 8001
+# the largest a of the gap function, far below a = 1e152, from where its
+# derivative overflows on triple_zero_demo's grid
+GAP_A_MAX = 1e100
 
 
 def theorem_profile(n: int, p: int, u):
@@ -190,13 +193,14 @@ def _sin_over_gap(x):
 
 
 def gap_function(x, a: float):
-    """f(x) = sin(pi x) ((x - 1/2)^2 + a^2) / (x (x - 1)).
+    """f(x) = sin(pi x) ((x - 1/2)^2 + a^2) / (x (x - 1)), for 0 < a <=
+    GAP_A_MAX.
 
     Entire function with zeros at every integer except 0 and 1, plus the
     conjugate pair 1/2 +- i a bridging the double-width gap.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a <= GAP_A_MAX:
+        raise ValueError(f"a must be in (0, {GAP_A_MAX:g}], got {a!r}")
     x = np.asarray(x, dtype=float)
     out = _sin_over_gap(x) * ((x - 0.5) ** 2 + a * a)
     return float(out) if out.ndim == 0 else out
@@ -205,8 +209,8 @@ def gap_function(x, a: float):
 def gap_function_derivative(x, a: float):
     """Exact derivative of gap_function, finite at the removable points:
     f'(0) = pi (3/4 - a^2) = -f'(1)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a <= GAP_A_MAX:
+        raise ValueError(f"a must be in (0, {GAP_A_MAX:g}], got {a!r}")
     x = np.asarray(x, dtype=float)
     # the two 1/w terms cancel at the removable points; snap a tiny
     # neighborhood to the exact limits to avoid catastrophic cancellation

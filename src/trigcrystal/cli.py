@@ -83,8 +83,7 @@ OPTIONS = {
     "p": _Option(int, 0, (*_POLY, *_ENSEMBLE), "derivative order", lo=0, hi=500),
     "realizations": _Option(int, 200, _ENSEMBLE, "Monte Carlo ensemble size", lo=1, hi=10**7),
     "seed": _Option(int, 20260809, (*_POLY, *_ENSEMBLE, "figure"), "master seed", lo=0),
-    "threads": _Option(int, None, _ENSEMBLE,
-                       "worker processes (default $CRYSTALLIZE_THREADS or 1)", lo=1),
+    "threads": _Option(int, 1, _ENSEMBLE, "worker processes", lo=1),
     "index": _Option(int, 0, _POLY, "realization index", lo=0),
     "method": _Option(str, "sampled", ("roots",), "root finder", choices=METHODS),
     "input": _Option(str, None, ("roots",), "polynomial fixture JSON instead of sampling"),
@@ -96,7 +95,7 @@ OPTIONS = {
                      lo=_GRID_STEP, hi=analytic.MAX_SEPARATION),
     "p_max": _Option(int, 10, ("vp-table",), "largest derivative order", lo=0, hi=500),
     "a": _Option(float, 0.92, ("demo-triple-zero",), "imaginary part of the bridged zero pair",
-                 lo=0, lo_open=True),
+                 lo=0, hi=asymptotics.GAP_A_MAX, lo_open=True),
     "find_threshold": _Option(bool, False, ("demo-triple-zero",),
                               "bisect the 3 -> 1 transition in a"),
     "which": _Option(int, 1, ("figure",), "figure number", choices=(1, 2, 3)),
@@ -176,11 +175,6 @@ def parse_config(argv=None) -> RunConfig:
     if config_path:
         merged.update(_load_config_file(config_path, parser))
     merged.update((key, val) for key, val in args.items() if val is not None)
-    if merged["threads"] is None:
-        try:
-            merged["threads"] = int(os.environ.get("CRYSTALLIZE_THREADS", "1"))
-        except ValueError:
-            parser.error("CRYSTALLIZE_THREADS must be an integer")
 
     for key, opt in OPTIONS.items():
         if not opt.admits(merged[key]):
@@ -199,6 +193,9 @@ def parse_config(argv=None) -> RunConfig:
         if merged["max_range"] > merged["N"]:
             parser.error(f"max_range must not exceed the half period N={merged['N']}, "
                          f"got {merged['max_range']}")
+        if merged["max_range"] / merged["bins"] > ensemble.MAX_BINS:
+            parser.error(f"max_range / bins must be at most {ensemble.MAX_BINS} bins, "
+                         f"got {merged['max_range'] / merged['bins']:g}")
     return RunConfig(command=command, **merged)
 
 
@@ -322,7 +319,7 @@ def _fixture_polynomial(cfg: RunConfig) -> poly.TrigPolynomial:
     if cfg.input:
         try:
             with open(cfg.input, "r", encoding="utf-8") as fh:
-                return poly.TrigPolynomial.from_json(json.load(fh))
+                f = poly.TrigPolynomial.from_json(json.load(fh))
         except OSError as exc:
             raise _InputError(f"cannot read input file: {exc}") from exc
         except (ValueError, KeyError, TypeError) as exc:
@@ -330,6 +327,10 @@ def _fixture_polynomial(cfg: RunConfig) -> poly.TrigPolynomial:
                 f"input file {cfg.input!r} is not a polynomial fixture (a JSON object "
                 f"with degree, a and b): {type(exc).__name__}: {exc}"
             ) from exc
+        if f.degree > OPTIONS["N"].hi:  # the grid grows with the degree
+            raise _InputError(f"input file {cfg.input!r} has degree {f.degree}, above the "
+                              f"largest N, {OPTIONS['N'].hi}")
+        return f
     # realization i depends only on (seed, i), so any ensemble past i serves
     spec = poly.EnsembleSpec.equal_variance(cfg.N, cfg.p, cfg.index + 1, cfg.seed)
     # scaled by N^-p; the zero set is unchanged and stays in float range

@@ -68,10 +68,6 @@ class Histogram:
         object.__setattr__(self, "values", v)
 
     @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
-
-    @property
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
@@ -185,13 +181,12 @@ def _reduce_batches(spec: poly.EnsembleSpec, lo: int, hi: int, reduce):
     # every call (other allocators ignore this)
     np.empty(_LIFT_WORDS)
     K = _block_size(spec.degree)
-    scale = spec.degree / np.pi  # rescale_zeros' factor
 
     def batches():
         for start in range(lo, hi, K):
             c = poly._coefficient_rows(spec, start, min(start + K, hi))
             r, k = roots._real_roots_block(c)
-            yield reduce(r * scale, k)
+            yield reduce(rescale_zeros(r, spec.degree), k)
 
     return reduce.merge(batches())
 
@@ -361,19 +356,12 @@ def _real_fraction(counts, degree: int) -> tuple[float, float]:
     return s1 / (two_n * M), math.sqrt((M * s2 - s1 * s1) / (M * M * (M - 1) * two_n * two_n))
 
 
-def empirical_real_fraction(
-    spec: poly.EnsembleSpec, rootsets: list[np.ndarray] | None = None
-) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the real-zero fraction, of the
-    given rescaled root sets or else of a one-thread run of the ensemble,
-    which keeps only the counts."""
-    if (spec.realizations if rootsets is None else len(rootsets)) < 2:
+def empirical_real_fraction(spec: poly.EnsembleSpec) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of the real-zero fraction of a
+    one-thread run of the ensemble, which keeps only the counts."""
+    if spec.realizations < 2:
         raise ValueError("need at least 2 realizations for a standard error")
-    if rootsets is None:
-        counts = _statistics(spec).counts
-    else:
-        counts = np.array([len(r) for r in rootsets])
-    return _real_fraction(counts, spec.degree)
+    return _real_fraction(_statistics(spec).counts, spec.degree)
 
 
 def _steps_within(step: float, top: float) -> int:
@@ -386,13 +374,21 @@ def _steps_within(step: float, top: float) -> int:
     return k
 
 
+# a histogram's range holds at most this many bin widths: its counts, and
+# the SVG drawn from them, grow with the bins
+MAX_BINS = 1 << 20
+
+
 def _bin_edges(bin_width: float, max_range: float) -> np.ndarray:
     """Edges 0, w, 2w, ... of a histogram on [0, max_range] with bin width
-    w, _steps_within(w, max_range) bins of it."""
+    w, _steps_within(w, max_range) bins of it, max_range / w at most
+    MAX_BINS."""
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     if bin_width >= max_range:
         raise ValueError("bin_width must be smaller than max_range")
+    if max_range / bin_width > MAX_BINS:
+        raise ValueError(f"max_range / bin_width must be at most {MAX_BINS}")
     return np.arange(_steps_within(bin_width, max_range) + 1) * bin_width
 
 

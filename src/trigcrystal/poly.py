@@ -15,7 +15,6 @@ mode.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +88,7 @@ class TrigPolynomial:
         }
 
     @classmethod
-    def from_json(cls, obj) -> "TrigPolynomial":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "TrigPolynomial":
         return cls(degree=int(obj["degree"]), cos_coeffs=obj["a"], sin_coeffs=obj["b"])
 
 
@@ -121,12 +118,12 @@ class VarianceProfile:
         return len(self.sigmas) - 1
 
     @classmethod
-    def equal(cls, degree: int, sigma: float = 1.0) -> "VarianceProfile":
-        """All modes share the same standard deviation."""
-        return cls(np.full(degree + 1, float(sigma)))
+    def equal(cls, degree: int) -> "VarianceProfile":
+        """All modes have standard deviation 1."""
+        return cls(np.ones(degree + 1))
 
     @classmethod
-    def derivative(cls, degree: int, order: int, sigma: float = 1.0) -> "VarianceProfile":
+    def derivative(cls, degree: int, order: int) -> "VarianceProfile":
         """Profile of the order-th derivative of an equal-variance polynomial.
 
         Mode n is weighted by n**order.  The stored values are normalized to
@@ -138,7 +135,7 @@ class VarianceProfile:
         if degree < 1:
             raise ValueError("derivative profile needs degree >= 1")
         n = np.arange(degree + 1, dtype=float)
-        return cls(float(sigma) * (n / degree) ** order)
+        return cls((n / degree) ** order)
 
 
 @dataclass(frozen=True)
@@ -171,12 +168,11 @@ class EnsembleSpec:
         derivative_order: int,
         realizations: int,
         master_seed: int,
-        sigma: float = 1.0,
     ) -> "EnsembleSpec":
         return cls(
             degree=degree,
             derivative_order=derivative_order,
-            profile=VarianceProfile.equal(degree, sigma),
+            profile=VarianceProfile.equal(degree),
             realizations=realizations,
             master_seed=master_seed,
         )

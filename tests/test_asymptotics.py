@@ -302,3 +302,13 @@ class TestTripleZero:
     def test_rejects_nonpositive_a(self):
         with pytest.raises(ValueError):
             gap_function(0.3, 0.0)
+
+    def test_rejects_a_above_the_bound(self):
+        # the derivative overflows from about a = 1e152, and at 1e154 the
+        # demo's table is all -inf and nan; the bound keeps a far below that
+        demo = triple_zero_demo(asymptotics.GAP_A_MAX)
+        assert demo.derivative_zero_count == 1
+        assert np.all(np.isfinite(demo.f)) and np.all(np.isfinite(demo.fprime))
+        for fn in (triple_zero_demo, triple_zero_count):
+            with pytest.raises(ValueError, match="a must be in"):
+                fn(1e300)

@@ -65,9 +65,9 @@ class TestParsing:
             assert "unknown config keys" in capsys.readouterr().err
 
     def test_threads_env_default(self, monkeypatch):
+        # --threads defaults to 1 like any other option; no environment
+        # variable sets it
         monkeypatch.setenv("CRYSTALLIZE_THREADS", "5")
-        assert parse_config(["fraction"]).threads == 5
-        monkeypatch.delenv("CRYSTALLIZE_THREADS")
         assert parse_config(["fraction"]).threads == 1
 
     def test_range_guards(self, tmp_path, capsys):
@@ -77,13 +77,20 @@ class TestParsing:
                      ["fraction", "--realizations", "0"],
                      ["fraction", "--mode", "empirical", "--realizations", "1"],
                      ["fraction", "--mode", "all", "--realizations", "1"],
-                     ["roots", "--oversample", "16"]):
+                     ["roots", "--oversample", "16"],
+                     # more than 2^20 bins, whose memory grows without limit
+                     ["paircorr", "--mode", "empirical", "--bins", "1e-6"],
+                     ["spacing", "--bins", "1e-300"],
+                     # the gap function's derivative overflows from a = 1e152
+                     ["demo-triple-zero", "--a", "1e300"]):
             with pytest.raises(SystemExit) as exc:
                 parse_config(argv)
             assert exc.value.code == 2
             capsys.readouterr()
         # one realization has no standard error, but the analytic mode needs none
         assert parse_config(["fraction", "--mode", "analytic", "--realizations", "1"])
+        assert parse_config(["paircorr", "--mode", "empirical", "--N", "64",
+                             "--bins", str(64 / ensemble.MAX_BINS), "--max-range", "64"])
         # config-file values pass the flag's own type, choices and bounds
         cfgfile = tmp_path / "run.json"
         for command, data in (("fraction", {"N": "64"}),
@@ -494,8 +501,11 @@ class TestFailureHandling:
             assert "p must be at least 1" in err and "numerical failure" not in err
             assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("fixture", [None, [1, 2], {"degree": 2}],
-                             ids=["missing", "list", "no-coefficients"])
+    # the grid grows with the degree, so a fixture has --N's bound, 4096
+    @pytest.mark.parametrize("fixture", [None, [1, 2], {"degree": 2},
+                                         {"degree": 4097, "a": [0] * 4097 + [1],
+                                          "b": [0] * 4098}],
+                             ids=["missing", "list", "no-coefficients", "above-the-largest-N"])
     def test_unreadable_input_fixture_exits_2_naming_input(self, tmp_path, capsys, fixture):
         fx = tmp_path / "poly.json"
         if fixture is not None:

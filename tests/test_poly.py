@@ -59,7 +59,7 @@ class TestConstruction:
 
     def test_json_roundtrip(self):
         f = TrigPolynomial(2, [0.5, -1.25, 3.0], [0.0, 2.0, -0.125])
-        g = TrigPolynomial.from_json(json.dumps(f.to_json()))
+        g = TrigPolynomial.from_json(json.loads(json.dumps(f.to_json())))
         assert g.degree == 2
         assert np.array_equal(g.cos_coeffs, f.cos_coeffs)
         assert np.array_equal(g.sin_coeffs, f.sin_coeffs)
